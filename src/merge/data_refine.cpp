@@ -1,12 +1,13 @@
 #include "merge/data_refine.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
-#include <tuple>
+#include <mutex>
 #include <set>
+#include <tuple>
 #include <unordered_map>
-#include <functional>
 #include <unordered_set>
 
 #include "obs/obs.h"
@@ -165,28 +166,40 @@ class DataRefiner {
         result_(result),
         options_(options),
         graph_(*ctx.graph),
-        analyze_hold_(options.analyze_hold) {}
+        analyze_hold_(options.analyze_hold),
+        pool_(ctx.pool(local_pool_, options.num_threads)),
+        // Refinement only adds exceptions, which a ModeGraph never reads:
+        // one merged view serves every pass.
+        merged_view_(graph_, merged()) {}
 
   void run() {
     MM_SPAN("merge/data_refine");
+    MergeStats& s = result_.stats;
     {
       MM_SPAN("merge/refine_pass0");
-      build_mode_exceptions();
+      Stopwatch timer;
+      mode_exceptions_ = &ctx_.member_exceptions(pool_);
       step_clocks_on_data();
+      s.pass0_seconds = timer.elapsed_seconds();
     }
     {
       MM_SPAN("merge/refine_pass1");
+      Stopwatch timer;
       pass1();
+      s.pass1_seconds = timer.elapsed_seconds();
     }
     {
       MM_SPAN("merge/refine_pass2");
+      Stopwatch timer;
       pass2();
+      s.pass2_seconds = timer.elapsed_seconds();
     }
     {
       MM_SPAN("merge/refine_pass3");
+      Stopwatch timer;
       pass3();
+      s.pass3_seconds = timer.elapsed_seconds();
     }
-    const MergeStats& s = result_.stats;
     MM_COUNT("merge/endpoints_descended_pass2", pass2_endpoints_.size());
     MM_COUNT("merge/pairs_descended_pass3", s.pass3_pairs);
     MM_COUNT("merge/paths_enumerated_pass3", s.pass3_paths_enumerated);
@@ -199,43 +212,42 @@ class DataRefiner {
   const ClockMap& map() const { return result_.clock_map; }
   int num_sides() const { return analyze_hold_ ? 2 : 1; }
 
-  void build_mode_exceptions() {
-    mode_exceptions_.resize(ctx_.modes.size());
-    for (size_t m = 0; m < ctx_.modes.size(); ++m) {
-      mode_exceptions_[m] =
-          std::make_unique<CompiledExceptions>(graph_, *ctx_.modes[m]);
-    }
-  }
-
   // --- step 1: launch clocks on the data network -----------------------------
+  //
+  // Clock sets are flat bit rows: row p holds `words` 64-bit words, bit c
+  // set iff merged clock c reaches pin p.
 
-  /// Launch-clock reach through one mode's data network (clock ids already
-  /// mapped to merged space).
-  std::vector<std::set<uint32_t>> data_clock_reach(const ModeGraph& mg,
-                                                   size_t mode_index,
-                                                   bool is_merged) {
-    std::vector<std::set<uint32_t>> reach(graph_.num_nodes());
-    auto mapped = [&](sdc::ClockId c) {
-      if (is_merged || !c.valid()) return c;
-      return map().merged_of(mode_index, c);
-    };
+  /// The launch clocks a view seeds at each active startpoint, as (pin,
+  /// clock) pairs in the given clock space.
+  template <typename Fn>
+  void for_each_launch(const ModeGraph& mg, Fn&& fn) const {
     for (PinId sp : mg.active_startpoints()) {
       if (graph_.design().pin(sp).is_port()) {
         for (const sdc::PortDelay& pd : mg.sdc().port_delays()) {
           if (pd.is_input && pd.port_pin == sp && pd.clock.valid()) {
-            const sdc::ClockId c = mapped(pd.clock);
-            if (c.valid()) reach[sp.index()].insert(c.value());
+            fn(sp, pd.clock);
           }
         }
       } else {
         for (const timing::ClockArrival& ca : mg.clocks_on(sp)) {
-          const sdc::ClockId c = mapped(ca.clock);
-          if (c.valid()) reach[sp.index()].insert(c.value());
+          fn(sp, ca.clock);
         }
       }
     }
+  }
+
+  /// Walk a view's data network in topological order, calling
+  /// step(from, to) for every enabled arc a launch clock can cross out of
+  /// a pin whose row is non-empty (register CP pins cross only their
+  /// launch arcs).
+  template <typename Step>
+  void walk_data_network(const ModeGraph& mg, const std::vector<uint64_t>& rows,
+                         size_t words, Step&& step) const {
     for (PinId pin : graph_.topo_order()) {
-      if (reach[pin.index()].empty()) continue;
+      const uint64_t* row = &rows[pin.index() * words];
+      if (std::all_of(row, row + words, [](uint64_t w) { return w == 0; })) {
+        continue;
+      }
       bool has_launch = false;
       for (ArcId aid : graph_.fanout(pin)) {
         if (graph_.arc(aid).kind == ArcKind::kLaunch) has_launch = true;
@@ -244,63 +256,60 @@ class DataRefiner {
         if (!mg.arc_enabled(aid)) continue;
         const Arc& arc = graph_.arc(aid);
         if (has_launch && arc.kind != ArcKind::kLaunch) continue;
-        reach[arc.to.index()].insert(reach[pin.index()].begin(),
-                                     reach[pin.index()].end());
+        step(pin.index(), arc.to.index());
       }
     }
+  }
+
+  /// Member m's launch-clock reach through its data network, clock ids
+  /// mapped to merged space.
+  std::vector<uint64_t> member_clock_reach(size_t m, size_t words) const {
+    std::vector<uint64_t> reach(graph_.num_nodes() * words, 0);
+    for_each_launch(*ctx_.mode_graphs[m], [&](PinId sp, sdc::ClockId c) {
+      const sdc::ClockId mc = map().merged_of(m, c);
+      if (!mc.valid()) return;
+      reach[sp.index() * words + (mc.index() >> 6)] |= uint64_t{1}
+                                                       << (mc.index() & 63);
+    });
+    walk_data_network(*ctx_.mode_graphs[m], reach, words,
+                      [&](size_t from, size_t to) {
+                        for (size_t w = 0; w < words; ++w) {
+                          reach[to * words + w] |= reach[from * words + w];
+                        }
+                      });
     return reach;
   }
 
   void step_clocks_on_data() {
-    // Union of individual reaches.
-    std::vector<std::set<uint32_t>> allowed(graph_.num_nodes());
-    for (size_t m = 0; m < ctx_.modes.size(); ++m) {
-      const auto reach = data_clock_reach(*ctx_.mode_graphs[m], m, false);
-      for (size_t p = 0; p < reach.size(); ++p) {
-        allowed[p].insert(reach[p].begin(), reach[p].end());
-      }
-    }
+    const size_t words = (merged().num_clocks() + 63) / 64;
+    if (words == 0) return;
+    const size_t num_rows = graph_.num_nodes();
 
-    // Merged simulation with the inline check: disallowed clock at a pin
-    // becomes `set_false_path -from <clock> -through <pin>` and stops there.
-    const ModeGraph merged_view(graph_, merged());
-    std::vector<std::set<uint32_t>> reach(graph_.num_nodes());
-    std::set<std::pair<uint32_t, uint32_t>> frontier;  // (pin, clock)
+    // Union of individual reaches, one member per task.
+    std::vector<uint64_t> allowed(num_rows * words, 0);
+    std::mutex allowed_mutex;
+    pool_.parallel_for(ctx_.modes.size(), [&](size_t m) {
+      const std::vector<uint64_t> reach = member_clock_reach(m, words);
+      std::lock_guard<std::mutex> lock(allowed_mutex);
+      for (size_t i = 0; i < allowed.size(); ++i) allowed[i] |= reach[i];
+    });
 
-    auto try_insert = [&](PinId pin, uint32_t clock) {
-      if (allowed[pin.index()].count(clock)) {
-        reach[pin.index()].insert(clock);
-      } else {
-        frontier.emplace(pin.value(), clock);
-      }
+    // Merged simulation with the inline check: a clock reaching a pin it
+    // reaches in no member becomes `set_false_path -from <clock> -through
+    // <pin>` and stops there.
+    std::vector<uint64_t> reach(num_rows * words, 0);
+    std::vector<uint64_t> frontier(num_rows * words, 0);
+    auto arrive = [&](size_t pin, size_t w, uint64_t bits) {
+      const size_t i = pin * words + w;
+      reach[i] |= bits & allowed[i];
+      frontier[i] |= bits & ~allowed[i];
     };
-
-    for (PinId sp : merged_view.active_startpoints()) {
-      if (graph_.design().pin(sp).is_port()) {
-        for (const sdc::PortDelay& pd : merged().port_delays()) {
-          if (pd.is_input && pd.port_pin == sp && pd.clock.valid()) {
-            try_insert(sp, pd.clock.value());
-          }
-        }
-      } else {
-        for (const timing::ClockArrival& ca : merged_view.clocks_on(sp)) {
-          try_insert(sp, ca.clock.value());
-        }
-      }
-    }
-    for (PinId pin : graph_.topo_order()) {
-      if (reach[pin.index()].empty()) continue;
-      bool has_launch = false;
-      for (ArcId aid : graph_.fanout(pin)) {
-        if (graph_.arc(aid).kind == ArcKind::kLaunch) has_launch = true;
-      }
-      for (ArcId aid : graph_.fanout(pin)) {
-        if (!merged_view.arc_enabled(aid)) continue;
-        const Arc& arc = graph_.arc(aid);
-        if (has_launch && arc.kind != ArcKind::kLaunch) continue;
-        for (uint32_t c : reach[pin.index()]) try_insert(arc.to, c);
-      }
-    }
+    for_each_launch(merged_view_, [&](PinId sp, sdc::ClockId c) {
+      arrive(sp.index(), c.index() >> 6, uint64_t{1} << (c.index() & 63));
+    });
+    walk_data_network(merged_view_, reach, words, [&](size_t from, size_t to) {
+      for (size_t w = 0; w < words; ++w) arrive(to, w, reach[from * words + w]);
+    });
 
     // An equivalent single-clock/single-through false path may already be
     // present (carried over from a source mode's own refinement); adding a
@@ -318,21 +327,27 @@ class DataRefiner {
       existing.emplace(ex.throughs[0].pins[0].value(),
                        ex.from.clocks[0].value());
     }
-    for (const auto& [pin, clock] : frontier) {
-      if (existing.count({pin, clock})) continue;
-      sdc::Exception ex;
-      ex.kind = sdc::ExceptionKind::kFalsePath;
-      ex.from.clocks.push_back(sdc::ClockId(clock));
-      sdc::ExceptionPoint through;
-      through.pins.push_back(PinId(pin));
-      ex.throughs.push_back(std::move(through));
-      ex.comment = "data refinement: clock not in data network of any mode";
-      merged().exceptions().push_back(std::move(ex));
-      ++result_.stats.data_clock_fps_added;
-      result_.note("false path: clock " +
-                   merged().clock(sdc::ClockId(clock)).name + " through " +
-                   std::string(graph_.design().pin_name(PinId(pin))) +
-                   " (reaches it in no individual mode)");
+    // Emit in (pin, clock) order: the merged deck's bytes depend on it.
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      for (uint64_t bits = frontier[i]; bits != 0; bits &= bits - 1) {
+        const uint32_t pin = static_cast<uint32_t>(i / words);
+        const uint32_t clock = static_cast<uint32_t>(
+            (i % words) * 64 + static_cast<size_t>(__builtin_ctzll(bits)));
+        if (existing.count({pin, clock})) continue;
+        sdc::Exception ex;
+        ex.kind = sdc::ExceptionKind::kFalsePath;
+        ex.from.clocks.push_back(sdc::ClockId(clock));
+        sdc::ExceptionPoint through;
+        through.pins.push_back(PinId(pin));
+        ex.throughs.push_back(std::move(through));
+        ex.comment = "data refinement: clock not in data network of any mode";
+        merged().exceptions().push_back(std::move(ex));
+        ++result_.stats.data_clock_fps_added;
+        result_.note("false path: clock " +
+                     merged().clock(sdc::ClockId(clock)).name + " through " +
+                     std::string(graph_.design().pin_name(PinId(pin))) +
+                     " (reaches it in no individual mode)");
+      }
     }
   }
 
@@ -345,37 +360,22 @@ class DataRefiner {
     return opts;
   }
 
-  /// Run one mode's relationship propagation and fold the (clock-mapped)
-  /// relations into `accum`.
-  void accumulate_mode_relations(size_t m, const PropagationOptions& opts,
-                                 RelationMap& accum) {
-    CompiledExceptions& ce = *mode_exceptions_[m];
-    Propagator prop(*ctx_.mode_graphs[m], ce);
-    prop.run(opts);
-    for (const auto& [key, data] : prop.relations()) {
-      RelationKey mapped = key;
-      if (mapped.launch.valid()) mapped.launch = map().merged_of(m, mapped.launch);
-      if (mapped.capture.valid())
-        mapped.capture = map().merged_of(m, mapped.capture);
-      timing::RelationData& slot = accum[mapped];
-      slot.states.merge(data.states);
-      slot.hold_states.merge(data.hold_states);
-    }
-  }
-
-  /// Per-mode relation maps in the merged clock space (parallel). Runs on
-  /// the merge session's pool when one is live, else a pass-local pool.
+  /// Per-member relation maps in the merged clock space (parallel).
+  /// Unfiltered walks come from the context's memo, which the equivalence
+  /// check reads again; cone-filtered walks run here.
   std::vector<RelationMap> individual_relations(const PropagationOptions& opts) {
     std::vector<RelationMap> partial(ctx_.modes.size());
-    std::unique_ptr<ThreadPool> local;
-    ThreadPool* pool = ctx_.session ? &ctx_.session->pool() : nullptr;
-    if (pool == nullptr) {
-      local = std::make_unique<ThreadPool>(
-          options_.num_threads == 0 ? 0 : options_.num_threads);
-      pool = local.get();
+    if (opts.pin_filter == nullptr) {
+      const auto raw = ctx_.member_relations(opts, pool_);
+      pool_.parallel_for(ctx_.modes.size(), [&](size_t m) {
+        accumulate_mapped((*raw)[m], m, map(), partial[m]);
+      });
+      return partial;
     }
-    pool->parallel_for(ctx_.modes.size(), [&](size_t m) {
-      accumulate_mode_relations(m, opts, partial[m]);
+    pool_.parallel_for(ctx_.modes.size(), [&](size_t m) {
+      Propagator prop(*ctx_.mode_graphs[m], *(*mode_exceptions_)[m]);
+      prop.run(opts);
+      accumulate_mapped(prop.relations(), m, map(), partial[m]);
     });
     return partial;
   }
@@ -554,9 +554,8 @@ class DataRefiner {
     const PropagationOptions opts = base_options();
     const std::vector<RelationMap> indiv = individual_relations(opts);
 
-    ModeGraph merged_mg(graph_, merged());
-    CompiledExceptions merged_ce(graph_, merged());
-    Propagator mprop(merged_mg, merged_ce);
+    const CompiledExceptions merged_ce(graph_, merged());
+    Propagator mprop(merged_view_, merged_ce);
     mprop.run(opts);
     const RelationMap& mrel = mprop.relations();
 
@@ -664,12 +663,11 @@ class DataRefiner {
   void pass2() {
     if (pass2_endpoints_.empty()) return;
 
-    // Rebuild the merged view: pass-1 fixes changed the exception set.
-    ModeGraph merged_mg(graph_, merged());
-    CompiledExceptions merged_ce(graph_, merged());
+    // Recompile the merged exceptions: pass-1 fixes changed them.
+    const CompiledExceptions merged_ce(graph_, merged());
 
     const std::vector<uint8_t> cone =
-        Propagator::fanin_cone(merged_mg, pass2_endpoints_);
+        Propagator::fanin_cone(merged_view_, pass2_endpoints_);
     std::unordered_set<uint32_t> targets;
     for (PinId ep : pass2_endpoints_) targets.insert(ep.value());
 
@@ -679,7 +677,7 @@ class DataRefiner {
 
     const std::vector<RelationMap> indiv = individual_relations(opts);
 
-    Propagator mprop(merged_mg, merged_ce);
+    Propagator mprop(merged_view_, merged_ce);
     mprop.run(opts);
 
     std::vector<KeyVerdict> verdicts;
@@ -852,7 +850,7 @@ class DataRefiner {
 
   /// Merged-mode clock pairs under which paths S->E can be timed.
   std::vector<std::pair<sdc::ClockId, sdc::ClockId>> merged_clock_pairs(
-      const ModeGraph& merged_view, PinId startpoint, PinId endpoint) {
+      PinId startpoint, PinId endpoint) {
     std::vector<sdc::ClockId> launches;
     if (graph_.design().pin(startpoint).is_port()) {
       for (const sdc::PortDelay& pd : merged().port_delays()) {
@@ -863,13 +861,14 @@ class DataRefiner {
         }
       }
     } else {
-      for (const timing::ClockArrival& ca : merged_view.clocks_on(startpoint)) {
+      for (const timing::ClockArrival& ca :
+           merged_view_.clocks_on(startpoint)) {
         launches.push_back(ca.clock);
       }
     }
     std::vector<std::pair<sdc::ClockId, sdc::ClockId>> pairs;
     for (const timing::ClockArrival& cap :
-         merged_view.capture_clocks_at(endpoint)) {
+         merged_view_.capture_clocks_at(endpoint)) {
       for (sdc::ClockId l : launches) pairs.emplace_back(l, cap.clock);
     }
     return pairs;
@@ -879,13 +878,12 @@ class DataRefiner {
     if (pass3_pairs_.empty()) return;
     result_.stats.pass3_pairs = pass3_pairs_.size();
 
-    ModeGraph merged_view(graph_, merged());
-    CompiledExceptions merged_ce(graph_, merged());
+    const CompiledExceptions merged_ce(graph_, merged());
 
     for (const Pass3Pair& pair : pass3_pairs_) {
       bool overflow = false;
-      const auto paths =
-          enumerate_paths(merged_view, pair.startpoint, pair.endpoint, &overflow);
+      const auto paths = enumerate_paths(merged_view_, pair.startpoint,
+                                         pair.endpoint, &overflow);
       result_.stats.pass3_paths_enumerated += paths.size();
       if (overflow) {
         ++result_.stats.unresolved_pessimism;
@@ -896,8 +894,7 @@ class DataRefiner {
                      " — keeping extra paths (pessimistic)");
         continue;
       }
-      const auto cps =
-          merged_clock_pairs(merged_view, pair.startpoint, pair.endpoint);
+      const auto cps = merged_clock_pairs(pair.startpoint, pair.endpoint);
 
       std::vector<PathVerdict> verdicts[2];
       verdicts[kSetup] = compute_path_verdicts(pair, paths, cps, merged_ce,
@@ -965,8 +962,9 @@ class DataRefiner {
           if (!mode_launches(mg, pair.startpoint, lm)) continue;
           if (!mode_captures(mg, pair.endpoint, cm)) continue;
           if (!path_alive_in_mode(mg, path)) continue;
-          const PathState is = path_state(*mode_exceptions_[m], *ctx_.modes[m],
-                                          path, lm, cm, setup_side);
+          const PathState is =
+              path_state(*(*mode_exceptions_)[m], *ctx_.modes[m], path, lm,
+                         cm, setup_side);
           indiv_timed = is.is_timed();
         }
         if (!indiv_timed) verdicts[pi].bad.emplace_back(launch, capture);
@@ -1120,8 +1118,12 @@ class DataRefiner {
   const MergeOptions& options_;
   const TimingGraph& graph_;
   const bool analyze_hold_;
+  std::unique_ptr<ThreadPool> local_pool_;
+  ThreadPool& pool_;
+  const ModeGraph merged_view_;
 
-  std::vector<std::unique_ptr<CompiledExceptions>> mode_exceptions_;
+  const std::vector<std::unique_ptr<CompiledExceptions>>* mode_exceptions_ =
+      nullptr;
   std::vector<PinId> pass2_endpoints_;
   std::vector<Pass3Pair> pass3_pairs_;
 };

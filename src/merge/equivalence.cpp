@@ -26,107 +26,26 @@ const StateSet& side_states(const timing::RelationData& data, int side) {
   return side == 0 ? data.states : data.hold_states;
 }
 
-/// Merge one relation map into the individual-side union, with mode `m`'s
-/// clocks renamed into the merged clock space.
-void accumulate_mapped(const RelationMap& rel, size_t m, const ClockMap& map,
-                       RelationMap& indiv) {
-  for (const auto& [key, data] : rel) {
-    RelationKey mapped = key;
-    if (mapped.launch.valid()) mapped.launch = map.merged_of(m, mapped.launch);
-    if (mapped.capture.valid())
-      mapped.capture = map.merged_of(m, mapped.capture);
-    timing::RelationData& slot = indiv[mapped];
-    slot.states.merge(data.states);
-    slot.hold_states.merge(data.hold_states);
-  }
-}
-
-/// Serial reference: one Propagator per mode (fanned over the pool) plus
-/// one for the merged deck — N+1 independent graph walks.
-void propagate_serial(const RefineContext& ctx, const Sdc& merged,
-                      const ClockMap& map, const PropagationOptions& opts,
-                      ThreadPool& pool, RelationMap& indiv, RelationMap& mrel) {
-  const timing::TimingGraph& graph = *ctx.graph;
-  std::vector<RelationMap> partial(ctx.modes.size());
-  pool.parallel_for(ctx.modes.size(), [&](size_t m) {
-    CompiledExceptions ce(graph, *ctx.modes[m]);
-    Propagator prop(*ctx.mode_graphs[m], ce);
+/// The merged deck's relation map: a one-lane batched walk, or the serial
+/// engine as the byte-parity reference.
+RelationMap propagate_merged(const timing::TimingGraph& graph,
+                             const Sdc& merged, const PropagationOptions& opts,
+                             ThreadPool& pool, bool use_batched_sta) {
+  const ModeGraph mg(graph, merged);
+  const CompiledExceptions ce(graph, merged);
+  if (!use_batched_sta) {
+    Propagator prop(mg, ce);
     prop.run(opts);
-    accumulate_mapped(prop.relations(), m, map, partial[m]);
-  });
-  for (RelationMap& pm : partial) {
-    for (auto& [key, data] : pm) {
-      indiv[key].states.merge(data.states);
-      indiv[key].hold_states.merge(data.hold_states);
-    }
+    return prop.release_relations();
   }
-
-  ModeGraph merged_mg(graph, merged);
-  CompiledExceptions merged_ce(graph, merged);
-  Propagator mprop(merged_mg, merged_ce);
-  mprop.run(opts);
-  mrel = mprop.relations();
-}
-
-/// Batched path: the whole clique — N member lanes + 1 merged lane — walks
-/// the levelized graph once per kMaxBatchLanes chunk, sharing tags across
-/// lanes. Per-lane relation content is identical to propagate_serial.
-void propagate_batched(const RefineContext& ctx, const Sdc& merged,
-                       const ClockMap& map, const PropagationOptions& opts,
-                       ThreadPool& pool, RelationMap& indiv,
-                       RelationMap& mrel) {
-  const timing::TimingGraph& graph = *ctx.graph;
-  const size_t num_modes = ctx.modes.size();
-
-  // Exceptions per member mode + merged mode/exceptions, built up front
-  // (each index writes only its own slot).
-  std::vector<std::unique_ptr<CompiledExceptions>> excs(num_modes);
-  std::unique_ptr<ModeGraph> merged_mg;
-  std::unique_ptr<CompiledExceptions> merged_ce;
-  pool.parallel_for(num_modes + 1, [&](size_t m) {
-    if (m < num_modes) {
-      excs[m] = std::make_unique<CompiledExceptions>(graph, *ctx.modes[m]);
-    } else {
-      merged_mg = std::make_unique<ModeGraph>(graph, merged);
-      merged_ce = std::make_unique<CompiledExceptions>(graph, merged);
-    }
-  });
-
   BatchOptions bopts;
   bopts.track_startpoints = opts.track_startpoints;
   bopts.compute_arrivals = opts.compute_arrivals;
   bopts.analyze_hold = opts.analyze_hold;
   bopts.pool = &pool;
-
-  // Member lanes chunked at the mask width; the merged lane rides in the
-  // first chunk (cliques virtually always fit one chunk outright).
-  size_t next_member = 0;
-  bool merged_done = false;
-  while (next_member < num_modes || !merged_done) {
-    std::vector<StaLane> lanes;
-    std::vector<size_t> lane_mode;  // member index, SIZE_MAX = merged lane
-    if (!merged_done) {
-      lanes.push_back({merged_mg.get(), merged_ce.get()});
-      lane_mode.push_back(SIZE_MAX);
-      merged_done = true;
-    }
-    while (next_member < num_modes && lanes.size() < timing::kMaxBatchLanes) {
-      lanes.push_back({ctx.mode_graphs[next_member].get(),
-                       excs[next_member].get()});
-      lane_mode.push_back(next_member);
-      ++next_member;
-    }
-
-    BatchPropagator prop(graph, std::move(lanes));
-    prop.run(bopts);
-    for (size_t l = 0; l < lane_mode.size(); ++l) {
-      if (lane_mode[l] == SIZE_MAX) {
-        mrel = prop.relations(l);
-      } else {
-        accumulate_mapped(prop.relations(l), lane_mode[l], map, indiv);
-      }
-    }
-  }
+  BatchPropagator prop(graph, {StaLane{&mg, &ce}});
+  prop.run(bopts);
+  return prop.relations(0);
 }
 
 }  // namespace
@@ -144,25 +63,18 @@ EquivalenceReport check_equivalence(const RefineContext& ctx,
   opts.track_startpoints = startpoint_level;
   opts.analyze_hold = true;
 
-  // Reuse the merge session's pool when the context carries one.
   std::unique_ptr<ThreadPool> local;
-  ThreadPool* pool_ptr = ctx.session ? &ctx.session->pool() : nullptr;
-  if (pool_ptr == nullptr) {
-    local = std::make_unique<ThreadPool>(num_threads == 0 ? 0 : num_threads);
-    pool_ptr = local.get();
-  }
-  ThreadPool& pool = *pool_ptr;
+  ThreadPool& pool = ctx.pool(local, num_threads);
 
-  // Individual side (union over modes, clocks mapped to merged space) and
-  // merged side — one batched clique walk, or N+1 serial walks as the
-  // byte-parity reference.
+  // Individual side: the union over members of their (memoized) relation
+  // maps, clocks mapped to merged space. Merged side: one walk.
   RelationMap indiv;
-  RelationMap mrel;
-  if (use_batched_sta) {
-    propagate_batched(ctx, merged, map, opts, pool, indiv, mrel);
-  } else {
-    propagate_serial(ctx, merged, map, opts, pool, indiv, mrel);
+  const auto members = ctx.member_relations(opts, pool);
+  for (size_t m = 0; m < members->size(); ++m) {
+    accumulate_mapped((*members)[m], m, map, indiv);
   }
+  const RelationMap mrel =
+      propagate_merged(graph, merged, opts, pool, use_batched_sta);
 
   // Lost-relation keys live in the *mapped individual* clock space; a
   // candidate that dropped a clock entirely has no name for them.

@@ -33,11 +33,12 @@ struct EquivalenceReport {
 /// `startpoint_level` the comparison runs per (startpoint, endpoint, ...)
 /// instead — slower, finer.
 ///
-/// `use_batched_sta` (the default) propagates the whole clique — every
-/// member mode plus the merged deck — as lanes of one batched levelized
-/// graph walk (timing/sta_batch.h). `false` runs the serial per-mode
-/// engine, kept as the byte-parity reference (same discipline as
-/// MergeOptions::use_interned_keys); report counters are identical either
+/// The members' relation maps come from `ctx.member_relations`, so after
+/// data refinement on the same context only the merged deck is walked.
+/// `use_batched_sta` (the default) walks it as a one-lane batched
+/// levelized walk (timing/sta_batch.h); `false` runs the serial engine,
+/// kept as the byte-parity reference (same discipline as
+/// MergeOptions::use_interned_keys). Report counters are identical either
 /// way, only `examples` ordering may differ.
 EquivalenceReport check_equivalence(const RefineContext& ctx,
                                     const Sdc& merged, const ClockMap& map,

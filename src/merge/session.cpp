@@ -35,6 +35,11 @@ std::string journal_name(const std::string& name, MergeSession::ModeId id) {
   return name.empty() ? "mode" + std::to_string(id) : name;
 }
 
+/// Journal timings are whole milliseconds (renderers ignore them).
+uint64_t to_ms(double seconds) {
+  return static_cast<uint64_t>(seconds * 1000.0);
+}
+
 }  // namespace
 
 MergeSession::MergeSession(const timing::TimingGraph& graph, MergeContext& ctx)
@@ -358,7 +363,12 @@ const MergeSession::CommitResult& MergeSession::commit() {
               .field("pass2_ambiguous", s.pass2_ambiguous)
               .field("pass3_pairs", s.pass3_pairs)
               .field("pass3_fps_added", s.pass3_fps_added)
-              .field("unresolved_pessimism", s.unresolved_pessimism);
+              .field("unresolved_pessimism", s.unresolved_pessimism)
+              // Per-pass wall clock in whole ms, like validate_ms below.
+              .field("pass0_ms", to_ms(s.pass0_seconds))
+              .field("pass1_ms", to_ms(s.pass1_seconds))
+              .field("pass2_ms", to_ms(s.pass2_seconds))
+              .field("pass3_ms", to_ms(s.pass3_seconds));
         }
         const EquivalenceReport& eq = result->equivalence;
         obs::JournalEvent eev("equivalence");
@@ -375,8 +385,7 @@ const MergeSession::CommitResult& MergeSession::commit() {
             // Wall-clock of the clique's batched validation walk; rounded
             // to whole ms (renderers ignore it — it is for jq-level
             // profiling of commit cost, see docs/OBSERVABILITY.md).
-            .field("validate_ms",
-                   static_cast<uint64_t>(s.validate_seconds * 1000.0));
+            .field("validate_ms", to_ms(s.validate_seconds));
       }
     }
     next_results.emplace(std::move(key), result);

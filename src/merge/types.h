@@ -64,11 +64,11 @@ struct MergeOptions {
   /// the string-keyed reference path (--no-key-intern), kept for one release
   /// as the parity baseline; both paths produce byte-identical output.
   bool use_interned_keys = true;
-  /// Validate cliques through the batched level-parallel STA engine
-  /// (timing/sta_batch.h): all member modes + the merged deck propagate as
-  /// lanes of one levelized graph walk. Off = one serial propagation per
-  /// mode (--no-batched-sta), kept as the byte-parity reference — both
-  /// paths produce identical reports and merged output.
+  /// Walk the merged deck in validation with the batched level-parallel
+  /// STA engine (timing/sta_batch.h) as one lane; the members' relation
+  /// maps are reused from data refinement. Off = one serial propagation
+  /// (--no-batched-sta), kept as the byte-parity reference — both paths
+  /// produce identical reports and merged output.
   bool use_batched_sta = true;
   /// Hierarchical sharded merging (docs/SHARDING.md): ShardedMergeSession
   /// partitions the design into this many blocks, runs per-block
@@ -156,6 +156,13 @@ struct MergeStats {
   double preliminary_seconds = 0.0;
   double refinement_seconds = 0.0;
   double validate_seconds = 0.0;
+  // Data-refinement wall clock per pass, as the merge/refine_pass0..3
+  // spans time them: 0 = launch clocks on the data network, 1-3 = the
+  // three relationship passes (pass 1 includes the clock-pair fixes).
+  double pass0_seconds = 0.0;
+  double pass1_seconds = 0.0;
+  double pass2_seconds = 0.0;
+  double pass3_seconds = 0.0;
 };
 
 struct MergeResult {

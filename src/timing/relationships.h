@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "timing/exceptions.h"
@@ -137,6 +138,8 @@ class Propagator {
   void run(const PropagationOptions& options = {});
 
   const RelationMap& relations() const { return relations_; }
+  /// Move the relation table out (the propagator is spent afterwards).
+  RelationMap release_relations() { return std::move(relations_); }
   /// Tags on every pin after run() (indexed by pin).
   const std::vector<std::vector<Tag>>& tags() const { return tags_; }
   const ProgressTable& progress_table() const { return progress_; }

@@ -1,7 +1,7 @@
 #include "util/thread_pool.h"
 
-#include <atomic>
 #include <exception>
+#include <memory>
 
 namespace mm {
 
@@ -59,39 +59,41 @@ void ThreadPool::parallel_for(size_t count, size_t min_grain,
   size_t chunk_size = (count + chunks - 1) / chunks;
   if (chunk_size < min_grain) chunk_size = min_grain;
 
-  std::atomic<size_t> remaining{0};
-  std::exception_ptr error;
-  std::mutex error_mutex;
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
+  // Completion state lives on the heap, shared by the caller and every
+  // chunk: the last chunk decrements and notifies under the record's mutex,
+  // so the caller can neither miss the wakeup nor return (and free the
+  // state) while a worker is still touching it.
+  struct Completion {
+    std::mutex mutex;
+    std::condition_variable cv;
+    size_t remaining = 0;
+    std::exception_ptr error;
+  };
+  auto done = std::make_shared<Completion>();
+  done->remaining = (count + chunk_size - 1) / chunk_size;
 
-  size_t issued = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (size_t begin = 0; begin < count; begin += chunk_size) {
       const size_t end = std::min(begin + chunk_size, count);
-      ++issued;
-      tasks_.push([&, begin, end] {
+      tasks_.push([done, &fn, begin, end] {
+        std::exception_ptr error;
         try {
           for (size_t i = begin; i < end; ++i) fn(i);
         } catch (...) {
-          std::lock_guard<std::mutex> elock(error_mutex);
-          if (!error) error = std::current_exception();
+          error = std::current_exception();
         }
-        if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard<std::mutex> dlock(done_mutex);
-          done_cv.notify_all();
-        }
+        std::lock_guard<std::mutex> dlock(done->mutex);
+        if (error && !done->error) done->error = std::move(error);
+        if (--done->remaining == 0) done->cv.notify_all();
       });
     }
-    remaining.store(issued, std::memory_order_release);
   }
   cv_.notify_all();
 
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
-
-  if (error) std::rethrow_exception(error);
+  std::unique_lock<std::mutex> lock(done->mutex);
+  done->cv.wait(lock, [&] { return done->remaining == 0; });
+  if (done->error) std::rethrow_exception(done->error);
 }
 
 ThreadPool& ThreadPool::global() {

@@ -133,6 +133,16 @@ TEST_F(JournalTest, ExactEventCountsAcrossMultiCommitSession) {
     EXPECT_TRUE(seqs.insert(seq).second) << "duplicate seq " << seq;
   }
   EXPECT_EQ(j.events.size(), seqs.size() + 1);
+
+  // Every refine event carries the per-pass wall clocks.
+  for (const JournalRecord& rec : j.events) {
+    if (rec.ev != "refine") continue;
+    for (const char* field : {"pass0_ms", "pass1_ms", "pass2_ms", "pass3_ms"}) {
+      const JsonValue* v = rec.json.find(field);
+      ASSERT_NE(v, nullptr) << field;
+      EXPECT_TRUE(v->is_number()) << field;
+    }
+  }
 }
 
 TEST_F(JournalTest, VerdictProvenanceAndContentKeysRecorded) {

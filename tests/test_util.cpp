@@ -196,6 +196,36 @@ TEST(ThreadPool, GrainedParallelForCoversAllIndices) {
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 1000);
 }
 
+// Thousands of back-to-back tiny loops: a chunk that signals completion
+// must never touch the caller's frame after the caller has returned and
+// reused that stack for the next call. Every fifth loop throws from one
+// of its chunks, so the error path is raced the same way.
+TEST(ThreadPool, BackToBackTinyLoopsStress) {
+  ThreadPool pool(4);
+  size_t total = 0;
+  size_t thrown = 0;
+  for (size_t round = 0; round < 5000; ++round) {
+    const size_t count = 2 + round % 7;
+    const bool throws = round % 5 == 0;
+    std::vector<uint8_t> hits(count, 0);
+    try {
+      pool.parallel_for(count, [&](size_t i) {
+        hits[i] = 1;
+        if (throws && i == count / 2) throw Error("stress");
+      });
+    } catch (const Error&) {
+      ++thrown;
+    }
+    if (!throws) total += std::accumulate(hits.begin(), hits.end(), size_t{0});
+  }
+  EXPECT_EQ(thrown, 1000u);
+  size_t expected = 0;
+  for (size_t round = 0; round < 5000; ++round) {
+    if (round % 5 != 0) expected += 2 + round % 7;
+  }
+  EXPECT_EQ(total, expected);
+}
+
 TEST(ThreadPool, GrainAtLeastCountRunsInline) {
   ThreadPool pool(4);
   std::vector<int> order;  // unsynchronized: only safe because inline

@@ -45,7 +45,7 @@ void usage(std::FILE* to) {
       "  --max-violations N   stop after N minimized findings (default 1)\n"
       "  --corpus-dir DIR     write minimized repros under DIR\n"
       "  --no-mutate          skip the SDC text-mutation stage\n"
-      "  --no-batched-sta     validate with the serial per-mode STA\n"
+      "  --no-batched-sta     validate with the serial STA\n"
       "                       reference instead of the batched engine\n"
       "  --no-minimize        report raw cases without delta-debugging\n"
       "\n"

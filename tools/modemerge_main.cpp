@@ -89,9 +89,9 @@ void usage(std::FILE* to) {
       "  --no-key-intern      string-keyed canonical identity (parity\n"
       "                       reference for the interned-key fast path;\n"
       "                       output is byte-identical either way)\n"
-      "  --no-batched-sta     validate each clique with one serial STA run\n"
-      "                       per mode instead of the batched multi-lane\n"
-      "                       walk (parity reference; output is\n"
+      "  --no-batched-sta     walk each clique's merged deck in validation\n"
+      "                       with the serial STA engine instead of the\n"
+      "                       batched one (parity reference; output is\n"
       "                       byte-identical either way)\n"
       "  --shards K           hierarchical sharded merging: partition the\n"
       "                       netlist into K blocks, run per-block\n"
