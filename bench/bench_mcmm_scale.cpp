@@ -5,9 +5,9 @@
 //   commit_ms    — add-all + commit wall time for the corner-aware engine
 //                  (validation off, best of three, fresh context per rep),
 //   flat_ms      — C independent flat merge_mode_set runs over each
-//                  corner's decks with the relationship cache off (the
-//                  M x C full-extraction cost model the skeleton/delta
-//                  split replaces),
+//                  corner's decks, each in a fresh context (the M x C
+//                  full-extraction cost model the skeleton/delta split
+//                  replaces),
 //   skeletons    — full extractions the session actually paid (must be
 //                  exactly M: one skeleton per mode),
 //   delta_fills  — value-only corner fills (must be exactly M * (C - 1)),
@@ -132,7 +132,6 @@ RunResult run_at(const timing::TimingGraph& graph, const Matrix& matrix) {
   // per-corner byte-parity oracle in the same pass.
   merge::MergeOptions flat_opt;
   flat_opt.validate = false;
-  flat_opt.use_relationship_cache = false;
   for (int rep = 0; rep < 3; ++rep) {
     double total = 0.0;
     for (size_t c = 0; c < num_corners; ++c) {

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "merge/context.h"
 #include "merge/mergeability.h"
 #include "sdc/parser.h"
 #include "util/timer.h"
@@ -39,7 +40,8 @@ int main(int argc, char** argv) {
     }
     for (const auto& m : modes) ptrs.push_back(m.get());
 
-    merge::MergeabilityGraph graph(ptrs, {});
+    merge::MergeContext ctx;
+    merge::MergeabilityGraph graph(ptrs, ctx);
     std::printf("Figure 2: mergeability graph (7 modes)\n");
     std::printf("      ");
     for (const std::string& n : names) std::printf("%-10s", n.c_str());
@@ -85,7 +87,8 @@ int main(int argc, char** argv) {
     for (const auto& m : modes) ptrs.push_back(m.get());
 
     Stopwatch timer;
-    merge::MergeabilityGraph graph(ptrs, {});
+    merge::MergeContext ctx;
+    merge::MergeabilityGraph graph(ptrs, ctx);
     const auto cliques = graph.clique_cover();
     std::printf("%8zu %8zu %10zu %12.2f\n", n, mp.target_groups, cliques.size(),
                 timer.elapsed_ms());

@@ -1,24 +1,22 @@
 // Mergeability-analysis scaling in mode count M (the pipeline's first
 // superlinear wall: O(M^2) pairwise mock merges). Sweeps M ∈
-// {8,16,32,64,128} and times two engine paths, each through its own
+// {8,16,32,64,128} and times the production path through its own
 // MergeContext session:
 //
-//   string/cold,warm   — string-keyed reference path (use_interned_keys
-//                        off); cold = fresh context (empty relationship
-//                        cache), warm = rerun on the same context
-//   interned/cold,warm — KeyId fast path (default); same cold/warm split
+//   cold — fresh context (empty relationship cache and key table)
+//   warm — rerun on the same context (every extraction is a cache hit)
 //
-// plus, for M ≤ 64, the historical serial/seed reference (1 thread,
-// relationship cache off — the path that re-derives each mode's
-// relationship set per pair).
+// plus, for M ≤ 64, the Sdc-level oracle (1 thread, check_mergeable on raw
+// Sdc pairs — every pair re-derives both modes' keys and signatures).
 //
-// Asserts every configuration produces the identical graph + clique cover
-// and writes BENCH_mergeability_scale.json (mm.bench/1) with both paths'
-// timings per row.
+// Asserts the cold and warm graphs match the oracle's graph (edges, reason
+// strings, clique cover) and writes BENCH_mergeability_scale.json
+// (mm.bench/1) with the timings per row.
 
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -43,30 +41,24 @@ bool graphs_identical(const mm::merge::MergeabilityGraph& a,
   return a.clique_cover() == b.clique_cover();
 }
 
-struct PathTiming {
-  double cold_ms = 0.0;
-  double warm_ms = 0.0;
-};
-
-/// Cold build in a fresh MergeContext, warm rebuild in the same session.
-PathTiming time_path(const std::vector<const mm::sdc::Sdc*>& ptrs,
-                     bool interned,
-                     const mm::merge::MergeabilityGraph& reference,
-                     bool* identical) {
-  mm::merge::MergeOptions options;  // all threads, cache on
-  options.use_interned_keys = interned;
-  mm::merge::MergeContext ctx(options);
-
-  PathTiming t;
-  mm::Stopwatch timer;
-  const mm::merge::MergeabilityGraph cold(ptrs, ctx);
-  t.cold_ms = timer.elapsed_ms();
-  timer.reset();
-  const mm::merge::MergeabilityGraph warm(ptrs, ctx);
-  t.warm_ms = timer.elapsed_ms();
-  *identical = *identical && graphs_identical(reference, cold) &&
-               graphs_identical(reference, warm);
-  return t;
+/// The graph the Sdc-level oracle defines: a serial i < j loop over
+/// check_mergeable(const Sdc&, const Sdc&, options).
+mm::merge::MergeabilityGraph oracle_graph(
+    const std::vector<const mm::sdc::Sdc*>& ptrs) {
+  const size_t n = ptrs.size();
+  const mm::merge::MergeOptions options;
+  std::vector<uint8_t> adj(n * n, 0);
+  std::vector<std::string> reasons(n * n);
+  for (size_t i = 0; i < n; ++i) adj[i * n + i] = 1;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      const mm::merge::PairVerdict v =
+          mm::merge::check_mergeable(*ptrs[i], *ptrs[j], options);
+      adj[i * n + j] = adj[j * n + i] = v.mergeable ? 1 : 0;
+      if (!v.mergeable) reasons[i * n + j] = reasons[j * n + i] = v.reason;
+    }
+  }
+  return mm::merge::MergeabilityGraph(n, std::move(adj), std::move(reasons));
 }
 
 }  // namespace
@@ -87,9 +79,8 @@ int main(int argc, char** argv) {
               design.num_instances());
   std::printf("(host reports %u hardware thread(s))\n",
               std::thread::hardware_concurrency());
-  std::printf("%8s %8s %12s %10s %10s %10s %10s %9s %10s\n", "#modes",
-              "pairs", "serial(ms)", "str-cold", "str-warm", "int-cold",
-              "int-warm", "int/str", "identical");
+  std::printf("%8s %8s %12s %10s %10s %10s\n", "#modes", "pairs",
+              "oracle(ms)", "cold(ms)", "warm(ms)", "identical");
 
   obs::JsonWriter json;
   json.begin_object();
@@ -116,57 +107,43 @@ int main(int argc, char** argv) {
     }
     for (const auto& mode : modes) ptrs.push_back(mode.get());
 
-    // Reference graph: string path, cold session. Everything else must
-    // match it bit for bit.
-    merge::MergeOptions string_opts;
-    string_opts.use_interned_keys = false;
-    merge::MergeContext reference_ctx(string_opts);
-    const merge::MergeabilityGraph reference(ptrs, reference_ctx);
+    // Production path: cold build in a fresh session, warm rebuild in the
+    // same session.
+    merge::MergeContext ctx{merge::MergeOptions{}};
+    Stopwatch timer;
+    const merge::MergeabilityGraph cold(ptrs, ctx);
+    const double cold_ms = timer.elapsed_ms();
+    timer.reset();
+    const merge::MergeabilityGraph warm(ptrs, ctx);
+    const double warm_ms = timer.elapsed_ms();
 
-    // Historical serial seed path (quadratic re-extraction) — priced out
-    // at M = 128, where it would dominate the whole sweep.
-    double serial_ms = 0.0;
-    const bool run_serial = m <= 64;
-    if (run_serial) {
-      merge::MergeOptions serial_seed;
-      serial_seed.num_threads = 1;
-      serial_seed.use_relationship_cache = false;
-      serial_seed.use_interned_keys = false;
-      Stopwatch timer;
-      const merge::MergeabilityGraph serial(ptrs, serial_seed);
-      serial_ms = timer.elapsed_ms();
-      all_identical = all_identical && graphs_identical(reference, serial);
-    }
+    // The oracle (quadratic re-derivation) is timed up to M = 64 and, at
+    // M = 128 where it would dominate the sweep, only run as the check.
+    const bool time_oracle = m <= 64;
+    timer.reset();
+    const merge::MergeabilityGraph oracle = oracle_graph(ptrs);
+    const double oracle_ms = timer.elapsed_ms();
 
-    bool identical = true;
-    const PathTiming str = time_path(ptrs, /*interned=*/false, reference,
-                                     &identical);
-    const PathTiming intern = time_path(ptrs, /*interned=*/true, reference,
-                                        &identical);
+    const bool identical =
+        graphs_identical(oracle, cold) && graphs_identical(oracle, warm);
     all_identical = all_identical && identical;
 
     const size_t pairs = m * (m - 1) / 2;
-    char serial_buf[32];
-    if (run_serial)
-      std::snprintf(serial_buf, sizeof serial_buf, "%.2f", serial_ms);
+    char oracle_buf[32];
+    if (time_oracle)
+      std::snprintf(oracle_buf, sizeof oracle_buf, "%.2f", oracle_ms);
     else
-      std::snprintf(serial_buf, sizeof serial_buf, "-");
-    std::printf("%8zu %8zu %12s %10.2f %10.2f %10.2f %10.2f %8.2fx %10s\n",
-                m, pairs, serial_buf, str.cold_ms, str.warm_ms,
-                intern.cold_ms, intern.warm_ms,
-                str.warm_ms / intern.warm_ms, identical ? "yes" : "NO!");
+      std::snprintf(oracle_buf, sizeof oracle_buf, "-");
+    std::printf("%8zu %8zu %12s %10.2f %10.2f %10s\n", m, pairs, oracle_buf,
+                cold_ms, warm_ms, identical ? "yes" : "NO!");
 
     json.begin_object();
     json.key("modes").value(m);
     json.key("pairs").value(pairs);
-    json.key("cliques").value(reference.clique_cover().size());
-    if (run_serial) json.key("serial_seed_ms").value(serial_ms);
-    json.key("string_cold_ms").value(str.cold_ms);
-    json.key("string_warm_ms").value(str.warm_ms);
-    json.key("interned_cold_ms").value(intern.cold_ms);
-    json.key("interned_warm_ms").value(intern.warm_ms);
-    json.key("speedup_interned_cold").value(str.cold_ms / intern.cold_ms);
-    json.key("speedup_interned_warm").value(str.warm_ms / intern.warm_ms);
+    json.key("cliques").value(oracle.clique_cover().size());
+    if (time_oracle) json.key("oracle_ms").value(oracle_ms);
+    json.key("cold_ms").value(cold_ms);
+    json.key("warm_ms").value(warm_ms);
     json.key("identical").value(identical);
     json.end_object();
   }
@@ -177,8 +154,8 @@ int main(int argc, char** argv) {
   std::ofstream("BENCH_mergeability_scale.json") << json.str() << '\n';
   std::fprintf(stderr, "wrote BENCH_mergeability_scale.json\n");
   if (!all_identical) {
-    std::fprintf(stderr, "[DETERMINISM VIOLATION] mergeability graph "
-                         "differs across configurations\n");
+    std::fprintf(stderr, "[DETERMINISM VIOLATION] production mergeability "
+                         "graph differs from the Sdc-level oracle\n");
     return 1;
   }
   return 0;

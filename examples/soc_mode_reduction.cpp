@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
   for (const auto& m : modes) ptrs.push_back(m.get());
 
   // Mergeability graph (paper Figure 2) — print it before merging.
-  merge::MergeabilityGraph mgraph(ptrs, {});
+  merge::MergeContext ctx;
+  merge::MergeabilityGraph mgraph(ptrs, ctx);
   std::printf("mergeability graph (12 modes):\n");
   for (size_t i = 0; i < ptrs.size(); ++i) {
     std::printf("  %-10s:", names[i].c_str());

@@ -6,7 +6,7 @@ Usage: bench_compare.py CURRENT_DIR [--baselines DIR] [--threshold PCT]
 
 Every BENCH_*.json under the baseline directory must have a same-named
 current file under CURRENT_DIR. Rows are joined by their identity keys
-(cells, modes, corners, threads, shards — whichever a row carries), so a
+(cells, modes, corners, threads, window — whichever a row carries), so a
 sweep can gain rows (a new thread count, a new corner count) without breaking the
 gate: every baseline row must still find its identity twin in the current
 run, extra current rows are ignored. Duplicate identities pair up in file
@@ -30,7 +30,7 @@ import json
 import sys
 from pathlib import Path
 
-IDENTITY_KEYS = ("cells", "modes", "corners", "threads", "shards", "window")
+IDENTITY_KEYS = ("cells", "modes", "corners", "threads", "window")
 
 
 def row_identity(row):

@@ -12,7 +12,6 @@
 #include "obs/journal.h"
 #include "merge/merger.h"
 #include "merge/session.h"
-#include "merge/sharded_session.h"
 #include "netlist/design.h"
 #include "obs/obs.h"
 #include "sdc/parser.h"
@@ -32,7 +31,7 @@ const char* mutation_name(DebugMutation m) {
     case DebugMutation::kNone: return "none";
     case DebugMutation::kFalsifyMcp: return "falsify-mcp";
     case DebugMutation::kDropExceptions: return "drop-exceptions";
-    case DebugMutation::kShuffleInterned: return "shuffle-interned";
+    case DebugMutation::kShuffleThreaded: return "shuffle-threaded";
   }
   return "none";
 }
@@ -40,7 +39,7 @@ const char* mutation_name(DebugMutation m) {
 bool parse_mutation(const std::string& name, DebugMutation* out) {
   for (DebugMutation m : {DebugMutation::kNone, DebugMutation::kFalsifyMcp,
                           DebugMutation::kDropExceptions,
-                          DebugMutation::kShuffleInterned}) {
+                          DebugMutation::kShuffleThreaded}) {
     if (name == mutation_name(m)) {
       *out = m;
       return true;
@@ -191,13 +190,11 @@ merge::MergeOptions baseline_options(const FuzzOptions& options) {
   return base;
 }
 
-/// The flipped configuration for P2: every must-agree execution path takes
-/// its other branch at once (string keys, cold extraction, one thread).
-/// Validation is skipped — P2 compares merge *outputs*, P1 owns validation.
+/// The flipped configuration for P2: one thread instead of the baseline's
+/// pool. Validation is skipped — P2 compares merge *outputs*, P1 owns
+/// validation.
 merge::MergeOptions flipped_options(const FuzzOptions& options) {
   merge::MergeOptions alt = baseline_options(options);
-  alt.use_interned_keys = false;
-  alt.use_relationship_cache = false;
   alt.num_threads = 1;
   alt.validate = false;
   return alt;
@@ -238,9 +235,7 @@ void check_equiv_property(const merge::MergedModeSet& out,
   }
 }
 
-/// P2: byte-parity between the baseline and flipped configurations. On a
-/// mismatch, re-runs with each flag flipped alone to attribute the
-/// divergence.
+/// P2: byte-parity between the baseline and the one-thread configuration.
 void check_parity_property(const timing::TimingGraph& graph,
                            const std::vector<const sdc::Sdc*>& ptrs,
                            const FuzzOptions& options,
@@ -260,32 +255,11 @@ void check_parity_property(const timing::TimingGraph& graph,
       }
     }
   }
-  if (mismatch.empty()) return;
-
-  // Attribute: flip one flag at a time against the baseline.
-  std::string blame;
-  const char* flag_names[] = {"use_interned_keys", "use_relationship_cache",
-                              "num_threads"};
-  for (int f = 0; f < 3; ++f) {
-    merge::MergeOptions one = baseline_options(options);
-    one.validate = false;
-    if (f == 0) one.use_interned_keys = false;
-    if (f == 1) one.use_relationship_cache = false;
-    if (f == 2) one.num_threads = 1;
-    const merge::MergedModeSet run = merge::merge_mode_set(graph, ptrs, one);
-    bool differs = run.cliques != base_out.cliques;
-    for (size_t i = 0; !differs && i < base_out.merged.size(); ++i) {
-      differs = sdc::write_sdc(*base_out.merged[i].merge.merged) !=
-                sdc::write_sdc(*run.merged[i].merge.merged);
-    }
-    if (differs) {
-      if (!blame.empty()) blame += ", ";
-      blame += flag_names[f];
-    }
+  if (!mismatch.empty()) {
+    violations.push_back({"parity", mismatch + " (num_threads " +
+                                        std::to_string(options.threads) +
+                                        " vs 1)"});
   }
-  violations.push_back(
-      {"parity", mismatch + (blame.empty() ? " (cross-term only)"
-                                           : " (flags: " + blame + ")")});
 }
 
 /// The SDC text as a sorted line multiset. Refinement derives exceptions in
@@ -337,8 +311,8 @@ void check_idempotence_property(const timing::TimingGraph& graph,
 }
 
 /// P4: cover validity + maximality, with every edge re-derived through the
-/// reference Sdc-pair mergeability path (so an interned/cached verdict that
-/// diverges from the reference also surfaces here).
+/// Sdc-level mergeability oracle (so a production verdict that diverges
+/// from the oracle also surfaces here).
 void check_cover_property(const std::vector<const sdc::Sdc*>& ptrs,
                           const FuzzOptions& options,
                           const merge::MergedModeSet& out,
@@ -524,60 +498,6 @@ void check_incremental_property(const timing::TimingGraph& graph,
             {"incremental", "mergeability verdict (" + std::to_string(i) +
                                 "," + std::to_string(j) + ")" + after});
         return;
-      }
-    }
-  }
-}
-
-/// P6: sharded parity. For K in {2, 4, 8}, a ShardedMergeSession over the
-/// case's modes — block partitioning, per-shard checks, boundary stitch —
-/// must end byte-identical to the unsharded baseline: same mergeability
-/// edges and reason strings, same clique cover, same merged SDC bytes.
-/// Stats are NOT compared (per-shard prescreen counters legitimately
-/// differ). Validation is skipped — P6 compares merge outputs; P1 owns
-/// validation.
-void check_sharded_property(const timing::TimingGraph& graph,
-                            const std::vector<const sdc::Sdc*>& ptrs,
-                            const FuzzOptions& options,
-                            const merge::MergedModeSet& base_out,
-                            std::vector<Violation>& violations) {
-  merge::MergeOptions base = baseline_options(options);
-  base.validate = false;
-  merge::MergeContext ref_ctx(base);
-  const merge::MergeabilityGraph ref(ptrs, ref_ctx);
-
-  for (size_t shards : {size_t{2}, size_t{4}, size_t{8}}) {
-    merge::MergeOptions opts = base;
-    opts.num_shards = shards;
-    merge::ShardedMergeSession session(graph, opts);
-    for (size_t i = 0; i < ptrs.size(); ++i) {
-      session.add_mode("m" + std::to_string(i), ptrs[i]);
-    }
-    const merge::MergeSession::CommitResult& r = session.commit();
-    const std::string where = " (sharded K=" + std::to_string(shards) + ")";
-
-    if (r.cliques != base_out.cliques) {
-      violations.push_back({"sharded", "clique cover differs" + where});
-      return;
-    }
-    for (size_t i = 0; i < r.merged.size(); ++i) {
-      if (sdc::write_sdc(*r.merged[i]->merge.merged) !=
-          sdc::write_sdc(*base_out.merged[i].merge.merged)) {
-        violations.push_back(
-            {"sharded",
-             "merged SDC bytes for clique " + std::to_string(i) + where});
-        return;
-      }
-    }
-    for (size_t i = 0; i < ref.num_modes(); ++i) {
-      for (size_t j = 0; j < ref.num_modes(); ++j) {
-        if (session.graph().edge(i, j) != ref.edge(i, j) ||
-            session.graph().reason(i, j) != ref.reason(i, j)) {
-          violations.push_back(
-              {"sharded", "mergeability verdict (" + std::to_string(i) + "," +
-                              std::to_string(j) + ")" + where});
-          return;
-        }
       }
     }
   }
@@ -910,8 +830,6 @@ CheckResult check_case(const FuzzCase& c, const FuzzOptions& options) {
     check_idempotence_property(graph, options, out, result.violations);
   if (options.check_incremental)
     check_incremental_property(graph, ptrs, c, options, result.violations);
-  if (options.check_sharded)
-    check_sharded_property(graph, ptrs, options, out, result.violations);
   if (options.check_policy)
     check_policy_property(graph, design, c, options, result.violations);
   if (options.check_mcmm)

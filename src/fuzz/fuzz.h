@@ -2,9 +2,9 @@
 // mm::fuzz — property-based differential fuzzing of the merge pipeline.
 //
 // The paper's central claim (§2) is that a merged superset mode is
-// *equivalent* to each source mode. The engine additionally promises three
-// pairs of must-agree execution paths (string vs interned keys, serial vs
-// parallel mergeability, cached vs cold extraction). This harness
+// *equivalent* to each source mode. The engine additionally promises that a
+// threaded run matches a one-thread run byte for byte, and that its
+// cached, interned pair check matches the Sdc-level oracle. This harness
 // industrializes those promises into a randomized, self-checking oracle:
 //
 //   1. generate a random design + mode family (gen::design_gen /
@@ -57,7 +57,6 @@ struct FuzzOptions {
   bool check_idempotence = true;  // P3: merge(S, S) == merge(S)
   bool check_cover = true;        // P4: clique-cover validity + maximality
   bool check_incremental = true;  // P5: MergeSession delta == batch rebuild
-  bool check_sharded = true;      // P6: sharded (K in {2,4,8}) == unsharded
   bool check_policy = true;       // P7: windowed policy never-optimistic +
                                   //     bounded pessimism on a case-seeded
                                   //     near-miss family
@@ -89,8 +88,7 @@ struct FuzzCase {
 
 struct Violation {
   std::string property;  // "equivalence" | "parity" | "idempotence" |
-                         // "cover" | "incremental" | "sharded" | "policy" |
-                         // "mcmm"
+                         // "cover" | "incremental" | "policy" | "mcmm"
   std::string detail;    // human-readable first finding
 };
 
@@ -139,8 +137,7 @@ std::string mutate_sdc_text(const std::string& text, util::Rng& rng);
 ///                    pessimism keys unless the refinement explicitly
 ///                    accounted for them (stats.unresolved_pessimism);
 ///   P2 parity:       cliques and merged SDC bytes identical between the
-///                    baseline configuration and the flipped one
-///                    (string keys, cold extraction, single thread);
+///                    baseline configuration and a one-thread run;
 ///   P3 idempotence:  re-merging a merged superset mode with itself yields
 ///                    the same bytes (merge is a fixpoint);
 ///   P4 cover:        the clique cover partitions the modes, every
@@ -154,11 +151,6 @@ std::string mutate_sdc_text(const std::string& text, util::Rng& rng);
 ///                    merge of its final live modes — same clique cover,
 ///                    same mergeability edges and reason strings, same
 ///                    merged SDC bytes, same count-valued stats;
-///   P6 sharded:      a ShardedMergeSession at K in {2, 4, 8} — block
-///                    partitioning, per-shard checks, boundary stitch —
-///                    ends byte-identical to the unsharded baseline on
-///                    mergeability edges, reasons, clique cover, and
-///                    merged SDC bytes;
 ///   P7 policy:       a case-seeded near-miss family (gen/mode_gen.h:
 ///                    carrier gaps alternating W -/+ eps around the window
 ///                    boundary, every windowed field present in every mode)

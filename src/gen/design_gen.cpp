@@ -70,32 +70,19 @@ Design generate_design(const netlist::Library& lib, const DesignParams& p) {
   // Register i: domain i % D; D input fed by a small random cloud over the
   // Q nets of registers [i - span, i) and data-in ports.
   std::vector<std::string> q_net(p.num_regs);
-  // Registers are striped into nb contiguous clusters; scan chains restart
-  // per (domain, cluster) so chains never cross the cut. nb == 1 draws the
-  // exact random stream the pre-block generator drew.
-  const size_t nb = std::min(std::max<size_t>(1, p.num_blocks), p.num_regs);
-  auto block_of = [&](size_t i) { return i * nb / p.num_regs; };
-  std::vector<std::string> prev_q_in_domain(p.num_domains * nb);
+  std::vector<std::string> prev_q_in_domain(p.num_domains);
 
   size_t gate_counter = 0;
   for (size_t i = 0; i < p.num_regs; ++i) {
     const size_t d = i % p.num_domains;
     q_net[i] = "q" + std::to_string(i);
 
-    // Sources for this register's cone. With clustering, the fan-in window
-    // is clipped to the register's own cluster except for the (thin)
-    // crossing_percent fraction allowed to reach across the edge.
+    // Sources for this register's cone.
     auto pick_source = [&]() -> std::string {
       if (i == 0 || rng.below(4) == 0) {
         return din[rng.below(din.size())];
       }
-      size_t lo = i > p.fanin_span ? i - p.fanin_span : 0;
-      if (nb > 1 && !rng.chance(p.crossing_percent)) {
-        const size_t bstart =
-            (block_of(i) * p.num_regs + nb - 1) / nb;  // cluster's first reg
-        if (bstart > lo) lo = bstart;
-        if (lo >= i) return din[rng.below(din.size())];
-      }
+      const size_t lo = i > p.fanin_span ? i - p.fanin_span : 0;
       return q_net[lo + rng.below(i - lo)];
     };
 
@@ -116,21 +103,19 @@ Design generate_design(const netlist::Library& lib, const DesignParams& p) {
     const bool gated = p.clock_gates && (i % 3 == 0);
     const std::string& cp = gated ? gdclk[d] : dclk[d];
     const std::string rname = "r" + std::to_string(i);
-    const size_t chain = d + p.num_domains * block_of(i);
     if (p.scan) {
-      // Chain within the (domain, cluster); first flop of a chain loads
-      // from its own D source via SI too (head of chain tied to a data
-      // port).
-      const std::string si = prev_q_in_domain[chain].empty()
+      // Chain within the domain; first flop of a chain loads from its own
+      // D source via SI too (head of chain tied to a data port).
+      const std::string si = prev_q_in_domain[d].empty()
                                  ? din[d % din.size()]
-                                 : prev_q_in_domain[chain];
+                                 : prev_q_in_domain[d];
       b.inst("SDFF", rname,
              {{"D", data}, {"SI", si}, {"SE", "scan_en"}, {"CP", cp},
               {"Q", q_net[i]}});
     } else {
       b.inst("DFF", rname, {{"D", data}, {"CP", cp}, {"Q", q_net[i]}});
     }
-    prev_q_in_domain[chain] = q_net[i];
+    prev_q_in_domain[d] = q_net[i];
   }
 
   // --- outputs -----------------------------------------------------------------

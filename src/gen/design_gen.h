@@ -15,15 +15,6 @@
 //   - random feed-forward combinational clouds between register ranks,
 //     fed from nearby registers' Q pins and data-in ports.
 //
-// Block structure (num_blocks > 1): registers are striped into num_blocks
-// contiguous clusters and each register's cone is drawn from its own
-// cluster, except with crossing_percent probability the cone may reach back
-// across the cluster edge; scan chains restart per (domain, block). The
-// result is a netlist whose natural cut is thin — the workload
-// netlist::partition_design and the sharding benchmarks expect
-// (docs/SHARDING.md). num_blocks == 1 (default) is byte-identical to the
-// pre-block generator for a given seed.
-//
 // Everything is deterministic in `seed`.
 
 #include <cstdint>
@@ -42,8 +33,6 @@ struct DesignParams {
   size_t fanin_span = 8;       // how far back a register's cone reaches
   bool scan = true;            // use scan flops + chains
   bool clock_gates = true;     // one ICG per domain, used by 1/3 of regs
-  size_t num_blocks = 1;       // register clusters (1 = unstructured)
-  int crossing_percent = 5;    // % of cone sources allowed across a cluster edge
   uint64_t seed = 1;
 
   size_t approx_cells() const { return num_regs * (1 + comb_per_reg); }

@@ -5,19 +5,9 @@
 namespace mm::merge {
 
 MergeContext::MergeContext(MergeOptions options)
-    : options_(options),
-      owned_keys_(std::make_unique<CanonicalKeyTable>()),
-      keys_(owned_keys_.get()),
-      cache_(options.use_interned_keys ? keys_ : nullptr) {}
-
-MergeContext::MergeContext(MergeContext& parent, MergeOptions options)
-    : options_(options),
-      keys_(&parent.keys()),
-      cache_(options.use_interned_keys ? keys_ : nullptr),
-      shared_pool_(&parent.pool()) {}
+    : options_(options), cache_(keys_) {}
 
 ThreadPool& MergeContext::pool() {
-  if (shared_pool_ != nullptr) return *shared_pool_;
   if (!pool_) {
     pool_ = std::make_unique<ThreadPool>(
         options_.num_threads == 0 ? 0 : options_.num_threads);
@@ -25,16 +15,9 @@ ThreadPool& MergeContext::pool() {
   return *pool_;
 }
 
-std::shared_ptr<const ModeRelationships> MergeContext::relationships(
-    const Sdc& sdc) {
-  if (options_.use_relationship_cache) return cache_.get(sdc);
-  return std::make_shared<const ModeRelationships>(extract_relationships(
-      sdc, options_.use_interned_keys ? keys_ : nullptr));
-}
-
 void MergeContext::export_stats() const {
-  MM_GAUGE_SET("merge/key_table_keys", keys_->num_keys());
-  MM_GAUGE_SET("merge/key_table_bytes", keys_->bytes());
+  MM_GAUGE_SET("merge/key_table_keys", keys_.num_keys());
+  MM_GAUGE_SET("merge/key_table_bytes", keys_.bytes());
   MM_GAUGE_SET("merge/relationship_cache_entries", cache_.size());
   const RelationshipCache::Stats s = cache_.stats();
   MM_GAUGE_SET("merge/relationship_cache_hit_total", s.hits);

@@ -7,7 +7,7 @@
 //
 //   - the MergeOptions every pass reads,
 //   - a CanonicalKeyTable (merge/keys.h) defining the session's KeyId
-//     space, when options.use_interned_keys,
+//     space,
 //   - a RelationshipCache bound to that table, so the per-mode extraction
 //     the mergeability pass pays for is reused verbatim by preliminary
 //     merge,
@@ -33,24 +33,16 @@ namespace mm::merge {
 class MergeContext {
  public:
   explicit MergeContext(MergeOptions options = {});
-  /// Block-scoped child context (hierarchical sharded merging,
-  /// docs/SHARDING.md): shares the parent's CanonicalKeyTable and
-  /// ThreadPool — so KeyIds interned by any block compare across blocks
-  /// and all blocks fan out on one pool — but owns its own options and a
-  /// private RelationshipCache bound to the shared table. The parent must
-  /// outlive the child.
-  MergeContext(MergeContext& parent, MergeOptions options);
   MergeContext(const MergeContext&) = delete;
   MergeContext& operator=(const MergeContext&) = delete;
 
   const MergeOptions& options() const { return options_; }
 
-  /// The session's canonical-key interner. Only consulted when
-  /// options().use_interned_keys.
-  CanonicalKeyTable& keys() { return *keys_; }
-  const CanonicalKeyTable& keys() const { return *keys_; }
+  /// The session's canonical-key interner.
+  CanonicalKeyTable& keys() { return keys_; }
+  const CanonicalKeyTable& keys() const { return keys_; }
 
-  /// The session's relationship cache (bound to keys() when interning).
+  /// The session's relationship cache, bound to keys().
   RelationshipCache& cache() { return cache_; }
 
   /// The session's thread pool, created on first use with
@@ -58,10 +50,10 @@ class MergeContext {
   /// every pass instead of one pool per pass.
   ThreadPool& pool();
 
-  /// One mode's relationship set: memoized via cache() when
-  /// options().use_relationship_cache, else extracted directly (still
-  /// interned when options().use_interned_keys).
-  std::shared_ptr<const ModeRelationships> relationships(const Sdc& sdc);
+  /// One mode's relationship set, memoized via cache().
+  std::shared_ptr<const ModeRelationships> relationships(const Sdc& sdc) {
+    return cache_.get(sdc);
+  }
 
   /// Export key-table and relationship-cache health as mm.stats/1 gauges
   /// (merge/key_table_*, merge/relationship_cache_*).
@@ -69,11 +61,9 @@ class MergeContext {
 
  private:
   MergeOptions options_;
-  std::unique_ptr<CanonicalKeyTable> owned_keys_;  // null for child contexts
-  CanonicalKeyTable* keys_ = nullptr;
+  CanonicalKeyTable keys_;
   RelationshipCache cache_;
-  std::unique_ptr<ThreadPool> pool_;    // null for child contexts
-  ThreadPool* shared_pool_ = nullptr;   // set for child contexts
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace mm::merge

@@ -37,8 +37,7 @@ struct EquivalenceReport {
 /// data refinement on the same context only the merged deck is walked.
 /// `use_batched_sta` (the default) walks it as a one-lane batched
 /// levelized walk (timing/sta_batch.h); `false` runs the serial engine,
-/// kept as the byte-parity reference (same discipline as
-/// MergeOptions::use_interned_keys). Report counters are identical either
+/// kept as the byte-parity reference. Report counters are identical either
 /// way, only `examples` ordering may differ.
 EquivalenceReport check_equivalence(const RefineContext& ctx,
                                     const Sdc& merged, const ClockMap& map,

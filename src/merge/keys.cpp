@@ -149,9 +149,4 @@ size_t CanonicalKeyTable::bytes() const {
   return bytes_;
 }
 
-CanonicalKeyTable& CanonicalKeyTable::global() {
-  static CanonicalKeyTable table;
-  return table;
-}
-
 }  // namespace mm::merge

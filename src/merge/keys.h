@@ -40,7 +40,7 @@ using KeyId = mm::Symbol;
 /// std::set<std::string>).
 using KeySet = std::vector<KeyId>;
 
-// --- string path (the reference definition of canonical identity) ---------
+// --- string keys (the reference definition of canonical identity) ---------
 
 /// Canonical identity of a clock: same key <=> "same clock" across modes
 /// (the paper's duplicate test in §3.1.1).
@@ -62,7 +62,7 @@ std::set<std::string> effective_from_keys(const Sdc& sdc,
 bool keys_disjoint(const std::set<std::string>& a,
                    const std::set<std::string>& b);
 
-// --- interned path ---------------------------------------------------------
+// --- interned keys ---------------------------------------------------------
 
 /// Two-pointer disjointness over sorted KeySets.
 bool keys_disjoint(const KeySet& a, const KeySet& b);
@@ -105,9 +105,6 @@ class CanonicalKeyTable {
 
   /// Total bytes of key-string payload held by the table.
   size_t bytes() const;
-
-  /// Process-wide table backing RelationshipCache::global().
-  static CanonicalKeyTable& global();
 
  private:
   mutable std::mutex mutex_;

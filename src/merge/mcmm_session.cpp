@@ -118,8 +118,7 @@ void McmmSession::update_mode(ModeId id, CornerId corner, const Sdc* deck) {
   MM_ASSERT(deck != nullptr);
   MM_ASSERT(corner < corners_.size());
   Entry& e = modes_[position_of(id)];
-  if (ctx_->options().use_relationship_cache &&
-      e.decks[corner] != nullptr) {
+  if (e.decks[corner] != nullptr) {
     ctx_->cache().invalidate(*e.decks[corner]);
   }
   e.decks[corner] = deck;
@@ -169,16 +168,7 @@ void McmmSession::remove_mode(ModeId id) {
 PairVerdict McmmSession::check_corner(const Entry& a, const Entry& b,
                                       CornerId corner) const {
   const MergeOptions& options = ctx_->options();
-  if (!options.use_relationship_cache) {
-    // Reference path: no memoized relationship sets, every corner pays the
-    // full Sdc-level check — exactly the flat engine under the same options.
-    return check_mergeable(*a.decks[corner], *b.decks[corner], options);
-  }
   if (corner == kPrimaryCorner) {
-    if (structural_checker_) {
-      return structural_checker_(*a.decks[corner], *b.decks[corner],
-                                 a.rels[corner].get(), b.rels[corner].get());
-    }
     return check_mergeable(*a.rels[corner], *b.rels[corner], options);
   }
   const bool shares_skeleton =
@@ -193,7 +183,6 @@ PairVerdict McmmSession::check_corner(const Entry& a, const Entry& b,
 const McmmSession::CommitResult& McmmSession::commit() {
   MM_SPAN("mcmm/commit");
   Stopwatch timer;
-  const MergeOptions& options = ctx_->options();
   const size_t n = modes_.size();
   const size_t num_corners = corners_.size();
 
@@ -215,27 +204,25 @@ const McmmSession::CommitResult& McmmSession::commit() {
   // Refresh relationship sets for dirty (mode, corner) slots: skeletons
   // first (corner 0, full extraction fanned over the pool), then the other
   // corners as value-only delta fills against their mode's fresh skeleton.
-  if (options.use_relationship_cache) {
-    std::vector<Entry*> need_skeleton;
-    for (Entry& e : modes_) {
-      if (!e.rels[kPrimaryCorner]) need_skeleton.push_back(&e);
-    }
-    ctx_->pool().parallel_for(need_skeleton.size(), [&](size_t k) {
-      need_skeleton[k]->rels[kPrimaryCorner] =
-          ctx_->relationships(*need_skeleton[k]->decks[kPrimaryCorner]);
-    });
-    std::vector<std::pair<Entry*, CornerId>> need_delta;
-    for (Entry& e : modes_) {
-      for (CornerId c = 1; c < num_corners; ++c) {
-        if (!e.rels[c]) need_delta.emplace_back(&e, c);
-      }
-    }
-    ctx_->pool().parallel_for(need_delta.size(), [&](size_t k) {
-      auto [e, c] = need_delta[k];
-      e->rels[c] =
-          ctx_->cache().get_corner(*e->decks[c], *e->rels[kPrimaryCorner]);
-    });
+  std::vector<Entry*> need_skeleton;
+  for (Entry& e : modes_) {
+    if (!e.rels[kPrimaryCorner]) need_skeleton.push_back(&e);
   }
+  ctx_->pool().parallel_for(need_skeleton.size(), [&](size_t k) {
+    need_skeleton[k]->rels[kPrimaryCorner] =
+        ctx_->relationships(*need_skeleton[k]->decks[kPrimaryCorner]);
+  });
+  std::vector<std::pair<Entry*, CornerId>> need_delta;
+  for (Entry& e : modes_) {
+    for (CornerId c = 1; c < num_corners; ++c) {
+      if (!e.rels[c]) need_delta.emplace_back(&e, c);
+    }
+  }
+  ctx_->pool().parallel_for(need_delta.size(), [&](size_t k) {
+    auto [e, c] = need_delta[k];
+    e->rels[c] =
+        ctx_->cache().get_corner(*e->decks[c], *e->rels[kPrimaryCorner]);
+  });
 
   // Invalidate stored verdicts whose (corner, endpoint) slot is dirty. The
   // slots become absent, not wrong: the resume scan below recomputes a slot

@@ -43,7 +43,6 @@
 // single-corner journals stay byte-stable against pre-MCMM builds.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -150,20 +149,6 @@ class McmmSession {
   const CommitResult& last_commit() const { return last_; }
   MergeContext& context() { return *ctx_; }
 
-  /// Replace the STRUCTURAL check (corner 0's full pair check). Same
-  /// contract as MergeSession::PairChecker: thread-safe, byte-identical
-  /// verdicts to check_mergeable — the seam ShardedMergeSession's stitch
-  /// pass plugs into so sharded structural screening composes with
-  /// corner-aware value checks. Corners >= 1 are unaffected (they run the
-  /// value-only screen against the checker-approved skeleton, or the plain
-  /// full check on a skeleton mismatch).
-  using StructuralChecker = std::function<PairVerdict(
-      const Sdc& a, const Sdc& b, const ModeRelationships* a_rels,
-      const ModeRelationships* b_rels)>;
-  void set_structural_checker(StructuralChecker checker) {
-    structural_checker_ = std::move(checker);
-  }
-
  private:
   struct Entry {
     ModeId id = kInvalidMode;
@@ -183,9 +168,8 @@ class McmmSession {
   uint64_t pair_key(ModeId a, ModeId b) const;
   size_t position_of(ModeId id) const;
   bool corner_dirty(ModeId id, CornerId corner) const;
-  /// One corner's verdict for one pair: full check at corner 0 (or the
-  /// installed structural checker), value-only screen for skeleton-sharing
-  /// corners, full check on mismatch, reference Sdc path with the cache off.
+  /// One corner's verdict for one pair: full check at corner 0, value-only
+  /// screen for skeleton-sharing corners, full check on mismatch.
   PairVerdict check_corner(const Entry& a, const Entry& b,
                            CornerId corner) const;
 
@@ -212,7 +196,6 @@ class McmmSession {
       clique_results_;
   MergeabilityGraph graph_{0, {}, {}};
   CommitResult last_;
-  StructuralChecker structural_checker_;
 };
 
 }  // namespace mm::merge

@@ -25,8 +25,8 @@ bool within_tolerance(double a, double b, double rel_tol) {
 
 /// Largest windowed acceptance seen while checking one pair: the policy
 /// provenance that ends up in PairVerdict. Strictly-greater updates + the
-/// identical comparison visit order of all three check paths make the
-/// folded result byte-identical across paths.
+/// identical comparison visit order of both check paths (the relationship
+/// check and the Sdc-level oracle) make the folded result byte-identical.
 struct WindowUse {
   double used = 0.0;
   double budget = 0.0;
@@ -67,9 +67,9 @@ PairVerdict finish_verdict(PairVerdict v, const MergeOptions& options,
   return v;
 }
 
-// Window comparison shared by the string-keyed and interned pre-screens:
-// same checks, same order, same reason text as the Sdc-level path, but each
-// value is a table read instead of a constraint-list scan.
+// Window comparison of the relationship pre-screen: same checks, same
+// order, same reason text as the Sdc-level check, but each value is a table
+// read instead of a constraint-list scan.
 std::optional<PairVerdict> clock_window_conflict(
     const ModeRelationships::ClockInfo& ca,
     const ModeRelationships::ClockInfo& cb, const MergeOptions& options,
@@ -147,7 +147,7 @@ PairVerdict load_conflict(PinId port_pin) {
 /// all-pairs scan made such a deck conflict with itself (fuzz P3, case
 /// 1532919352286236818). For each channel where `a` holds the effective
 /// entry, probe `b`'s effective entry for the same channel. a's entries are
-/// visited in source order (min side before max), identically in all three
+/// visited in source order (min side before max), identically in both
 /// check paths, so the first conflict — and the verdict's reason/subject —
 /// stays byte-identical across them.
 std::optional<PairVerdict> drive_load_conflict_screen(
@@ -230,27 +230,10 @@ PairVerdict one_sided_conflict(std::string full_sig, uint32_t full_key) {
 // Clock-conflict pre-screen over pre-extracted per-clock windows. Returns
 // the verdict as soon as a matched clock's windows conflict, letting the
 // caller skip the exception-signature work entirely for such pairs.
-// Matched clocks are visited in canonical-key string order, so the first
-// conflict found — and therefore the reason text — is the same as the
-// Sdc-level path's.
-std::optional<PairVerdict> clock_conflict_screen(const ModeRelationships& a,
-                                                 const ModeRelationships& b,
-                                                 const MergeOptions& options,
-                                                 WindowUse& use) {
-  for (const auto& [key, ia] : a.by_key) {
-    auto it = b.by_key.find(key);
-    if (it == b.by_key.end()) continue;
-    if (std::optional<PairVerdict> v = clock_window_conflict(
-            a.clocks[ia], b.clocks[it->second], options, use)) {
-      return v;
-    }
-  }
-  return std::nullopt;
-}
-
-// Interned pre-screen: same visit order (a.clock_order is the by_key
-// iteration order), but the probe into b is an integer hash lookup.
-std::optional<PairVerdict> clock_conflict_screen_interned(
+// Matched clocks are visited in canonical-key string order (a.clock_order),
+// so the first conflict found — and therefore the reason text — is the
+// same as the Sdc-level check's; the probe into b is an integer lookup.
+std::optional<PairVerdict> clock_conflict_screen(
     const ModeRelationships& a, const ModeRelationships& b,
     const MergeOptions& options, WindowUse& use) {
   for (uint32_t ia : a.clock_order) {
@@ -265,17 +248,15 @@ std::optional<PairVerdict> clock_conflict_screen_interned(
   return std::nullopt;
 }
 
-// Interned-path verdict: identical checks and reason strings to the
-// string-keyed body in check_mergeable below, with every string compare
-// replaced by a KeyId compare and every std::set<std::string> probe by a
-// bitset intersection. Requires both entries interned in the same table.
-PairVerdict check_mergeable_interned(const ModeRelationships& a,
-                                     const ModeRelationships& b,
-                                     const MergeOptions& options) {
+}  // namespace
+
+PairVerdict check_mergeable(const ModeRelationships& a,
+                            const ModeRelationships& b,
+                            const MergeOptions& options) {
   WindowUse use;
   // --- matched clocks: pre-screen on memoized constraint windows ----------
   if (std::optional<PairVerdict> v =
-          clock_conflict_screen_interned(a, b, options, use)) {
+          clock_conflict_screen(a, b, options, use)) {
     MM_COUNT("merge/mergeability_prescreen_conflicts", 1);
     return finish_verdict(*v, options, use);
   }
@@ -331,83 +312,12 @@ PairVerdict check_mergeable_interned(const ModeRelationships& a,
   return finish_verdict({true, ""}, options, use);
 }
 
-}  // namespace
-
-PairVerdict check_mergeable(const ModeRelationships& a,
-                            const ModeRelationships& b,
-                            const MergeOptions& options) {
-  // Interned fast path when both entries carry ids (from the same table —
-  // the cache/session invariant); otherwise the string-keyed reference.
-  if (options.use_interned_keys && a.interned && b.interned) {
-    return check_mergeable_interned(a, b, options);
-  }
-
-  WindowUse use;
-  // --- matched clocks: pre-screen on memoized constraint windows ----------
-  if (std::optional<PairVerdict> v =
-          clock_conflict_screen(a, b, options, use)) {
-    MM_COUNT("merge/mergeability_prescreen_conflicts", 1);
-    return finish_verdict(*v, options, use);
-  }
-
-  // --- drive / load compatibility ------------------------------------------
-  if (std::optional<PairVerdict> v = drive_load_conflict_screen(
-          a.drives, b.drives, a.loads, b.loads, options, use)) {
-    return finish_verdict(std::move(*v), options, use);
-  }
-
-  // --- exceptions ------------------------------------------------------------
-  // Same anchors, different kind/value: conflicting unless uniquifiable.
-  std::map<std::string_view, const ModeRelationships::ExceptionInfo*>
-      by_anchor;
-  for (const ModeRelationships::ExceptionInfo& ex : a.exceptions) {
-    by_anchor.emplace(ex.sig_anchor, &ex);
-  }
-  for (const ModeRelationships::ExceptionInfo& ex : b.exceptions) {
-    auto it = by_anchor.find(ex.sig_anchor);
-    if (it == by_anchor.end()) continue;
-    const ModeRelationships::ExceptionInfo& other = *it->second;
-    if (other.kind == ex.kind && other.value == ex.value) continue;
-    if (keys_disjoint(other.from_keys, ex.from_keys)) continue;
-    // Waive when both modes already carry the identical ambiguous pair:
-    // each resolves it with the same precedence, so the merge introduces
-    // no conflict that was not present in every source.
-    if (a.full_sigs.count(ex.sig_full) && b.full_sigs.count(other.sig_full)) {
-      continue;
-    }
-    return finish_verdict(exception_conflict(ex.sig_anchor, ex.anchor_id.id()),
-                          options, use);
-  }
-
-  // Non-false-path exception present in one mode only and not uniquifiable.
-  auto check_one_sided = [](const ModeRelationships& holder,
-                            const ModeRelationships& other) -> PairVerdict {
-    for (const ModeRelationships::ExceptionInfo& ex : holder.exceptions) {
-      if (ex.kind == sdc::ExceptionKind::kFalsePath) continue;  // droppable
-      if (other.full_sigs.count(ex.sig_full)) continue;  // common exception
-      if (!keys_disjoint(ex.from_keys, other.clock_keys)) {
-        return one_sided_conflict(ex.sig_full, ex.full_id.id());
-      }
-    }
-    return {true, ""};
-  };
-  PairVerdict v = check_one_sided(a, b);
-  if (!v.mergeable) return finish_verdict(std::move(v), options, use);
-  v = check_one_sided(b, a);
-  if (!v.mergeable) return finish_verdict(std::move(v), options, use);
-
-  return finish_verdict({true, ""}, options, use);
-}
-
 PairVerdict check_mergeable_values(const ModeRelationships& a,
                                    const ModeRelationships& b,
                                    const MergeOptions& options) {
   WindowUse use;
-  std::optional<PairVerdict> v =
-      (options.use_interned_keys && a.interned && b.interned)
-          ? clock_conflict_screen_interned(a, b, options, use)
-          : clock_conflict_screen(a, b, options, use);
-  if (v) {
+  if (std::optional<PairVerdict> v =
+          clock_conflict_screen(a, b, options, use)) {
     MM_COUNT("merge/mergeability_prescreen_conflicts", 1);
     return finish_verdict(std::move(*v), options, use);
   }
@@ -638,18 +548,8 @@ PairVerdict check_mergeable(const Sdc& a, const Sdc& b,
 }
 
 MergeabilityGraph::MergeabilityGraph(const std::vector<const Sdc*>& modes,
-                                     const MergeOptions& options) {
-  // Legacy entry: the process-wide cache (bound to the global key table)
-  // and a pool of this build's own, sized by options.num_threads.
-  ThreadPool pool(options.num_threads == 0 ? 0 : options.num_threads);
-  build(modes, options, RelationshipCache::global(), pool);
-  MM_GAUGE_SET("merge/key_table_keys", CanonicalKeyTable::global().num_keys());
-  MM_GAUGE_SET("merge/key_table_bytes", CanonicalKeyTable::global().bytes());
-}
-
-MergeabilityGraph::MergeabilityGraph(const std::vector<const Sdc*>& modes,
                                      MergeContext& ctx) {
-  build(modes, ctx.options(), ctx.cache(), ctx.pool());
+  build(modes, ctx);
   ctx.export_stats();
 }
 
@@ -658,8 +558,9 @@ MergeabilityGraph::MergeabilityGraph(size_t n, std::vector<uint8_t> adj,
     : n_(n), adj_(std::move(adj)), reasons_(std::move(reasons)) {}
 
 void MergeabilityGraph::build(const std::vector<const Sdc*>& modes,
-                              const MergeOptions& options,
-                              RelationshipCache& cache, ThreadPool& pool) {
+                              MergeContext& ctx) {
+  const MergeOptions& options = ctx.options();
+  ThreadPool& pool = ctx.pool();
   n_ = modes.size();
   adj_.assign(n_ * n_, 0);
   reasons_.assign(n_ * n_, std::string());
@@ -671,12 +572,9 @@ void MergeabilityGraph::build(const std::vector<const Sdc*>& modes,
 
   // Each mode's relationship set is extracted once (memoized across runs by
   // the content-addressed cache), not re-derived inside every pair.
-  std::vector<std::shared_ptr<const ModeRelationships>> rels;
-  if (options.use_relationship_cache) {
-    rels.resize(n_);
-    pool.parallel_for(n_, [&](size_t i) { rels[i] = cache.get(*modes[i]); });
-  }
-  MM_GAUGE_SET("merge/relationship_cache_entries", cache.size());
+  std::vector<std::shared_ptr<const ModeRelationships>> rels(n_);
+  pool.parallel_for(n_,
+                    [&](size_t i) { rels[i] = ctx.relationships(*modes[i]); });
 
   // Flattened upper-triangle pair index. Every pair writes only its own
   // verdict slot and the fill below runs in index order, so adjacency and
@@ -691,9 +589,7 @@ void MergeabilityGraph::build(const std::vector<const Sdc*>& modes,
   // queue overhead below the per-pair work.
   pool.parallel_for(pairs.size(), /*min_grain=*/16, [&](size_t p) {
     const auto [i, j] = pairs[p];
-    verdicts[p] = options.use_relationship_cache
-                      ? check_mergeable(*rels[i], *rels[j], options)
-                      : check_mergeable(*modes[i], *modes[j], options);
+    verdicts[p] = check_mergeable(*rels[i], *rels[j], options);
   });
 
   for (size_t p = 0; p < pairs.size(); ++p) {

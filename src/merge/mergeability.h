@@ -11,10 +11,6 @@
 #include "merge/relationship_cache.h"
 #include "merge/types.h"
 
-namespace mm {
-class ThreadPool;
-}
-
 namespace mm::merge {
 
 class MergeContext;
@@ -26,9 +22,9 @@ class MergeContext;
 /// (clock_latency, clock_uncertainty, clock_transition, drive, load,
 /// exception_conflict, exception_one_sided) and the canonical subject it
 /// fired on (clock key, "pin#N", or exception anchor signature). Like
-/// `reason`, both are byte-identical across the Sdc-level, string-keyed,
-/// and interned check paths. `subject_key_id` is the interned id of the
-/// subject when the interned path produced the verdict (0 otherwise) —
+/// `reason`, both are byte-identical between the relationship check and
+/// the Sdc-level oracle. `subject_key_id` is the interned id of the subject
+/// when the relationship check produced the verdict (0 from the oracle) —
 /// extra provenance only, NOT part of the determinism contract.
 ///
 /// Policy provenance (merge/policy.h): `policy` names the policy the
@@ -38,9 +34,9 @@ class MergeContext;
 /// on (clock_latency, clock_uncertainty, clock_transition, drive, load),
 /// the absolute disagreement accepted, and that field's configured window
 /// — so mmreport explain can say "merged under windowed policy, 0.012 of
-/// 0.020 budget used". All three check paths visit comparisons in the same
+/// 0.020 budget used". Both check paths visit comparisons in the same
 /// order and fold the accumulator with strictly-greater updates, so these
-/// fields are byte-identical across paths too.
+/// fields are byte-identical across them too.
 struct PairVerdict {
   bool mergeable = true;
   std::string reason;
@@ -72,21 +68,19 @@ struct PairVerdict {
 ///    kind/value) that cannot be uniquified by clock restriction,
 ///  - generated-clock master mismatches (clock blocking).
 ///
-/// This overload re-derives both modes' relationship sets from scratch —
-/// it is the reference (seed) path; MergeabilityGraph uses the memoized
-/// overload below, which returns byte-identical verdicts.
+/// This overload re-derives both modes' keys and signatures as strings
+/// straight from the Sdc. It is the test oracle: fuzz P4 and the unit tests
+/// check the production overload below against it, and no production code
+/// calls it.
 PairVerdict check_mergeable(const Sdc& a, const Sdc& b,
                             const MergeOptions& options);
 
-/// Same verdicts (bit-identical, including reason text) from pre-extracted
-/// relationship sets: the per-pair cost drops to lookups over memoized
-/// keys/signatures, and a clock-conflict pre-screen short-circuits pairs
-/// whose per-clock windows already conflict before any exception-signature
-/// work (counted in merge/mergeability_prescreen_conflicts). When
-/// options.use_interned_keys and both entries carry the interned view
-/// (extracted via the same CanonicalKeyTable), the comparison runs on
-/// KeyId sets and key bitsets instead of strings — still byte-identical
-/// verdicts and reasons.
+/// The production check: same verdicts (bit-identical, including reason
+/// text) from relationship sets extracted into the same CanonicalKeyTable.
+/// The per-pair cost drops to KeyId lookups and key-bitset intersections,
+/// and a clock-conflict pre-screen short-circuits pairs whose per-clock
+/// windows already conflict before any exception-signature work (counted
+/// in merge/mergeability_prescreen_conflicts).
 PairVerdict check_mergeable(const ModeRelationships& a,
                             const ModeRelationships& b,
                             const MergeOptions& options);
@@ -130,19 +124,12 @@ std::vector<std::vector<size_t>> greedy_clique_cover(
 
 class MergeabilityGraph {
  public:
-  /// Build the graph over `modes`. Per-mode relationship sets are fetched
-  /// from RelationshipCache::global() (unless options.use_relationship_cache
-  /// is off) and the pairwise checks fan out over a flattened pair index on
-  /// a ThreadPool sized by options.num_threads. Each pair writes only its
+  /// Build the graph over `modes`. Per-mode relationship sets come from
+  /// ctx.cache() (interned into ctx.keys()) and the pairwise checks fan out
+  /// over a flattened pair index on ctx.pool(). Each pair writes only its
   /// own verdict slot and the adjacency fill consumes the slots in index
   /// order, so the graph — and therefore the clique cover — is
   /// bit-identical to a serial build.
-  MergeabilityGraph(const std::vector<const Sdc*>& modes,
-                    const MergeOptions& options);
-
-  /// Session entry: relationship sets come from ctx.cache() (interned into
-  /// ctx.keys() when ctx.options().use_interned_keys) and the pair checks
-  /// run on ctx.pool(). Same determinism guarantee as above.
   MergeabilityGraph(const std::vector<const Sdc*>& modes, MergeContext& ctx);
 
   /// Assemble from precomputed verdicts (the incremental MergeSession path:
@@ -165,8 +152,7 @@ class MergeabilityGraph {
   std::vector<std::vector<size_t>> clique_cover() const;
 
  private:
-  void build(const std::vector<const Sdc*>& modes, const MergeOptions& options,
-             RelationshipCache& cache, ThreadPool& pool);
+  void build(const std::vector<const Sdc*>& modes, MergeContext& ctx);
 
   size_t n_ = 0;
   std::vector<uint8_t> adj_;

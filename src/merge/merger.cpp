@@ -33,8 +33,8 @@ void apply_debug_mutation(Sdc& merged, const MergeOptions& options) {
     case DebugMutation::kDropExceptions:
       merged.exceptions().clear();
       return;
-    case DebugMutation::kShuffleInterned:
-      if (options.use_interned_keys) {
+    case DebugMutation::kShuffleThreaded:
+      if (options.num_threads != 1) {
         std::reverse(merged.exceptions().begin(), merged.exceptions().end());
       }
       return;

@@ -49,14 +49,10 @@ class PreliminaryMerger {
     }
     result_.merged = std::make_unique<Sdc>(design_);
     // Reuse the per-mode extraction the mergeability pass cached (or pay
-    // for it exactly once now); the interned path below consumes the
-    // KeyIds these entries carry.
-    if (options_.use_interned_keys) {
-      rels_.reserve(modes_.size());
-      for (const Sdc* m : modes_) rels_.push_back(ctx_.relationships(*m));
-      interned_ = true;
-      for (const auto& r : rels_) interned_ = interned_ && r->interned;
-    }
+    // for it exactly once now); clock identity and exception grouping
+    // consume the KeyIds these entries carry.
+    rels_.reserve(modes_.size());
+    for (const Sdc* m : modes_) rels_.push_back(ctx_.relationships(*m));
   }
 
   MergeResult run() {
@@ -79,30 +75,18 @@ class PreliminaryMerger {
   // --- §3.1.1 union of clocks ---------------------------------------------
 
   void merge_clocks() {
-    // Clock identity lookups: canonical-key string map (reference path) or
-    // interned-id hash map. Both are lookup-only — merged-clock order is
-    // insertion order either way, so output is byte-identical across paths.
-    std::map<std::string, ClockId> merged_by_key;
+    // Clock identity lookups by interned canonical key. Lookup-only:
+    // merged-clock order is insertion order.
     std::unordered_map<uint32_t, ClockId> merged_by_id;
     for (size_t m = 0; m < modes_.size(); ++m) {
       const Sdc& sdc = *modes_[m];
       for (size_t ci = 0; ci < sdc.num_clocks(); ++ci) {
         const ClockId mode_clock(ci);
-        std::string key;
-        KeyId key_id;
-        ClockId existing;
-        if (interned_) {
-          key_id = rels_[m]->clocks[ci].key_id;
-          auto it = merged_by_id.find(key_id.id());
-          if (it != merged_by_id.end()) existing = it->second;
-        } else {
-          key = clock_key(sdc, mode_clock);
-          auto it = merged_by_key.find(key);
-          if (it != merged_by_key.end()) existing = it->second;
-        }
-        if (existing.valid()) {
+        const KeyId key_id = rels_[m]->clocks[ci].key_id;
+        auto existing = merged_by_id.find(key_id.id());
+        if (existing != merged_by_id.end()) {
           // Duplicate clock (same sources + waveform): reuse.
-          result_.clock_map.register_clock(m, mode_clock, existing,
+          result_.clock_map.register_clock(m, mode_clock, existing->second,
                                            modes_.size());
           ++result_.stats.clocks_deduped;
           continue;
@@ -122,11 +106,7 @@ class PreliminaryMerger {
           ++result_.stats.clocks_renamed;
         }
         const ClockId merged_id = merged().add_clock(std::move(clock));
-        if (interned_) {
-          merged_by_id.emplace(key_id.id(), merged_id);
-        } else {
-          merged_by_key.emplace(key, merged_id);
-        }
+        merged_by_id.emplace(key_id.id(), merged_id);
         result_.clock_map.register_clock(m, mode_clock, merged_id,
                                          modes_.size());
         ++result_.stats.clocks_union;
@@ -607,45 +587,17 @@ class PreliminaryMerger {
   };
 
   void merge_exceptions() {
-    if (interned_) {
-      // Group by interned full signature; the ids come from the same table
-      // for every mode in the session, so equal id <=> equal signature.
-      std::unordered_map<uint32_t, ExceptionGroup> groups;
-      for (size_t m = 0; m < modes_.size(); ++m) {
-        const auto& infos = rels_[m]->exceptions;
-        const auto& exceptions = modes_[m]->exceptions();
-        for (size_t e = 0; e < exceptions.size(); ++e) {
-          auto [it, inserted] = groups.emplace(infos[e].full_id.id(),
-                                               ExceptionGroup{});
-          if (inserted) {
-            it->second.sample = exceptions[e];
-            it->second.sample_mode = m;
-          }
-          if (it->second.holders.empty() || it->second.holders.back() != m) {
-            it->second.holders.push_back(m);
-          }
-        }
-      }
-      // Emit in signature-string order — the iteration order of the string
-      // path's std::map — so the merged SDC is byte-identical across paths.
-      std::vector<std::pair<std::string, ExceptionGroup*>> ordered;
-      ordered.reserve(groups.size());
-      for (auto& [id, group] : groups) {
-        ordered.emplace_back(ctx_.keys().str(KeyId(id)), &group);
-      }
-      std::sort(ordered.begin(), ordered.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      for (auto& [sig, group] : ordered) emit_exception_group(*group);
-      return;
-    }
-
-    std::map<std::string, ExceptionGroup> groups;
+    // Group by interned full signature; the ids come from the same table
+    // for every mode in the session, so equal id <=> equal signature.
+    std::unordered_map<uint32_t, ExceptionGroup> groups;
     for (size_t m = 0; m < modes_.size(); ++m) {
-      for (const sdc::Exception& ex : modes_[m]->exceptions()) {
-        const std::string sig = exception_signature(*modes_[m], ex, true);
-        auto [it, inserted] = groups.emplace(sig, ExceptionGroup{});
+      const auto& infos = rels_[m]->exceptions;
+      const auto& exceptions = modes_[m]->exceptions();
+      for (size_t e = 0; e < exceptions.size(); ++e) {
+        auto [it, inserted] = groups.emplace(infos[e].full_id.id(),
+                                             ExceptionGroup{});
         if (inserted) {
-          it->second.sample = ex;
+          it->second.sample = exceptions[e];
           it->second.sample_mode = m;
         }
         if (it->second.holders.empty() || it->second.holders.back() != m) {
@@ -653,7 +605,16 @@ class PreliminaryMerger {
         }
       }
     }
-    for (auto& [sig, group] : groups) emit_exception_group(group);
+    // Emit in signature-string order, so the merged SDC does not depend on
+    // the order ids were interned in.
+    std::vector<std::pair<std::string, ExceptionGroup*>> ordered;
+    ordered.reserve(groups.size());
+    for (auto& [id, group] : groups) {
+      ordered.emplace_back(ctx_.keys().str(KeyId(id)), &group);
+    }
+    std::sort(ordered.begin(), ordered.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (auto& [sig, group] : ordered) emit_exception_group(*group);
   }
 
   /// §3.1.9 / §3.1.10 disposition of one exception group: common -> add,
@@ -799,9 +760,8 @@ class PreliminaryMerger {
   const netlist::Design* design_;
   MergeResult result_;
   /// Per-mode relationship sets from the session cache (aligned with
-  /// modes_); empty when the string-keyed path is selected.
+  /// modes_).
   std::vector<std::shared_ptr<const ModeRelationships>> rels_;
-  bool interned_ = false;
 };
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "merge/relationship_cache.h"
 
 #include <algorithm>
+#include <map>
 
 #include "merge/corner.h"
 #include "merge/keys.h"
@@ -81,7 +82,7 @@ void fill_clock_values(ModeRelationships& out, const Sdc& sdc) {
 }  // namespace
 
 ModeRelationships extract_relationships(const Sdc& sdc,
-                                        CanonicalKeyTable* table) {
+                                        CanonicalKeyTable& table) {
   MM_SPAN_HOT("merge/relationship_extract");
   ModeRelationships out;
 
@@ -90,11 +91,21 @@ ModeRelationships extract_relationships(const Sdc& sdc,
   // Clocks: canonical keys plus constraint windows. The shared value fill
   // reproduces check_mergeable's last-matching-entry-wins scans.
   out.clocks.resize(sdc.num_clocks());
+  std::map<std::string, uint32_t> by_key;  // first clock per key
+  KeySet clock_key_ids;
   for (size_t i = 0; i < sdc.num_clocks(); ++i) {
-    out.clocks[i].key = clock_key(sdc, ClockId(i));
-    out.by_key.emplace(out.clocks[i].key, i);
-    out.clock_keys.insert(out.clocks[i].key);
+    ModeRelationships::ClockInfo& c = out.clocks[i];
+    c.key = clock_key(sdc, ClockId(i));
+    c.key_id = table.intern(c.key);
+    by_key.emplace(c.key, static_cast<uint32_t>(i));
+    // First-wins per key id == first-wins per key string (same bijection).
+    out.by_key_id.emplace(c.key_id.id(), static_cast<uint32_t>(i));
+    clock_key_ids.push_back(c.key_id);
   }
+  out.clock_order.reserve(by_key.size());
+  for (const auto& [key, index] : by_key) out.clock_order.push_back(index);
+  std::sort(clock_key_ids.begin(), clock_key_ids.end());
+  out.clock_key_bits = keyset_bits(clock_key_ids);
   fill_clock_values(out, sdc);
 
   // Exceptions: both signature flavors + effective launch-clock keys.
@@ -105,57 +116,24 @@ ModeRelationships extract_relationships(const Sdc& sdc,
     info.value = ex.value;
     info.sig_anchor = exception_signature(sdc, ex, /*include_value=*/false);
     info.sig_full = exception_signature(sdc, ex, /*include_value=*/true);
-    info.from_keys = effective_from_keys(sdc, ex);
-    out.full_sigs.insert(info.sig_full);
+    info.anchor_id = table.intern(info.sig_anchor);
+    info.full_id = table.intern(info.sig_full);
+    KeySet from_key_ids;
+    for (const std::string& k : effective_from_keys(sdc, ex)) {
+      from_key_ids.push_back(table.intern(k));
+    }
+    std::sort(from_key_ids.begin(), from_key_ids.end());
+    info.from_key_bits = keyset_bits(from_key_ids);
+    out.full_sig_ids.insert(info.full_id.id());
     out.exceptions.push_back(std::move(info));
   }
 
   out.drives = sdc.drives();
   out.loads = sdc.loads();
-
-  // Interned view: every key string above, interned into the session table.
-  // Ids are assigned by the table, so entries interned into the same table
-  // compare by integer; the string fields stay authoritative.
-  if (table != nullptr) {
-    for (size_t i = 0; i < out.clocks.size(); ++i) {
-      out.clocks[i].key_id = table->intern(out.clocks[i].key);
-      // First-wins per key id == first-wins per key string (same bijection).
-      out.by_key_id.emplace(out.clocks[i].key_id.id(),
-                            static_cast<uint32_t>(i));
-      out.clock_key_ids.push_back(out.clocks[i].key_id);
-    }
-    // by_key iterates in key-string order; recording that order lets the
-    // interned pre-screen report the same first conflict as the string path.
-    out.clock_order.reserve(out.by_key.size());
-    for (const auto& [key, index] : out.by_key) {
-      out.clock_order.push_back(static_cast<uint32_t>(index));
-    }
-    std::sort(out.clock_key_ids.begin(), out.clock_key_ids.end());
-    out.clock_key_ids.erase(
-        std::unique(out.clock_key_ids.begin(), out.clock_key_ids.end()),
-        out.clock_key_ids.end());
-    out.clock_key_bits = keyset_bits(out.clock_key_ids);
-
-    for (ModeRelationships::ExceptionInfo& info : out.exceptions) {
-      info.anchor_id = table->intern(info.sig_anchor);
-      info.full_id = table->intern(info.sig_full);
-      info.from_key_ids.reserve(info.from_keys.size());
-      for (const std::string& k : info.from_keys) {
-        info.from_key_ids.push_back(table->intern(k));
-      }
-      std::sort(info.from_key_ids.begin(), info.from_key_ids.end());
-      info.from_key_bits = keyset_bits(info.from_key_ids);
-      out.full_sig_ids.insert(info.full_id.id());
-    }
-    out.interned = true;
-  }
   return out;
 }
 
-RelationshipCache::RelationshipCache(size_t max_entries)
-    : max_entries_(max_entries == 0 ? 1 : max_entries) {}
-
-RelationshipCache::RelationshipCache(CanonicalKeyTable* table,
+RelationshipCache::RelationshipCache(CanonicalKeyTable& table,
                                      size_t max_entries)
     : max_entries_(max_entries == 0 ? 1 : max_entries), table_(table) {}
 
@@ -275,11 +253,6 @@ size_t RelationshipCache::size() const {
 RelationshipCache::Stats RelationshipCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-RelationshipCache& RelationshipCache::global() {
-  static RelationshipCache cache(&CanonicalKeyTable::global());
-  return cache;
 }
 
 }  // namespace mm::merge

@@ -16,19 +16,15 @@
 // entirely, and any textual change to the constraints or a different
 // netlist invalidates naturally.
 //
-// When extraction is handed a CanonicalKeyTable (the MergeContext session
-// path and the global cache), every key string is also interned and the
-// entry carries an interned view — KeyId sets, dense key bitsets, and a
-// clock iteration order matching the string-ordered map — which
-// check_mergeable's interned path consumes to replace string compares with
-// integer compares. All entries in one cache share one table, so their ids
-// are mutually comparable.
+// Extraction interns every key string into a CanonicalKeyTable, so each
+// entry carries KeyIds, dense key bitsets, and a clock iteration order
+// matching canonical-key string order; check_mergeable compares those
+// integers instead of strings. All entries in one cache share one table, so
+// their ids are mutually comparable.
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -48,7 +44,7 @@ struct ModeRelationships {
   /// uncertainty[setup], transition[max_side].
   struct ClockInfo {
     std::string key;  // canonical clock key (merge/keys.h)
-    KeyId key_id;     // interned key (invalid unless `interned`)
+    KeyId key_id;     // interned key
     double latency[2][2] = {{0.0, 0.0}, {0.0, 0.0}};
     bool latency_present[2][2] = {{false, false}, {false, false}};
     double uncertainty[2] = {0.0, 0.0};
@@ -60,21 +56,15 @@ struct ModeRelationships {
   struct ExceptionInfo {
     sdc::ExceptionKind kind = sdc::ExceptionKind::kFalsePath;
     double value = 0.0;
-    std::string sig_anchor;           // exception_signature(include_value=false)
-    std::string sig_full;             // exception_signature(include_value=true)
-    std::set<std::string> from_keys;  // effective_from_keys
-    // Interned view (invalid/empty unless `interned`):
-    KeyId anchor_id;
-    KeyId full_id;
-    KeySet from_key_ids;
-    DynamicBitset from_key_bits;
+    std::string sig_anchor;  // exception_signature(include_value=false)
+    std::string sig_full;    // exception_signature(include_value=true)
+    KeyId anchor_id;         // interned sig_anchor
+    KeyId full_id;           // interned sig_full
+    DynamicBitset from_key_bits;  // interned effective_from_keys
   };
 
-  std::vector<ClockInfo> clocks;         // index = ClockId.index()
-  std::map<std::string, size_t> by_key;  // clock key -> index (first wins)
-  std::set<std::string> clock_keys;      // mode_clock_keys
-  std::vector<ExceptionInfo> exceptions; // in Sdc order
-  std::set<std::string> full_sigs;       // all sig_full values
+  std::vector<ClockInfo> clocks;          // index = ClockId.index()
+  std::vector<ExceptionInfo> exceptions;  // in Sdc order
   std::vector<sdc::DriveConstraint> drives;
   std::vector<sdc::LoadConstraint> loads;
 
@@ -84,23 +74,20 @@ struct ModeRelationships {
   /// structure.
   uint64_t structure_fp = 0;
 
-  /// Interned view, filled when extraction ran with a CanonicalKeyTable.
-  /// Ids are only comparable against entries interned in the same table.
-  bool interned = false;
-  /// Clock indices in canonical-key string order (= by_key iteration
-  /// order), so the interned pre-screen visits clocks in exactly the order
-  /// the string path does and returns the same first conflict.
+  /// Clock indices in canonical-key string order (first clock per key), so
+  /// the clock pre-screen visits matched clocks in the order the Sdc-level
+  /// check does and returns the same first conflict.
   std::vector<uint32_t> clock_order;
   std::unordered_map<uint32_t, uint32_t> by_key_id;  // key id -> clock index
-  KeySet clock_key_ids;                              // sorted mode clock keys
-  DynamicBitset clock_key_bits;
-  std::unordered_set<uint32_t> full_sig_ids;
+  DynamicBitset clock_key_bits;                      // mode clock keys
+  std::unordered_set<uint32_t> full_sig_ids;         // all full_id values
 };
 
-/// Extract a mode's relationship set (one linear scan over the Sdc). With a
-/// table, also fills the interned view.
+/// Extract a mode's relationship set (one linear scan over the Sdc),
+/// interning every key into `table`. Ids are only comparable against
+/// entries interned in the same table.
 ModeRelationships extract_relationships(const Sdc& sdc,
-                                        CanonicalKeyTable* table = nullptr);
+                                        CanonicalKeyTable& table);
 
 /// Content-addressed, thread-safe memoization of extract_relationships.
 class RelationshipCache {
@@ -116,15 +103,11 @@ class RelationshipCache {
     uint64_t skeleton_mismatches = 0;
   };
 
-  /// `max_entries` bounds memory; exceeding it evicts the whole table
-  /// (entries are cheap to rebuild and eviction is rare at real mode
-  /// counts). Without a table, entries carry the string view only.
-  explicit RelationshipCache(size_t max_entries = 4096);
-
-  /// Bind the cache to a key table: every extracted entry also carries the
-  /// interned view, with ids drawn from `table` (which must outlive the
-  /// cache). nullptr behaves like the table-less constructor.
-  explicit RelationshipCache(CanonicalKeyTable* table,
+  /// Every extracted entry draws its ids from `table`, which must outlive
+  /// the cache. `max_entries` bounds memory; exceeding it evicts the whole
+  /// table (entries are cheap to rebuild and eviction is rare at real mode
+  /// counts).
+  explicit RelationshipCache(CanonicalKeyTable& table,
                              size_t max_entries = 4096);
 
   /// Extract-or-reuse. Thread-safe: concurrent misses on the same key both
@@ -163,16 +146,9 @@ class RelationshipCache {
   size_t size() const;
   Stats stats() const;
 
-  /// The key table entries are interned into (nullptr if none).
-  CanonicalKeyTable* table() const { return table_; }
-
-  /// Process-wide cache used by MergeabilityGraph by default; bound to
-  /// CanonicalKeyTable::global().
-  static RelationshipCache& global();
-
  private:
   const size_t max_entries_;
-  CanonicalKeyTable* const table_ = nullptr;
+  CanonicalKeyTable& table_;
   mutable std::mutex mutex_;
   std::unordered_map<uint64_t, std::shared_ptr<const ModeRelationships>> map_;
   Stats stats_;

@@ -141,7 +141,7 @@ void MergeSession::update_mode(ModeId id, const Sdc* sdc) {
   Entry& e = modes_[position_of(id)];
   // The old content's cache entry is now stale for this session: evict it
   // eagerly so the cache only holds decks the session can still reach.
-  if (ctx_->options().use_relationship_cache && e.sdc != nullptr) {
+  if (e.sdc != nullptr) {
     ctx_->cache().invalidate(*e.sdc);
   }
   e.sdc = sdc;
@@ -178,15 +178,13 @@ const MergeSession::CommitResult& MergeSession::commit() {
   // Refresh relationship sets for modes that lost theirs (new or updated),
   // fanned over the pool like the batch build. Clean modes keep the
   // shared_ptr they already hold — zero cache probes, zero extractions.
-  if (options.use_relationship_cache) {
-    std::vector<Entry*> need;
-    for (Entry& e : modes_) {
-      if (!e.rels) need.push_back(&e);
-    }
-    ctx_->pool().parallel_for(need.size(), [&](size_t k) {
-      need[k]->rels = ctx_->relationships(*need[k]->sdc);
-    });
+  std::vector<Entry*> need;
+  for (Entry& e : modes_) {
+    if (!e.rels) need.push_back(&e);
   }
+  ctx_->pool().parallel_for(need.size(), [&](size_t k) {
+    need[k]->rels = ctx_->relationships(*need[k]->sdc);
+  });
 
   // Re-check exactly the pairs with a dirty endpoint. Verdicts land in
   // their own slot and are folded into the map in index order, keeping the
@@ -203,18 +201,7 @@ const MergeSession::CommitResult& MergeSession::commit() {
   ctx_->pool().parallel_for(
       dirty_pairs.size(), /*min_grain=*/16, [&](size_t p) {
         const auto [i, j] = dirty_pairs[p];
-        if (pair_checker_) {
-          fresh[p] = pair_checker_(*modes_[i].sdc, *modes_[j].sdc,
-                                   modes_[i].rels.get(), modes_[j].rels.get());
-          return;
-        }
-        // With the cache off this is the reference Sdc-pair path (re-derives
-        // per pair), exactly like the batch build under the same options.
-        fresh[p] = options.use_relationship_cache
-                       ? check_mergeable(*modes_[i].rels, *modes_[j].rels,
-                                         options)
-                       : check_mergeable(*modes_[i].sdc, *modes_[j].sdc,
-                                         options);
+        fresh[p] = check_mergeable(*modes_[i].rels, *modes_[j].rels, options);
       });
   for (size_t p = 0; p < dirty_pairs.size(); ++p) {
     const auto [i, j] = dirty_pairs[p];

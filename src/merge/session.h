@@ -46,7 +46,6 @@
 // is byte-identical across num_threads values.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -140,21 +139,6 @@ class MergeSession {
 
   MergeContext& context() { return *ctx_; }
 
-  /// Replace the pairwise mergeability check commit() runs on each dirty
-  /// pair. The rels pointers carry the session-cached relationship sets
-  /// (null when options.use_relationship_cache is off). The checker is
-  /// invoked concurrently from the session pool, so it must be thread-safe,
-  /// and it must return verdicts byte-identical to check_mergeable for the
-  /// determinism contract to hold — this is the seam ShardedMergeSession
-  /// (merge/sharded_session.h) installs its stitch pass through. Reset with
-  /// nullptr. Takes effect at the next commit().
-  using PairChecker = std::function<PairVerdict(
-      const Sdc& a, const Sdc& b, const ModeRelationships* a_rels,
-      const ModeRelationships* b_rels)>;
-  void set_pair_checker(PairChecker checker) {
-    pair_checker_ = std::move(checker);
-  }
-
   /// One-shot adapter for the batch API: move the last commit's results
   /// into a MergedModeSet. Ends the session's reuse guarantees (the result
   /// cache is cleared; a later commit re-merges every clique).
@@ -201,7 +185,6 @@ class MergeSession {
       clique_results_;
   MergeabilityGraph graph_{0, {}, {}};
   CommitResult last_;
-  PairChecker pair_checker_;
 };
 
 }  // namespace mm::merge

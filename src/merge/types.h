@@ -29,9 +29,9 @@ enum class DebugMutation : uint8_t {
   /// Drop every exception from the merged mode — paths the source modes
   /// false-pathed become timed, pessimism the refinement never accounted.
   kDropExceptions,
-  /// Reverse the merged exception order only when interned keys are on —
-  /// breaks byte-parity between the interned and string-keyed paths.
-  kShuffleInterned,
+  /// Reverse the merged exception order only when num_threads != 1 —
+  /// breaks byte-parity between threaded and one-thread runs.
+  kShuffleThreaded,
 };
 
 struct MergeOptions {
@@ -55,28 +55,12 @@ struct MergeOptions {
   /// mergeability checks, refinement passes, and equivalence validation
   /// (0 = hardware concurrency).
   size_t num_threads = 0;
-  /// Memoize per-mode relationship extraction (merge/relationship_cache.h)
-  /// during mergeability analysis. Off = the seed per-pair re-derivation,
-  /// kept as the reference path for benchmarks and determinism tests.
-  bool use_relationship_cache = true;
-  /// Consume interned KeyId sets (merge/keys.h) from the session's
-  /// CanonicalKeyTable in mergeability analysis and preliminary merge. Off =
-  /// the string-keyed reference path (--no-key-intern), kept for one release
-  /// as the parity baseline; both paths produce byte-identical output.
-  bool use_interned_keys = true;
   /// Walk the merged deck in validation with the batched level-parallel
   /// STA engine (timing/sta_batch.h) as one lane; the members' relation
   /// maps are reused from data refinement. Off = one serial propagation
   /// (--no-batched-sta), kept as the byte-parity reference — both paths
   /// produce identical reports and merged output.
   bool use_batched_sta = true;
-  /// Hierarchical sharded merging (docs/SHARDING.md): ShardedMergeSession
-  /// partitions the design into this many blocks, runs per-block
-  /// mergeability in parallel, and stitches at the boundary. 1 = the flat
-  /// pipeline (MergeSession behavior, byte-identical output either way).
-  size_t num_shards = 1;
-  /// Seed for the partitioner's BFS seed placement (--shard-seed).
-  uint64_t shard_seed = 1;
   /// Run §3.2 refinement (clock + data + 3-pass). Disabling yields the
   /// preliminary merged mode only — used by benchmarks and ablations.
   bool run_refinement = true;

@@ -1,6 +1,7 @@
 #include "sdc/parser.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
@@ -96,6 +97,11 @@ double word_to_double(const Word& w, const std::string& what) {
   const double v = std::strtod(w.text.c_str(), &end);
   if (end == w.text.c_str() || *end != '\0') {
     throw Error("bad number '" + w.text + "' for " + what);
+  }
+  // strtod accepts "nan" and "inf" and saturates overflow to +-inf; none of
+  // them is a usable constraint value.
+  if (!std::isfinite(v)) {
+    throw Error("non-finite number '" + w.text + "' for " + what);
   }
   return v;
 }
@@ -253,6 +259,10 @@ class Parser {
     if (!period) period = args.value("-p");
     if (!period) throw Error("create_clock requires -period");
     clock.period = word_to_double(*period, "-period");
+    if (clock.period <= 0.0) {
+      throw Error("create_clock -period must be positive, got '" +
+                  period->text + "'");
+    }
     if (const Word* wf = args.value("-waveform")) {
       clock.waveform = word_to_double_list(*wf, "-waveform");
       if (clock.waveform.size() != 2) {

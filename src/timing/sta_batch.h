@@ -39,8 +39,8 @@
 //     of near-identical modes resolves once, not once per mode.
 //
 // The serial single-mode engine stays the byte-parity reference: callers
-// keep it behind MergeOptions::use_batched_sta, the same discipline as
-// use_interned_keys. See docs/STA.md for the full substrate guide.
+// keep it behind MergeOptions::use_batched_sta. See docs/STA.md for the
+// full substrate guide.
 
 #include <memory>
 #include <mutex>

@@ -154,12 +154,12 @@ TEST(FuzzOracle, CatchesInjectedParityBreak) {
   FuzzOptions opt;
   opt.seed = 1;
   opt.iters = 50;
-  opt.inject = merge::DebugMutation::kShuffleInterned;
+  opt.inject = merge::DebugMutation::kShuffleThreaded;
   const FuzzReport report = run_fuzz(opt);
   ASSERT_FALSE(report.findings.empty());
   EXPECT_EQ(report.findings.front().violation.property, "parity");
-  // Flag attribution names the interned-key path.
-  EXPECT_NE(report.findings.front().violation.detail.find("use_interned_keys"),
+  // The detail names the thread counts P2 compared.
+  EXPECT_NE(report.findings.front().violation.detail.find("num_threads"),
             std::string::npos);
 }
 
@@ -230,7 +230,7 @@ TEST(FuzzCorpus, MutationNamesRoundTrip) {
   using merge::DebugMutation;
   for (DebugMutation m :
        {DebugMutation::kNone, DebugMutation::kFalsifyMcp,
-        DebugMutation::kDropExceptions, DebugMutation::kShuffleInterned}) {
+        DebugMutation::kDropExceptions, DebugMutation::kShuffleThreaded}) {
     DebugMutation out = DebugMutation::kNone;
     EXPECT_TRUE(parse_mutation(mutation_name(m), &out));
     EXPECT_EQ(out, m);

@@ -8,6 +8,7 @@
 
 #include "gen/design_gen.h"
 #include "gen/mode_gen.h"
+#include "merge/context.h"
 #include "merge/mergeability.h"
 #include "sdc/parser.h"
 #include "timing/graph.h"
@@ -96,7 +97,8 @@ TEST(ModeGen, FamilyParsesAndPlantsGroups) {
   for (const auto& m : modes) ptrs.push_back(&m);
 
   // Planted block-diagonal mergeability.
-  merge::MergeabilityGraph graph(ptrs, {});
+  merge::MergeContext ctx;
+  merge::MergeabilityGraph graph(ptrs, ctx);
   for (size_t i = 0; i < family.size(); ++i) {
     for (size_t j = i + 1; j < family.size(); ++j) {
       EXPECT_EQ(graph.edge(i, j), family[i].group == family[j].group)
@@ -158,7 +160,8 @@ TEST(ModeGen, NearMissWalksWindowBoundary) {
   for (const auto& m : modes) ptrs.push_back(&m);
 
   // Exact policy: every carrier gap is out of tolerance -> 6 singletons.
-  merge::MergeabilityGraph exact(ptrs, {});
+  merge::MergeContext exact_ctx;
+  merge::MergeabilityGraph exact(ptrs, exact_ctx);
   EXPECT_EQ(exact.clique_cover().size(), 6u);
 
   // Windowed with the family's window: even->odd gaps are W - eps
@@ -166,7 +169,8 @@ TEST(ModeGen, NearMissWalksWindowBoundary) {
   // accumulate to >= 2W. Adjacency is exactly the even-start pairs.
   merge::MergeOptions wopt;
   wopt.policy = merge::MergePolicy::uniform(mp.near_miss_window);
-  merge::MergeabilityGraph windowed(ptrs, wopt);
+  merge::MergeContext windowed_ctx(wopt);
+  merge::MergeabilityGraph windowed(ptrs, windowed_ctx);
   for (size_t i = 0; i < family.size(); ++i) {
     for (size_t j = i + 1; j < family.size(); ++j) {
       const bool expect_edge = (j == i + 1) && (i % 2 == 0);

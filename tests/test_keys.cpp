@@ -1,13 +1,16 @@
 // merge/keys: the interned KeyId layer against its string-keyed reference.
 //
-// The CanonicalKeyTable interns exactly the strings the string path builds,
-// so every comparison the engine makes on KeyIds must agree with the same
-// comparison on strings — and the two engine paths
-// (MergeOptions::use_interned_keys on/off) must produce byte-identical
-// mergeability graphs, reason strings, clique covers, and merged-SDC text.
-// This file asserts both levels: key-layer unit semantics (generated
-// clocks, duplicate-waveform dedup, name-collision rename) and whole-engine
-// parity on the paper example plus 32/64-mode generated families.
+// The CanonicalKeyTable interns exactly the strings clock_key /
+// exception_signature build, so every comparison the engine makes on
+// KeyIds must agree with the same comparison on strings. The string-keyed
+// side is the Sdc-level check_mergeable oracle plus the string key helpers;
+// the interned side is the production engine (cached relationship sets,
+// KeyId compares). This file asserts both levels: key-layer unit semantics
+// (generated clocks, duplicate-waveform dedup, name-collision rename) and
+// whole-engine parity with the oracle — same mergeability graph, reason
+// strings and clique cover — on the paper example plus 32/64-mode
+// generated families, with merged SDC text that does not depend on the
+// order the key table assigned ids in.
 
 #include <gtest/gtest.h>
 
@@ -41,12 +44,32 @@ class KeysTest : public ::testing::Test {
     return sdc::parse_sdc(text, design);
   }
 
-  static MergeOptions options_for(bool interned) {
-    MergeOptions options;
-    options.use_interned_keys = interned;
-    return options;
-  }
 };
+
+/// The production pair verdict (relationship sets interned into one
+/// table) must equal the Sdc-level oracle's, member for member.
+void expect_verdict_matches_oracle(const sdc::Sdc& a, const sdc::Sdc& b) {
+  MergeContext ctx;
+  const PairVerdict prod =
+      check_mergeable(*ctx.relationships(a), *ctx.relationships(b),
+                      ctx.options());
+  const PairVerdict oracle = check_mergeable(a, b, ctx.options());
+  EXPECT_EQ(prod.mergeable, oracle.mergeable);
+  EXPECT_EQ(prod.reason, oracle.reason);
+  EXPECT_EQ(prod.category, oracle.category);
+  EXPECT_EQ(prod.subject, oracle.subject);
+}
+
+/// The string-keyed clock identity count: distinct clock_key strings over
+/// the modes — what a merged deck's clock count must be.
+size_t distinct_string_clock_keys(const std::vector<const sdc::Sdc*>& modes) {
+  std::set<std::string> keys;
+  for (const sdc::Sdc* m : modes) {
+    const std::set<std::string> k = mode_clock_keys(*m);
+    keys.insert(k.begin(), k.end());
+  }
+  return keys.size();
+}
 
 // ---------------------------------------------------------------------------
 // CanonicalKeyTable semantics.
@@ -147,67 +170,54 @@ TEST_F(KeysTest, GeneratedClockMergeIdenticalBothPaths) {
       "create_clock -name m -period 8 [get_ports clk1]\n"
       "create_generated_clock -name g -source [get_ports clk1] -divide_by 4 "
       "[get_pins mux1/Z]\n";
-  std::string out_by_path[2];
-  for (bool interned : {false, true}) {
-    sdc::Sdc a = parse(text_a), b = parse(text_b);
-    const ValidatedMergeResult out =
-        merge_modes(graph, {&a, &b}, options_for(interned));
-    // m dedups; g(div2) and g(div4) coexist under distinct names.
-    EXPECT_EQ(out.merge.merged->num_clocks(), 3u);
-    out_by_path[interned] = sdc::write_sdc(*out.merge.merged);
-  }
-  EXPECT_EQ(out_by_path[0], out_by_path[1]);
+  sdc::Sdc a = parse(text_a), b = parse(text_b);
+  expect_verdict_matches_oracle(a, b);
+  const ValidatedMergeResult out = merge_modes(graph, {&a, &b}, MergeOptions{});
+  // m dedups; g(div2) and g(div4) coexist under distinct names.
+  EXPECT_EQ(out.merge.merged->num_clocks(), 3u);
+  EXPECT_EQ(out.merge.merged->num_clocks(),
+            distinct_string_clock_keys({&a, &b}));
 }
 
 // ---------------------------------------------------------------------------
 // Edge case: duplicate-waveform dedup (same identity, different names).
 
 TEST_F(KeysTest, DuplicateWaveformDedupBothPaths) {
-  std::string out_by_path[2];
-  size_t deduped_by_path[2] = {0, 0};
-  for (bool interned : {false, true}) {
-    // Same source + period + waveform under three different names across
-    // two modes: one merged clock.
-    sdc::Sdc a = parse(
-        "create_clock -name fast -period 10 -waveform {0 5} "
-        "[get_ports clk1]\n");
-    sdc::Sdc b = parse(
-        "create_clock -name quick -period 10 -waveform {0 5} "
-        "[get_ports clk1]\n");
-    const MergeResult out =
-        preliminary_merge({&a, &b}, options_for(interned));
-    EXPECT_EQ(out.merged->num_clocks(), 1u);
-    deduped_by_path[interned] = out.stats.clocks_deduped;
-    out_by_path[interned] = sdc::write_sdc(*out.merged);
-  }
-  EXPECT_EQ(deduped_by_path[0], 1u);
-  EXPECT_EQ(deduped_by_path[0], deduped_by_path[1]);
-  EXPECT_EQ(out_by_path[0], out_by_path[1]);
+  // Same source + period + waveform under two different names across two
+  // modes: one merged clock.
+  sdc::Sdc a = parse(
+      "create_clock -name fast -period 10 -waveform {0 5} "
+      "[get_ports clk1]\n");
+  sdc::Sdc b = parse(
+      "create_clock -name quick -period 10 -waveform {0 5} "
+      "[get_ports clk1]\n");
+  expect_verdict_matches_oracle(a, b);
+  const MergeResult out = preliminary_merge({&a, &b}, MergeOptions{});
+  EXPECT_EQ(out.merged->num_clocks(), 1u);
+  EXPECT_EQ(out.merged->num_clocks(), distinct_string_clock_keys({&a, &b}));
+  EXPECT_EQ(out.stats.clocks_deduped, 1u);
 }
 
 // ---------------------------------------------------------------------------
 // Edge case: name collision between distinct clocks forces a rename.
 
 TEST_F(KeysTest, NameCollisionRenameBothPaths) {
-  std::string out_by_path[2];
-  for (bool interned : {false, true}) {
-    // Same name "c", different sources: distinct identities that cannot
-    // share the merged name.
-    sdc::Sdc a = parse("create_clock -name c -period 10 [get_ports clk1]\n");
-    sdc::Sdc b = parse("create_clock -name c -period 10 [get_ports clk2]\n");
-    const MergeResult out =
-        preliminary_merge({&a, &b}, options_for(interned));
-    EXPECT_EQ(out.merged->num_clocks(), 2u);
-    EXPECT_EQ(out.stats.clocks_renamed, 1u);
-    EXPECT_EQ(out.stats.clocks_deduped, 0u);
-    out_by_path[interned] = sdc::write_sdc(*out.merged);
-  }
-  EXPECT_EQ(out_by_path[0], out_by_path[1]);
+  // Same name "c", different sources: distinct identities that cannot
+  // share the merged name.
+  sdc::Sdc a = parse("create_clock -name c -period 10 [get_ports clk1]\n");
+  sdc::Sdc b = parse("create_clock -name c -period 10 [get_ports clk2]\n");
+  expect_verdict_matches_oracle(a, b);
+  const MergeResult out = preliminary_merge({&a, &b}, MergeOptions{});
+  EXPECT_EQ(out.merged->num_clocks(), 2u);
+  EXPECT_EQ(out.merged->num_clocks(), distinct_string_clock_keys({&a, &b}));
+  EXPECT_EQ(out.stats.clocks_renamed, 1u);
+  EXPECT_EQ(out.stats.clocks_deduped, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Whole-engine parity: string path vs interned path must be byte-identical
-// in the mergeability graph, reason strings, clique cover, and merged SDC.
+// Whole-engine parity: the production engine must reproduce the Sdc-level
+// oracle's mergeability graph, reason strings and clique cover, and its
+// merged SDC must not depend on the order KeyIds were assigned in.
 
 struct EngineOutput {
   std::vector<uint8_t> edges;
@@ -216,15 +226,19 @@ struct EngineOutput {
   std::vector<std::string> merged_sdc;  // empty when only the graph is built
 };
 
-bool operator==(const EngineOutput& a, const EngineOutput& b) {
-  return a.edges == b.edges && a.reasons == b.reasons &&
-         a.cliques == b.cliques && a.merged_sdc == b.merged_sdc;
-}
-
+/// The production engine on a fresh context. With `reverse_interning`, the
+/// context first extracts the modes in reverse order, so every KeyId is
+/// assigned in a different order than a plain run assigns it.
 EngineOutput run_engine(const timing::TimingGraph& graph,
                         const std::vector<const sdc::Sdc*>& modes,
-                        MergeOptions options, bool full_merge) {
+                        MergeOptions options, bool full_merge,
+                        bool reverse_interning = false) {
   MergeContext ctx(options);
+  if (reverse_interning) {
+    for (auto it = modes.rbegin(); it != modes.rend(); ++it) {
+      ctx.relationships(**it);
+    }
+  }
   EngineOutput out;
   const MergeabilityGraph mgraph(modes, ctx);
   for (size_t i = 0; i < mgraph.num_modes(); ++i) {
@@ -244,6 +258,45 @@ EngineOutput run_engine(const timing::TimingGraph& graph,
   return out;
 }
 
+/// The oracle's graph: a serial i < j loop over the Sdc-level
+/// check_mergeable, covered by the same greedy rule.
+EngineOutput run_oracle(const std::vector<const sdc::Sdc*>& modes,
+                        const MergeOptions& options) {
+  const size_t n = modes.size();
+  std::vector<uint8_t> adj(n * n, 0);
+  std::vector<std::string> reasons(n * n);
+  for (size_t i = 0; i < n; ++i) adj[i * n + i] = 1;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      const PairVerdict v = check_mergeable(*modes[i], *modes[j], options);
+      adj[i * n + j] = adj[j * n + i] = v.mergeable ? 1 : 0;
+      if (!v.mergeable) reasons[i * n + j] = reasons[j * n + i] = v.reason;
+    }
+  }
+  EngineOutput out;
+  out.cliques = greedy_clique_cover(n, adj);
+  out.edges = std::move(adj);
+  out.reasons = std::move(reasons);
+  return out;
+}
+
+void expect_engine_matches_oracle(const timing::TimingGraph& graph,
+                                  const std::vector<const sdc::Sdc*>& modes,
+                                  const MergeOptions& options,
+                                  bool full_merge) {
+  const EngineOutput oracle = run_oracle(modes, options);
+  const EngineOutput prod = run_engine(graph, modes, options, full_merge);
+  EXPECT_EQ(prod.edges, oracle.edges);
+  EXPECT_EQ(prod.reasons, oracle.reasons);
+  EXPECT_EQ(prod.cliques, oracle.cliques);
+  if (full_merge) {
+    EXPECT_EQ(prod.merged_sdc.size(), oracle.cliques.size());
+    const EngineOutput reversed = run_engine(graph, modes, options, full_merge,
+                                             /*reverse_interning=*/true);
+    EXPECT_EQ(reversed.merged_sdc, prod.merged_sdc);
+  }
+}
+
 TEST_F(KeysTest, PaperExampleParityStringVsInterned) {
   namespace cs = gen::constraint_sets;
   std::vector<sdc::Sdc> modes;
@@ -256,12 +309,8 @@ TEST_F(KeysTest, PaperExampleParityStringVsInterned) {
   std::vector<const sdc::Sdc*> ptrs;
   for (const sdc::Sdc& m : modes) ptrs.push_back(&m);
 
-  const EngineOutput reference =
-      run_engine(graph, ptrs, options_for(false), /*full_merge=*/true);
-  const EngineOutput interned =
-      run_engine(graph, ptrs, options_for(true), /*full_merge=*/true);
-  EXPECT_TRUE(reference == interned);
-  EXPECT_FALSE(reference.merged_sdc.empty());
+  expect_engine_matches_oracle(graph, ptrs, MergeOptions{},
+                               /*full_merge=*/true);
 }
 
 class KeysFamilyTest : public ::testing::Test {
@@ -285,22 +334,10 @@ class KeysFamilyTest : public ::testing::Test {
     }
     for (const auto& m : modes) ptrs.push_back(m.get());
 
-    MergeOptions string_path;
-    string_path.use_interned_keys = false;
-    string_path.validate = false;
-    MergeOptions interned_path;
-    interned_path.use_interned_keys = true;
-    interned_path.validate = false;
-
-    const EngineOutput reference =
-        run_engine(graph, ptrs, string_path, full_merge);
-    const EngineOutput interned =
-        run_engine(graph, ptrs, interned_path, full_merge);
-    EXPECT_TRUE(reference == interned);
-    EXPECT_EQ(reference.cliques.size(), target_groups);
-    if (full_merge) {
-      EXPECT_EQ(reference.merged_sdc.size(), target_groups);
-    }
+    MergeOptions options;
+    options.validate = false;
+    expect_engine_matches_oracle(graph, ptrs, options, full_merge);
+    EXPECT_EQ(run_oracle(ptrs, options).cliques.size(), target_groups);
   }
 };
 

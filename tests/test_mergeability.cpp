@@ -3,9 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "gen/design_gen.h"
+#include "gen/mode_gen.h"
 #include "gen/paper_circuit.h"
+#include "merge/context.h"
 #include "merge/mergeability.h"
+#include "merge/session.h"
+#include "netlist/libcell.h"
 #include "sdc/parser.h"
+#include "timing/graph.h"
+#include "util/rng.h"
 
 namespace mm::merge {
 namespace {
@@ -136,7 +147,8 @@ TEST_F(MergeabilityTest, CliqueCoverBlockDiagonal) {
   }
   for (const auto& m : modes) ptrs.push_back(&m);
 
-  MergeabilityGraph graph(ptrs, options);
+  MergeContext ctx(options);
+  MergeabilityGraph graph(ptrs, ctx);
   EXPECT_TRUE(graph.edge(0, 1));
   EXPECT_TRUE(graph.edge(3, 4));
   EXPECT_FALSE(graph.edge(0, 3));
@@ -159,7 +171,8 @@ TEST_F(MergeabilityTest, CliqueCoverFullyConnected) {
     modes.push_back(parse("create_clock -name c -period 10 [get_ports clk1]\n"));
   }
   for (const auto& m : modes) ptrs.push_back(&m);
-  MergeabilityGraph graph(ptrs, options);
+  MergeContext ctx(options);
+  MergeabilityGraph graph(ptrs, ctx);
   const auto cliques = graph.clique_cover();
   ASSERT_EQ(cliques.size(), 1u);
   EXPECT_EQ(cliques[0].size(), 5u);
@@ -167,10 +180,133 @@ TEST_F(MergeabilityTest, CliqueCoverFullyConnected) {
 
 TEST_F(MergeabilityTest, SingleMode) {
   sdc::Sdc a = parse("create_clock -name c -period 10 [get_ports clk1]\n");
-  MergeabilityGraph graph({&a}, options);
+  MergeContext ctx(options);
+  MergeabilityGraph graph({&a}, ctx);
   const auto cliques = graph.clique_cover();
   ASSERT_EQ(cliques.size(), 1u);
   EXPECT_EQ(cliques[0].size(), 1u);
+}
+
+// --- greedy_clique_cover determinism ------------------------------------
+
+/// Random symmetric adjacency with the diagonal set.
+std::vector<uint8_t> random_adjacency(size_t n, util::Rng& rng,
+                                      int edge_percent) {
+  std::vector<uint8_t> adj(n * n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    adj[i * n + i] = 1;
+    for (size_t j = i + 1; j < n; ++j) {
+      const uint8_t e = rng.chance(edge_percent) ? 1 : 0;
+      adj[i * n + j] = e;
+      adj[j * n + i] = e;
+    }
+  }
+  return adj;
+}
+
+// The cover is a pure function of the matrix: two calls agree, and the
+// matrix assembled from any verdict production order (batch or
+// incremental) is the same matrix — this is the property that makes
+// incremental covers byte-identical to batch ones.
+TEST(CliqueCoverDeterminism, PureFunctionOfAdjacency) {
+  util::Rng rng(99);
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t n = 3 + rng.below(12);
+    const std::vector<uint8_t> adj =
+        random_adjacency(n, rng, 20 + static_cast<int>(rng.below(60)));
+    EXPECT_EQ(greedy_clique_cover(n, adj), greedy_clique_cover(n, adj));
+  }
+}
+
+// Relabeling invariance on planted disjoint cliques: when the graph is a
+// union of disjoint cliques (the structure mode_gen plants and the merge
+// pipeline's covers must recover exactly), the cover is the planted
+// partition under *every* labeling — any hidden dependence on iteration
+// order beyond the documented degree/index rule would break this.
+TEST(CliqueCoverDeterminism, RelabelingInvariantOnDisjointCliques) {
+  util::Rng rng(42);
+  for (int trial = 0; trial < 10; ++trial) {
+    // Plant cliques of distinct sizes 1..g over shuffled labels.
+    const size_t g = 2 + rng.below(4);
+    size_t n = 0;
+    for (size_t c = 0; c < g; ++c) n += c + 1;
+    std::vector<size_t> label(n);
+    for (size_t i = 0; i < n; ++i) label[i] = i;
+    for (size_t i = n; i > 1; --i) {
+      std::swap(label[i - 1], label[rng.below(i)]);
+    }
+    std::vector<std::vector<size_t>> planted;
+    size_t next = 0;
+    for (size_t c = 0; c < g; ++c) {
+      std::vector<size_t> clique;
+      for (size_t k = 0; k <= c; ++k) clique.push_back(label[next++]);
+      planted.push_back(std::move(clique));
+    }
+    std::vector<uint8_t> adj(n * n, 0);
+    for (size_t i = 0; i < n; ++i) adj[i * n + i] = 1;
+    for (const std::vector<size_t>& clique : planted) {
+      for (const size_t a : clique) {
+        for (const size_t b : clique) adj[a * n + b] = 1;
+      }
+    }
+
+    std::vector<std::vector<size_t>> cover = greedy_clique_cover(n, adj);
+    for (std::vector<size_t>& c : cover) std::sort(c.begin(), c.end());
+    std::sort(cover.begin(), cover.end());
+    for (std::vector<size_t>& c : planted) std::sort(c.begin(), c.end());
+    std::sort(planted.begin(), planted.end());
+    EXPECT_EQ(cover, planted) << "trial " << trial;
+  }
+}
+
+// Mode insertion order on a planted block-diagonal family: the cover as a
+// set of name-sets must not depend on the order decks were registered.
+// (This is exactly the structure where the invariant is guaranteed — with
+// overlapping cliques the greedy tie-breaks legitimately depend on ids.)
+TEST(CliqueCoverDeterminism, InsertionOrderInvariantCoverContents) {
+  netlist::Library lib = netlist::Library::builtin();
+  gen::DesignParams dp;
+  dp.num_regs = 40;
+  const netlist::Design design = gen::generate_design(lib, dp);
+  const timing::TimingGraph graph(design);
+
+  gen::ModeFamilyParams mp;
+  mp.num_modes = 10;
+  mp.target_groups = 3;
+  const std::vector<gen::GeneratedMode> family =
+      gen::generate_mode_family(dp, mp);
+  std::vector<sdc::Sdc> modes;
+  for (const gen::GeneratedMode& gm : family) {
+    modes.push_back(sdc::parse_sdc(gm.sdc_text, design));
+  }
+
+  auto cover_by_name = [&](const std::vector<size_t>& order) {
+    MergeOptions opt;
+    opt.validate = false;
+    MergeSession session(graph, opt);
+    std::vector<std::string> by_index;
+    for (const size_t i : order) {
+      session.add_mode(family[i].name, &modes[i]);
+      by_index.push_back(family[i].name);
+    }
+    const MergeSession::CommitResult& r = session.commit();
+    std::vector<std::vector<std::string>> cover;
+    for (const std::vector<size_t>& clique : r.cliques) {
+      std::vector<std::string> members;
+      for (const size_t m : clique) members.push_back(by_index[m]);
+      std::sort(members.begin(), members.end());
+      cover.push_back(std::move(members));
+    }
+    std::sort(cover.begin(), cover.end());
+    return cover;
+  };
+
+  std::vector<size_t> fwd(modes.size());
+  for (size_t i = 0; i < fwd.size(); ++i) fwd[i] = i;
+  std::vector<size_t> rev(fwd.rbegin(), fwd.rend());
+  const auto cover = cover_by_name(fwd);
+  EXPECT_EQ(cover.size(), 3u);
+  EXPECT_EQ(cover, cover_by_name(rev));
 }
 
 }  // namespace

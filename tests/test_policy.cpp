@@ -1,5 +1,5 @@
 // Merge-policy tests (docs/POLICIES.md): the exact policy stays
-// byte-identical across every engine (batch, session, sharded session) and
+// byte-identical across every engine (batch and session) and
 // equals a zero-width windowed policy; the windowed policy is monotone in
 // its window, takes the worst-case envelope per field, records window
 // provenance on its verdicts, and passes the mm.qor/1 never-optimistic
@@ -20,7 +20,6 @@
 #include "merge/preliminary.h"
 #include "merge/qor.h"
 #include "merge/session.h"
-#include "merge/sharded_session.h"
 #include "sdc/parser.h"
 #include "sdc/writer.h"
 #include "timing/graph.h"
@@ -108,8 +107,8 @@ TEST_F(PolicyFamilyTest, ExactEqualsZeroWidthWindowOnPaperFamily) {
   EXPECT_EQ(merged_bytes(win), merged_bytes(base));
 }
 
-/// Under the exact policy, every engine — flat batch, incremental session,
-/// sharded session — produces the same clique cover and merged bytes on the
+/// Under the exact policy, every engine — flat batch and incremental
+/// session — produces the same clique cover and merged bytes on the
 /// 10-mode paper family (the policy plumbing must not perturb any path).
 TEST_F(PolicyFamilyTest, ExactBytesIdenticalAcrossEngines) {
   const std::vector<const sdc::Sdc*> ptrs = family(paper(10, 2));
@@ -126,18 +125,6 @@ TEST_F(PolicyFamilyTest, ExactBytesIdenticalAcrossEngines) {
   ASSERT_EQ(r.cliques, base.cliques);
   for (size_t i = 0; i < r.merged.size(); ++i) {
     EXPECT_EQ(sdc::write_sdc(*r.merged[i]->merge.merged), bytes[i]) << i;
-  }
-
-  MergeOptions sharded_opt = opt;
-  sharded_opt.num_shards = 4;
-  ShardedMergeSession sharded(*graph_, sharded_opt);
-  for (size_t i = 0; i < ptrs.size(); ++i) {
-    sharded.add_mode("m" + std::to_string(i), ptrs[i]);
-  }
-  const MergeSession::CommitResult& sr = sharded.commit();
-  ASSERT_EQ(sr.cliques, base.cliques);
-  for (size_t i = 0; i < sr.merged.size(); ++i) {
-    EXPECT_EQ(sdc::write_sdc(*sr.merged[i]->merge.merged), bytes[i]) << i;
   }
 }
 
@@ -181,7 +168,8 @@ TEST_F(PolicyFamilyTest, WindowMonotonicity) {
   for (const double w : windows) {
     MergeOptions opt;
     opt.policy = MergePolicy::uniform(w);
-    MergeabilityGraph g(ptrs, opt);
+    MergeContext ctx(opt);
+    MergeabilityGraph g(ptrs, ctx);
     std::vector<std::vector<bool>> edges(ptrs.size(),
                                          std::vector<bool>(ptrs.size()));
     for (size_t i = 0; i < ptrs.size(); ++i) {
@@ -203,10 +191,12 @@ TEST_F(PolicyFamilyTest, WindowMonotonicity) {
 
   MergeOptions tight;
   tight.policy = MergePolicy::uniform(0.1);
-  EXPECT_EQ(MergeabilityGraph(ptrs, tight).clique_cover().size(), 6u);
+  MergeContext tight_ctx(tight);
+  EXPECT_EQ(MergeabilityGraph(ptrs, tight_ctx).clique_cover().size(), 6u);
   MergeOptions at_boundary;
   at_boundary.policy = MergePolicy::uniform(0.2);
-  EXPECT_EQ(MergeabilityGraph(ptrs, at_boundary).clique_cover().size(), 3u);
+  MergeContext boundary_ctx(at_boundary);
+  EXPECT_EQ(MergeabilityGraph(ptrs, boundary_ctx).clique_cover().size(), 3u);
 }
 
 /// The windowed merge of the near-miss family passes the QoR oracle: never

@@ -1,7 +1,7 @@
 // RelationshipCache tests: hit/miss accounting, content-key invalidation,
 // and byte-identical determinism of the memoized + parallel mergeability
-// path against the serial seed path (paper worked example and a 32-mode
-// generated family).
+// path against the serial Sdc-level oracle (paper worked example and a
+// 32-mode generated family).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "gen/design_gen.h"
 #include "gen/mode_gen.h"
 #include "gen/paper_circuit.h"
+#include "merge/context.h"
 #include "merge/mergeability.h"
 #include "merge/relationship_cache.h"
 #include "sdc/parser.h"
@@ -29,10 +30,11 @@ class RelationshipCacheTest : public ::testing::Test {
   }
 
   MergeOptions options;
+  CanonicalKeyTable table;
 };
 
 TEST_F(RelationshipCacheTest, HitAndMissCounting) {
-  RelationshipCache cache;
+  RelationshipCache cache(table);
   sdc::Sdc a = parse("create_clock -name c -period 10 [get_ports clk1]\n");
 
   auto first = cache.get(a);
@@ -51,7 +53,7 @@ TEST_F(RelationshipCacheTest, HitAndMissCounting) {
 }
 
 TEST_F(RelationshipCacheTest, SdcTextChangeInvalidates) {
-  RelationshipCache cache;
+  RelationshipCache cache(table);
   sdc::Sdc a = parse(
       "create_clock -name c -period 10 [get_ports clk1]\n"
       "set_clock_uncertainty -setup 0.3 [get_clocks c]\n");
@@ -112,7 +114,7 @@ TEST_F(RelationshipCacheTest, EqualNameAndCountsDesignsDoNotCollide) {
   EXPECT_NE(RelationshipCache::content_key(on_a),
             RelationshipCache::content_key(on_b));
 
-  RelationshipCache cache;
+  RelationshipCache cache(table);
   cache.get(on_a);
   cache.get(on_b);
   EXPECT_EQ(cache.stats().misses, 2u);  // no alias, no stale hit
@@ -124,7 +126,7 @@ TEST_F(RelationshipCacheTest, EqualNameAndCountsDesignsDoNotCollide) {
 // mode's current content removes exactly that entry; the next get()
 // re-extracts. Invalidating absent content is a no-op.
 TEST_F(RelationshipCacheTest, InvalidateDropsEntry) {
-  RelationshipCache cache;
+  RelationshipCache cache(table);
   sdc::Sdc a = parse("create_clock -name c -period 10 [get_ports clk1]\n");
   sdc::Sdc b = parse("create_clock -name c2 -period 20 [get_ports clk2]\n");
   cache.get(a);
@@ -144,7 +146,7 @@ TEST_F(RelationshipCacheTest, InvalidateDropsEntry) {
 }
 
 TEST_F(RelationshipCacheTest, EvictionBoundsEntries) {
-  RelationshipCache cache(/*max_entries=*/2);
+  RelationshipCache cache(table, /*max_entries=*/2);
   for (int period = 1; period <= 5; ++period) {
     sdc::Sdc m = parse("create_clock -name c -period " +
                        std::to_string(period) + " [get_ports clk1]\n");
@@ -155,8 +157,9 @@ TEST_F(RelationshipCacheTest, EvictionBoundsEntries) {
   EXPECT_GT(cache.stats().evictions, 0u);
 }
 
-// The cached overload must return the seed overload's verdict bit for bit
-// (mergeable flag AND reason text) on every kind of conflict.
+// The production overload (relationship sets interned into one table) must
+// return the Sdc-level oracle's verdict bit for bit (mergeable flag, reason
+// text, category and subject) on every kind of conflict.
 TEST_F(RelationshipCacheTest, CachedVerdictsMatchSeedPath) {
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"create_clock -name c -period 10 [get_ports clk1]\n",
@@ -198,12 +201,16 @@ TEST_F(RelationshipCacheTest, CachedVerdictsMatchSeedPath) {
     for (const auto& [ta, tb] : cases) {
       sdc::Sdc a = parse(ta), b = parse(tb);
       const PairVerdict seed = check_mergeable(a, b, opts);
-      const ModeRelationships ra = extract_relationships(a);
-      const ModeRelationships rb = extract_relationships(b);
+      const ModeRelationships ra = extract_relationships(a, table);
+      const ModeRelationships rb = extract_relationships(b, table);
       const PairVerdict cached = check_mergeable(ra, rb, opts);
       EXPECT_EQ(seed.mergeable, cached.mergeable)
           << "tol=" << tol << "\nA:\n" << ta << "B:\n" << tb;
       EXPECT_EQ(seed.reason, cached.reason)
+          << "tol=" << tol << "\nA:\n" << ta << "B:\n" << tb;
+      EXPECT_EQ(seed.category, cached.category)
+          << "tol=" << tol << "\nA:\n" << ta << "B:\n" << tb;
+      EXPECT_EQ(seed.subject, cached.subject)
           << "tol=" << tol << "\nA:\n" << ta << "B:\n" << tb;
     }
   }
@@ -223,6 +230,24 @@ void expect_identical_graphs(const MergeabilityGraph& x,
   EXPECT_EQ(x.clique_cover(), y.clique_cover());
 }
 
+/// The reference graph: a serial i < j loop over the Sdc-level
+/// check_mergeable oracle.
+MergeabilityGraph oracle_graph(const std::vector<const Sdc*>& modes,
+                               const MergeOptions& options) {
+  const size_t n = modes.size();
+  std::vector<uint8_t> adj(n * n, 0);
+  std::vector<std::string> reasons(n * n);
+  for (size_t i = 0; i < n; ++i) adj[i * n + i] = 1;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      const PairVerdict v = check_mergeable(*modes[i], *modes[j], options);
+      adj[i * n + j] = adj[j * n + i] = v.mergeable ? 1 : 0;
+      if (!v.mergeable) reasons[i * n + j] = reasons[j * n + i] = v.reason;
+    }
+  }
+  return MergeabilityGraph(n, std::move(adj), std::move(reasons));
+}
+
 TEST_F(RelationshipCacheTest, ParallelPathDeterministicOnPaperExample) {
   std::vector<sdc::Sdc> modes;
   for (const char* text :
@@ -234,17 +259,15 @@ TEST_F(RelationshipCacheTest, ParallelPathDeterministicOnPaperExample) {
   std::vector<const Sdc*> ptrs;
   for (const auto& m : modes) ptrs.push_back(&m);
 
-  MergeOptions serial_seed;
-  serial_seed.num_threads = 1;
-  serial_seed.use_relationship_cache = false;
   MergeOptions parallel_cached;
   parallel_cached.num_threads = 4;
+  MergeContext ctx(parallel_cached);
 
-  const MergeabilityGraph reference(ptrs, serial_seed);
-  const MergeabilityGraph parallel(ptrs, parallel_cached);
+  const MergeabilityGraph reference = oracle_graph(ptrs, parallel_cached);
+  const MergeabilityGraph parallel(ptrs, ctx);
   expect_identical_graphs(reference, parallel);
   // Warm-cache rebuild is identical too.
-  const MergeabilityGraph warm(ptrs, parallel_cached);
+  const MergeabilityGraph warm(ptrs, ctx);
   expect_identical_graphs(reference, warm);
 }
 
@@ -263,14 +286,12 @@ TEST_F(RelationshipCacheTest, ParallelPathDeterministicOn32GeneratedModes) {
   }
   for (const auto& m : modes) ptrs.push_back(m.get());
 
-  MergeOptions serial_seed;
-  serial_seed.num_threads = 1;
-  serial_seed.use_relationship_cache = false;
   MergeOptions parallel_cached;
   parallel_cached.num_threads = 0;  // hardware concurrency
+  MergeContext ctx(parallel_cached);
 
-  const MergeabilityGraph reference(ptrs, serial_seed);
-  const MergeabilityGraph parallel(ptrs, parallel_cached);
+  const MergeabilityGraph reference = oracle_graph(ptrs, parallel_cached);
+  const MergeabilityGraph parallel(ptrs, ctx);
   expect_identical_graphs(reference, parallel);
 }
 

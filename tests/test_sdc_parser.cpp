@@ -281,6 +281,41 @@ TEST_F(ParserTest, ErrorsCarryLineNumbers) {
   }
 }
 
+TEST_F(ParserTest, NonFiniteNumbersThrowWithLine) {
+  for (const char* value : {"nan", "NaN", "inf", "-inf", "infinity", "1e400",
+                            "-1e400"}) {
+    try {
+      parse("create_clock -name c -period 10 [get_ports clk1]\n"
+            "set_input_delay " + std::string(value) +
+            " -clock c [get_ports in1]\n");
+      FAIL() << "expected Error for " << value;
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(msg.rfind("sdc:2:", 0), 0u) << msg;
+      EXPECT_NE(msg.find(value), std::string::npos) << msg;
+    }
+  }
+  EXPECT_THROW(parse("create_clock -name c -period 10 -waveform {0 nan} "
+                     "[get_ports clk1]\n"),
+               Error);
+}
+
+TEST_F(ParserTest, NonPositiveOrNonFinitePeriodThrows) {
+  for (const char* period : {"nan", "0", "-5", "1e400", "-0"}) {
+    try {
+      parse("create_clock -name c -period " + std::string(period) +
+            " [get_ports clk1]\n");
+      FAIL() << "expected Error for -period " << period;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("sdc:1:", 0), 0u) << e.what();
+    }
+  }
+  EXPECT_THROW(parse("create_clock -p 0 -name c [get_ports clk1]\n"), Error);
+  // Tiny but positive periods stay legal.
+  EXPECT_NO_THROW(
+      parse("create_clock -name c -period 1e-3 [get_ports clk1]\n"));
+}
+
 TEST_F(ParserTest, NegativeValuesAreNotOptions) {
   Sdc sdc = parse(
       "create_clock -name c -period 10 [get_ports clk1]\n"

@@ -55,14 +55,13 @@ void usage(std::FILE* to) {
       "  --no-idempotence     skip P3 merge(S,S) fixpoint\n"
       "  --no-cover           skip P4 clique-cover validity/maximality\n"
       "  --no-incremental     skip P5 MergeSession delta-vs-batch parity\n"
-      "  --no-sharded         skip P6 sharded-vs-unsharded byte parity\n"
       "  --no-policy          skip P7 windowed-policy never-optimistic +\n"
       "                       bounded-pessimism oracle\n"
       "  --no-mcmm            skip P8 corner-aware MCMM flat-parity oracle\n"
       "\n"
       "oracle mutation testing:\n"
       "  --inject KIND        none | falsify-mcp | drop-exceptions |\n"
-      "                       shuffle-interned (injects a known merge bug;\n"
+      "                       shuffle-threaded (injects a known merge bug;\n"
       "                       a healthy oracle must catch it)\n"
       "\n"
       "replay:\n"
@@ -164,14 +163,13 @@ int main(int argc, char** argv) {
     else if (arg == "--no-idempotence") opt.check_idempotence = false;
     else if (arg == "--no-cover") opt.check_cover = false;
     else if (arg == "--no-incremental") opt.check_incremental = false;
-    else if (arg == "--no-sharded") opt.check_sharded = false;
     else if (arg == "--no-policy") opt.check_policy = false;
     else if (arg == "--no-mcmm") opt.check_mcmm = false;
     else if (arg == "--inject") {
       const char* name = value();
       if (!fuzz::parse_mutation(name, &opt.inject)) {
         bad_arg("--inject", name,
-                "none|falsify-mcp|drop-exceptions|shuffle-interned");
+                "none|falsify-mcp|drop-exceptions|shuffle-threaded");
       }
     } else if (arg == "--case-seed") {
       case_seed = parse_u64_arg("--case-seed", value());

@@ -41,7 +41,6 @@
 #include "merge/merger.h"
 #include "merge/qor.h"
 #include "merge/session.h"
-#include "merge/sharded_session.h"
 #include "netlist/liberty.h"
 #include "netlist/verilog.h"
 #include "obs/journal.h"
@@ -86,19 +85,10 @@ void usage(std::FILE* to) {
       "  --no-refine          preliminary merge only (skip 3-pass refinement)\n"
       "  --no-validate        skip the final equivalence validation\n"
       "  --no-hold            setup-side analysis only\n"
-      "  --no-key-intern      string-keyed canonical identity (parity\n"
-      "                       reference for the interned-key fast path;\n"
-      "                       output is byte-identical either way)\n"
       "  --no-batched-sta     walk each clique's merged deck in validation\n"
       "                       with the serial STA engine instead of the\n"
       "                       batched one (parity reference; output is\n"
       "                       byte-identical either way)\n"
-      "  --shards K           hierarchical sharded merging: partition the\n"
-      "                       netlist into K blocks, run per-block\n"
-      "                       mergeability in parallel, stitch at the\n"
-      "                       boundary (docs/SHARDING.md; output is\n"
-      "                       byte-identical to --shards 1, the default)\n"
-      "  --shard-seed N       partitioner seed (block placement sweeps)\n"
       "  --corners C          multi-corner (MCMM) batch merge: the --mode\n"
       "                       list is an M x C deck matrix in mode-major\n"
       "                       order (mode 0 corner 0, mode 0 corner 1, ...);\n"
@@ -197,30 +187,14 @@ bool write_merged(const std::string& out_dir, size_t clique,
   return true;
 }
 
-/// Print the sharding topology + stitch accounting of a sharded session
-/// (no-op for the flat MergeSession).
-void print_shard_summary(const mm::merge::MergeSession&) {}
-void print_shard_summary(const mm::merge::ShardedMergeSession& session) {
-  if (session.num_blocks() <= 1) return;
-  const mm::netlist::Partition& part = session.partition();
-  const mm::merge::ShardedMergeSession::StitchStats& st = session.last_stitch();
-  std::printf(
-      "shards: %zu blocks, %zu boundary pins, %zu crossing nets; "
-      "stitch: %zu pairs (%zu local, %zu boundary-skipped, %zu descended)\n",
-      part.num_blocks(), part.boundary_pins().size(), part.num_crossing_nets(),
-      st.pairs_checked, st.pairs_local, st.boundary_skips, st.pairs_descended);
-}
-
-/// Execute a --script delta file against a long-lived session (the flat
-/// MergeSession, or ShardedMergeSession under --shards K). Returns the
-/// process exit status. Script syntax errors exit 2 directly (same
-/// contract as bad command-line input).
-template <typename Session>
-int run_script_impl(const std::string& script_path,
-                    const mm::timing::TimingGraph& graph,
-                    const mm::netlist::Design& design,
-                    const mm::merge::MergeOptions& options,
-                    const std::string& out_dir, mm::obs::StatsMeta& meta) {
+/// Execute a --script delta file against a long-lived MergeSession.
+/// Returns the process exit status. Script syntax errors exit 2 directly
+/// (same contract as bad command-line input).
+int run_script(const std::string& script_path,
+               const mm::timing::TimingGraph& graph,
+               const mm::netlist::Design& design,
+               const mm::merge::MergeOptions& options,
+               const std::string& out_dir, mm::obs::StatsMeta& meta) {
   using namespace mm;
 
   const std::string text = read_file(script_path);
@@ -231,9 +205,9 @@ int run_script_impl(const std::string& script_path,
     return (!p.empty() && p.front() == '/') ? p : script_dir + p;
   };
 
-  Session session(graph, options);
+  merge::MergeSession session(graph, options);
   struct LiveMode {
-    typename Session::ModeId id;
+    merge::MergeSession::ModeId id;
     std::unique_ptr<sdc::Sdc> sdc;  // session borrows; must outlive the entry
   };
   std::map<std::string, LiveMode> live;
@@ -269,7 +243,8 @@ int run_script_impl(const std::string& script_path,
                   name.c_str(), sdc->num_clocks(), sdc->exceptions().size());
       if (cmd == "add") {
         if (live.count(name)) fail("mode name already live");
-        const typename Session::ModeId id = session.add_mode(name, sdc.get());
+        const merge::MergeSession::ModeId id =
+            session.add_mode(name, sdc.get());
         live.emplace(name, LiveMode{id, std::move(sdc)});
       } else {
         auto it = live.find(name);
@@ -285,7 +260,7 @@ int run_script_impl(const std::string& script_path,
       live.erase(it);
       std::printf("remove %s\n", name.c_str());
     } else if (cmd == "commit") {
-      const typename Session::CommitResult& r = session.commit();
+      const merge::MergeSession::CommitResult& r = session.commit();
       ++commits;
       std::printf(
           "commit %zu: %zu modes -> %zu merged (%zu reused, %zu re-merged), "
@@ -293,7 +268,6 @@ int run_script_impl(const std::string& script_path,
           commits, r.num_input_modes, r.num_merged_modes(), r.cliques_reused,
           r.cliques_merged, r.pairs_rechecked, r.pairs_skipped_clean,
           r.total_seconds);
-      print_shard_summary(session);
     } else {
       fail("unknown command (expected add/update/remove/commit)");
     }
@@ -301,9 +275,8 @@ int run_script_impl(const std::string& script_path,
 
   // A trailing commit is implied so every script yields output; with no
   // deltas since the last explicit commit this reuses everything.
-  const typename Session::CommitResult& out = session.commit();
+  const merge::MergeSession::CommitResult& out = session.commit();
   ++commits;
-  print_shard_summary(session);
   std::printf("\nfinal: %zu modes -> %zu merged (%.1f%% reduction), "
               "%zu commits\n",
               out.num_input_modes, out.num_merged_modes(),
@@ -448,19 +421,6 @@ int run_mcmm(const mm::timing::TimingGraph& graph,
   return wrote_ok ? 0 : 1;
 }
 
-int run_script(const std::string& script_path,
-               const mm::timing::TimingGraph& graph,
-               const mm::netlist::Design& design,
-               const mm::merge::MergeOptions& options,
-               const std::string& out_dir, mm::obs::StatsMeta& meta) {
-  if (options.num_shards > 1) {
-    return run_script_impl<mm::merge::ShardedMergeSession>(
-        script_path, graph, design, options, out_dir, meta);
-  }
-  return run_script_impl<mm::merge::MergeSession>(script_path, graph, design,
-                                                  options, out_dir, meta);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -510,13 +470,7 @@ int main(int argc, char** argv) {
     else if (arg == "--no-refine") options.run_refinement = false;
     else if (arg == "--no-validate") options.validate = false;
     else if (arg == "--no-hold") options.analyze_hold = false;
-    else if (arg == "--no-key-intern") options.use_interned_keys = false;
     else if (arg == "--no-batched-sta") options.use_batched_sta = false;
-    else if (arg == "--shards")
-      options.num_shards = parse_size_arg("--shards", value());
-    else if (arg == "--shard-seed")
-      options.shard_seed =
-          static_cast<uint64_t>(parse_size_arg("--shard-seed", value()));
     else if (arg == "--corners") {
       num_corners = parse_size_arg("--corners", value());
       if (num_corners == 0) bad_arg("--corners", "0", "a positive integer");
@@ -588,11 +542,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (num_corners > 1) {
-    if (!script_path.empty() || options.num_shards > 1 || run_sta_flag ||
+    if (!script_path.empty() || run_sta_flag ||
         report_paths > 0 || report_clocks_flag) {
       std::fprintf(stderr,
                    "modemerge: --corners is batch-mode only and composes with "
-                   "--qor-out, not --script/--shards/--sta/--report-*\n");
+                   "--qor-out, not --script/--sta/--report-*\n");
       return 2;
     }
     if (mode_paths.size() % num_corners != 0) {
@@ -709,23 +663,8 @@ int main(int argc, char** argv) {
       return status != 0 ? status : (artifacts_ok ? 0 : 1);
     }
 
-    merge::MergedModeSet out;
-    if (options.num_shards > 1) {
-      // Sharded batch: one-commit ShardedMergeSession, byte-identical
-      // output to the flat merge_mode_set (docs/SHARDING.md).
-      merge::ShardedMergeSession session(graph, options);
-      for (size_t i = 0; i < modes.size(); ++i) {
-        session.add_mode(mode_paths[i], &modes[i]);
-      }
-      session.commit();
-      print_shard_summary(session);
-      meta.numbers["shards"] = static_cast<double>(session.num_blocks());
-      meta.numbers["shard_pairs_descended"] =
-          static_cast<double>(session.last_stitch().pairs_descended);
-      out = session.release_batch();
-    } else {
-      out = merge::merge_mode_set(graph, ptrs, options);
-    }
+    const merge::MergedModeSet out =
+        merge::merge_mode_set(graph, ptrs, options);
     std::printf("\n%zu modes -> %zu merged (%.1f%% reduction) in %.2fs\n",
                 ptrs.size(), out.num_merged_modes(), out.reduction_percent(),
                 out.total_seconds);
