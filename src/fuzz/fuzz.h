@@ -60,9 +60,9 @@ struct FuzzOptions {
   bool check_policy = true;       // P7: windowed policy never-optimistic +
                                   //     bounded pessimism on a case-seeded
                                   //     near-miss family
-  bool check_mcmm = true;         // P8: corner-aware MCMM parity — C == 1
-                                  //     engine identity + per-corner byte
-                                  //     parity to independent flat merges
+  bool check_mcmm = true;         // P8: corner-aware MCMM parity — combined
+                                  //     verdicts + per-corner byte parity
+                                  //     to independent flat merges
   /// Corner-count cap for P8's generated matrix (cases draw 2..max_corners).
   size_t max_corners = 4;
   /// Cliques per case put through the idempotence re-merge (cost control).
@@ -162,12 +162,10 @@ std::string mutate_sdc_text(const std::string& text, util::Rng& rng);
 ///                    the worst individual mode (hard), pessimism within
 ///                    MergePolicy::pessimism_bound() when refinement
 ///                    accounted for everything (unresolved_pessimism == 0);
-///   P8 mcmm:         the corner-aware MCMM engine (merge/mcmm_session.h)
-///                    at C == 1 over the case's decks reproduces the batch
-///                    cover and merged bytes exactly; and over a
+///   P8 mcmm:         the session engine (merge/mcmm_session.h) over a
 ///                    case-seeded M x C corner family (gen/corner_gen.h:
 ///                    uniform per-corner value derates, which preserve
-///                    exact-policy verdicts corner by corner) the combined
+///                    exact-policy verdicts corner by corner): the combined
 ///                    mergeability graph equals the corner-0 reference
 ///                    graph edge for edge and reason for reason — skeleton
 ///                    sharing and value-only corner checks change no

@@ -14,11 +14,13 @@ namespace mm::merge {
 
 namespace {
 
-uint64_t next_mcmm_journal_id() {
+uint64_t next_session_journal_id() {
   static std::atomic<uint64_t> next{0};
   return next.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+/// Content keys are 64-bit hashes; emit as hex strings so readers never
+/// round them through a double.
 std::string hex_key(uint64_t key) {
   char buf[2 + 16 + 1];
   std::snprintf(buf, sizeof buf, "0x%016llx",
@@ -26,8 +28,15 @@ std::string hex_key(uint64_t key) {
   return buf;
 }
 
+/// Journal display name for a mode: batch adapters register modes with
+/// name "", which would make explain --pair unusable.
 std::string journal_name(const std::string& name, McmmSession::ModeId id) {
   return name.empty() ? "mode" + std::to_string(id) : name;
+}
+
+/// Journal timings are whole milliseconds (renderers ignore them).
+uint64_t to_ms(double seconds) {
+  return static_cast<uint64_t>(seconds * 1000.0);
 }
 
 }  // namespace
@@ -37,7 +46,7 @@ McmmSession::McmmSession(const timing::TimingGraph& graph, CornerSet corners,
     : timing_graph_(graph),
       corners_(std::move(corners)),
       ctx_(&ctx),
-      journal_id_(next_mcmm_journal_id()),
+      journal_id_(next_session_journal_id()),
       policy_salt_(ctx.options().policy.fingerprint()) {}
 
 McmmSession::McmmSession(const timing::TimingGraph& graph, CornerSet corners,
@@ -46,13 +55,15 @@ McmmSession::McmmSession(const timing::TimingGraph& graph, CornerSet corners,
       corners_(std::move(corners)),
       owned_ctx_(std::make_unique<MergeContext>(options)),
       ctx_(owned_ctx_.get()),
-      journal_id_(next_mcmm_journal_id()),
+      journal_id_(next_session_journal_id()),
       policy_salt_(owned_ctx_->options().policy.fingerprint()) {}
 
 McmmSession::~McmmSession() = default;
 
 uint64_t McmmSession::pair_key(ModeId a, ModeId b) const {
   if (a > b) std::swap(a, b);
+  // XOR-salted with the policy fingerprint (0 under exact, so exact keys are
+  // the plain packed ids); remove_mode un-salts before parsing the ids back.
   return ((a << 32) | b) ^ policy_salt_;
 }
 
@@ -60,7 +71,7 @@ size_t McmmSession::position_of(ModeId id) const {
   for (size_t i = 0; i < modes_.size(); ++i) {
     if (modes_[i].id == id) return i;
   }
-  throw Error("McmmSession: unknown mode id " + std::to_string(id));
+  throw Error("session: unknown mode id " + std::to_string(id));
 }
 
 bool McmmSession::has_mode(ModeId id) const {
@@ -82,15 +93,11 @@ std::vector<const Sdc*> McmmSession::corner_modes(CornerId corner) const {
   return out;
 }
 
-bool McmmSession::corner_dirty(ModeId id, CornerId corner) const {
-  auto it = dirty_.find(id);
-  return it != dirty_.end() && it->second[corner] != 0;
-}
-
 McmmSession::ModeId McmmSession::add_mode(std::string name,
                                           std::vector<const Sdc*> decks) {
   MM_ASSERT(decks.size() == corners_.size());
   for (const Sdc* d : decks) MM_ASSERT(d != nullptr);
+  // pair_key packs two ids into one uint64.
   MM_ASSERT(next_id_ < (uint64_t{1} << 32));
   Entry e;
   e.id = next_id_++;
@@ -99,7 +106,7 @@ McmmSession::ModeId McmmSession::add_mode(std::string name,
   e.rels.resize(corners_.size());
   modes_.push_back(std::move(e));
   dirty_[modes_.back().id].assign(corners_.size(), 1);
-  MM_COUNT("mcmm/modes_added", 1);
+  MM_COUNT("session/modes_added", 1);
   if (obs::Journal::enabled()) {
     obs::JournalEvent ev("mode_add");
     ev.field("session", journal_id_)
@@ -118,6 +125,8 @@ void McmmSession::update_mode(ModeId id, CornerId corner, const Sdc* deck) {
   MM_ASSERT(deck != nullptr);
   MM_ASSERT(corner < corners_.size());
   Entry& e = modes_[position_of(id)];
+  // The old content's cache entry is now stale for this session: evict it
+  // eagerly so the cache only holds decks the session can still reach.
   if (e.decks[corner] != nullptr) {
     ctx_->cache().invalidate(*e.decks[corner]);
   }
@@ -130,7 +139,7 @@ void McmmSession::update_mode(ModeId id, CornerId corner, const Sdc* deck) {
   auto [it, inserted] = dirty_.try_emplace(id);
   if (inserted) it->second.assign(corners_.size(), 0);
   it->second[corner] = 1;
-  MM_COUNT("mcmm/modes_updated", 1);
+  MM_COUNT("session/modes_updated", 1);
   if (obs::Journal::enabled()) {
     obs::JournalEvent ev("mode_update");
     ev.field("session", journal_id_)
@@ -154,6 +163,8 @@ void McmmSession::remove_mode(ModeId id) {
   }
   modes_.erase(modes_.begin() + static_cast<long>(pos));
   dirty_.erase(id);
+  // Drop the mode's verdict row; surviving pairs stay clean — only cliques
+  // that contained the mode will re-merge (their member-id key changes).
   for (auto it = pairs_.begin(); it != pairs_.end();) {
     const uint64_t key = it->first ^ policy_salt_;
     if ((key >> 32) == id || (key & 0xffffffffu) == id) {
@@ -162,27 +173,13 @@ void McmmSession::remove_mode(ModeId id) {
       ++it;
     }
   }
-  MM_COUNT("mcmm/modes_removed", 1);
-}
-
-PairVerdict McmmSession::check_corner(const Entry& a, const Entry& b,
-                                      CornerId corner) const {
-  const MergeOptions& options = ctx_->options();
-  if (corner == kPrimaryCorner) {
-    return check_mergeable(*a.rels[corner], *b.rels[corner], options);
-  }
-  const bool shares_skeleton =
-      a.rels[corner]->structure_fp == a.rels[kPrimaryCorner]->structure_fp &&
-      b.rels[corner]->structure_fp == b.rels[kPrimaryCorner]->structure_fp;
-  return shares_skeleton
-             ? check_mergeable_values(*a.rels[corner], *b.rels[corner],
-                                      options)
-             : check_mergeable(*a.rels[corner], *b.rels[corner], options);
+  MM_COUNT("session/modes_removed", 1);
 }
 
 const McmmSession::CommitResult& McmmSession::commit() {
-  MM_SPAN("mcmm/commit");
+  MM_SPAN("session/commit");
   Stopwatch timer;
+  const MergeOptions& options = ctx_->options();
   const size_t n = modes_.size();
   const size_t num_corners = corners_.size();
 
@@ -204,6 +201,7 @@ const McmmSession::CommitResult& McmmSession::commit() {
   // Refresh relationship sets for dirty (mode, corner) slots: skeletons
   // first (corner 0, full extraction fanned over the pool), then the other
   // corners as value-only delta fills against their mode's fresh skeleton.
+  // Clean slots keep the shared_ptr they already hold — zero cache probes.
   std::vector<Entry*> need_skeleton;
   for (Entry& e : modes_) {
     if (!e.rels[kPrimaryCorner]) need_skeleton.push_back(&e);
@@ -224,12 +222,29 @@ const McmmSession::CommitResult& McmmSession::commit() {
         ctx_->cache().get_corner(*e->decks[c], *e->rels[kPrimaryCorner]);
   });
 
-  // Invalidate stored verdicts whose (corner, endpoint) slot is dirty. The
-  // slots become absent, not wrong: the resume scan below recomputes a slot
-  // only when it is reached, and a slot past an early exit stays absent
-  // until a later commit clears the exit.
-  for (size_t i = 0; i + 1 < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
+  // Each live mode's dirty-corner mask by position (null when clean).
+  std::vector<const std::vector<uint8_t>*> dirty_at(n, nullptr);
+  for (size_t i = 0; i < n; ++i) {
+    auto it = dirty_.find(modes_[i].id);
+    if (it != dirty_.end()) dirty_at[i] = &it->second;
+  }
+  auto slot_dirty = [&](size_t pos, CornerId c) {
+    return dirty_at[pos] != nullptr && (*dirty_at[pos])[c] != 0;
+  };
+
+  // Only a pair with a dirty endpoint can change. Invalidate its dirty
+  // corner slots (creating the state of a new pair). The slots become
+  // absent, not wrong: the resume scan below recomputes a slot only when it
+  // is reached, and a slot past an early exit stays absent until a later
+  // commit clears the exit. Clean pairs are not visited at all.
+  struct DirtyPair {
+    uint32_t i, j;
+    PairState* st;  // map nodes are stable across later insertions
+  };
+  std::vector<DirtyPair> dirty_pairs;
+  for (uint32_t i = 0; i + 1 < n; ++i) {
+    for (uint32_t j = i + 1; j < n; ++j) {
+      if (dirty_at[i] == nullptr && dirty_at[j] == nullptr) continue;
       auto [it, inserted] =
           pairs_.try_emplace(pair_key(modes_[i].id, modes_[j].id));
       PairState& st = it->second;
@@ -238,72 +253,67 @@ const McmmSession::CommitResult& McmmSession::commit() {
         st.verdicts.resize(num_corners);
       }
       for (CornerId c = 0; c < num_corners; ++c) {
-        if (corner_dirty(modes_[i].id, c) || corner_dirty(modes_[j].id, c)) {
-          st.checked[c] = 0;
-        }
+        if (slot_dirty(i, c) || slot_dirty(j, c)) st.checked[c] = 0;
       }
+      dirty_pairs.push_back({i, j, &st});
     }
   }
 
-  // Resume every pair: scan corners in order, computing absent slots and
-  // reusing stored ones, early exit on the first conflicting corner. Pairs
-  // fan out over the pool; each pair touches only its own PairState (the
-  // map was fully populated above) and its own stat slots, so the combined
-  // verdicts — and the journal emitted serially after the loop — are
-  // bit-identical to a serial scan.
-  std::vector<std::pair<uint32_t, uint32_t>> all_pairs;
-  all_pairs.reserve(n < 2 ? 0 : n * (n - 1) / 2);
-  for (uint32_t i = 0; i + 1 < n; ++i) {
-    for (uint32_t j = i + 1; j < n; ++j) all_pairs.emplace_back(i, j);
-  }
-  std::vector<PairVerdict> combined(all_pairs.size());
-  std::vector<uint32_t> computed(all_pairs.size(), 0);
-  std::vector<uint32_t> reused(all_pairs.size(), 0);
+  // Resume each dirty pair: scan corners in order, computing absent slots
+  // and reusing stored ones, early exit on the first conflicting corner.
+  // Pairs fan out over the pool; each touches only its own PairState and
+  // stat slot, so the verdicts — and the journal emitted serially after the
+  // loop — are bit-identical to a serial scan. A pair whose scan computed
+  // nothing followed the same path as before, so its combined verdict
+  // stands.
+  std::vector<uint32_t> computed(dirty_pairs.size(), 0);
   ctx_->pool().parallel_for(
-      all_pairs.size(), /*min_grain=*/16, [&](size_t p) {
-        const auto [i, j] = all_pairs[p];
-        PairState& st = pairs_.at(pair_key(modes_[i].id, modes_[j].id));
-        PairVerdict result;
-        for (CornerId c = 0; c < num_corners; ++c) {
+      dirty_pairs.size(), /*min_grain=*/16, [&](size_t p) {
+        const DirtyPair& dp = dirty_pairs[p];
+        PairState& st = *dp.st;
+        const Entry& a = modes_[dp.i];
+        const Entry& b = modes_[dp.j];
+        CornerId c = 0;
+        for (; c < num_corners; ++c) {
           if (!st.checked[c]) {
-            st.verdicts[c] = check_corner(modes_[i], modes_[j], c);
+            st.verdicts[c] = check_mergeable_in_corner(
+                c, *a.rels[c], *a.rels[kPrimaryCorner], *b.rels[c],
+                *b.rels[kPrimaryCorner], options);
             st.checked[c] = 1;
             ++computed[p];
-          } else {
-            ++reused[p];
           }
-          if (!st.verdicts[c].mergeable) {
-            result = st.verdicts[c];
-            if (!corners_.single()) {
-              result.corner = corners_.name(c);
-              result.corner_id = c;
-              result.corners_checked = c + 1;
-            }
-            combined[p] = std::move(result);
-            return;
-          }
+          if (!st.verdicts[c].mergeable) break;
         }
-        result = st.verdicts[kPrimaryCorner];
+        if (computed[p] == 0) return;
+        const bool conflict = c < num_corners;
+        st.scanned = conflict ? c + 1 : static_cast<uint32_t>(num_corners);
+        st.combined = st.verdicts[conflict ? c : kPrimaryCorner];
         if (!corners_.single()) {
-          result.corners_checked = static_cast<uint32_t>(num_corners);
+          st.combined.corners_checked = st.scanned;
+          if (conflict) {
+            st.combined.corner = corners_.name(c);
+            st.combined.corner_id = c;
+          }
         }
-        combined[p] = std::move(result);
       });
-  for (size_t p = 0; p < all_pairs.size(); ++p) {
-    out.pair_corner_checks += computed[p];
-    out.pair_corner_reuses += reused[p];
-    if (computed[p] > 0) {
-      ++out.pairs_rechecked;
-    } else {
-      ++out.pairs_skipped_clean;
-    }
+  for (uint32_t k : computed) {
+    out.pair_corner_checks += k;
+    if (k > 0) ++out.pairs_rechecked;
   }
-  // One pair_verdict event per pair with fresh work, serial, index order.
+  const size_t total_pairs = n < 2 ? 0 : n * (n - 1) / 2;
+  out.pairs_skipped_clean = total_pairs - out.pairs_rechecked;
+
+  // One pair_verdict event per pair with fresh work, emitted serially in
+  // pair index order from this thread — the journal's byte-stability across
+  // num_threads rests on keeping emission out of the parallel loop above.
+  // An endpoint is "fresh" when this commit re-derived at least one of its
+  // corner relationship sets (added/updated mode); otherwise every set was
+  // a carry-over.
   if (obs::Journal::enabled()) {
-    for (size_t p = 0; p < all_pairs.size(); ++p) {
+    for (size_t p = 0; p < dirty_pairs.size(); ++p) {
       if (computed[p] == 0) continue;
-      const auto [i, j] = all_pairs[p];
-      const PairVerdict& v = combined[p];
+      const auto [i, j, st] = dirty_pairs[p];
+      const PairVerdict& v = st->combined;
       obs::JournalEvent ev("pair_verdict");
       ev.field("session", journal_id_)
           .field("commit", commit_seq_)
@@ -311,15 +321,17 @@ const McmmSession::CommitResult& McmmSession::commit() {
           .field("b", journal_name(modes_[j].name, modes_[j].id))
           .field("a_id", modes_[i].id)
           .field("b_id", modes_[j].id)
+          .field("a_rels_fresh", dirty_at[i] != nullptr)
+          .field("b_rels_fresh", dirty_at[j] != nullptr)
           .field("mergeable", v.mergeable);
       if (!v.mergeable) {
         ev.field("category", v.category)
             .field("subject", v.subject)
             .field("reason", v.reason);
+        // Interned-path provenance only: the id depends on interning order
+        // across threads, so readers must not render it in stable output.
         if (v.subject_key_id != 0) ev.field("key_id", v.subject_key_id);
       }
-      // Corner provenance only at C > 1: single-corner journals stay
-      // byte-identical to the flat engine's event shape.
       if (!corners_.single()) {
         ev.field("corners_checked", static_cast<uint64_t>(v.corners_checked));
         if (!v.mergeable) {
@@ -327,6 +339,10 @@ const McmmSession::CommitResult& McmmSession::commit() {
               .field("corner_id", static_cast<uint64_t>(v.corner_id));
         }
       }
+      // Policy provenance, emitted only under a non-exact policy so journals
+      // of exact runs keep the pre-policy shape. The window fields name the
+      // largest comparison the window (not tolerance) accepted — absent
+      // when the verdict needed no window at all.
       if (v.policy != "exact") {
         ev.field("policy", v.policy);
         if (!v.window_field.empty()) {
@@ -337,28 +353,36 @@ const McmmSession::CommitResult& McmmSession::commit() {
       }
     }
   }
-  MM_COUNT("mcmm/pairs_rechecked", out.pairs_rechecked);
-  MM_COUNT("mcmm/pairs_skipped_clean", out.pairs_skipped_clean);
-  MM_COUNT("mcmm/pair_corner_checks", out.pair_corner_checks);
-  MM_COUNT("mcmm/pair_corner_reuses", out.pair_corner_reuses);
 
-  // ONE cover over the combined verdicts — the mode partition is shared by
-  // every corner (docs/MCMM.md). Cover code is the greedy implementation
-  // the flat paths use, so at C == 1 it is bit-identical to MergeSession.
+  // ONE cover over the combined verdicts of every live pair — the mode
+  // partition is shared by every corner (docs/MCMM.md), and the shared
+  // greedy cover makes it bit-identical to a from-scratch build.
   std::vector<uint8_t> adj(n * n, 0);
   std::vector<std::string> reasons(n * n);
+  size_t slots_scanned = 0;
   for (size_t i = 0; i < n; ++i) adj[i * n + i] = 1;
-  for (size_t p = 0; p < all_pairs.size(); ++p) {
-    const auto [i, j] = all_pairs[p];
-    const PairVerdict& v = combined[p];
-    adj[i * n + j] = adj[j * n + i] = v.mergeable ? 1 : 0;
-    if (!v.mergeable) {
-      reasons[i * n + j] = reasons[j * n + i] = v.reason;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      const PairState& st = pairs_.at(pair_key(modes_[i].id, modes_[j].id));
+      slots_scanned += st.scanned;
+      const PairVerdict& v = st.combined;
+      adj[i * n + j] = adj[j * n + i] = v.mergeable ? 1 : 0;
+      if (!v.mergeable) {
+        reasons[i * n + j] = reasons[j * n + i] = v.reason;
+      }
     }
   }
+  // Every slot a scan visits is either computed or reused.
+  out.pair_corner_reuses = slots_scanned - out.pair_corner_checks;
+  MM_COUNT("merge/mergeability_pairs", out.pairs_rechecked);
+  MM_COUNT("session/pairs_rechecked", out.pairs_rechecked);
+  MM_COUNT("session/pairs_skipped_clean", out.pairs_skipped_clean);
+  MM_COUNT("session/pair_corner_checks", out.pair_corner_checks);
+  MM_COUNT("session/pair_corner_reuses", out.pair_corner_reuses);
+
   graph_ = MergeabilityGraph(n, std::move(adj), std::move(reasons));
   out.cliques = graph_.clique_cover();
-  MM_COUNT("mcmm/cliques", out.cliques.size());
+  MM_COUNT("merge/cliques", out.cliques.size());
 
   for (const std::vector<size_t>& clique : out.cliques) {
     std::vector<ModeId> ids;
@@ -386,7 +410,7 @@ const McmmSession::CommitResult& McmmSession::commit() {
       for (size_t pos : clique) {
         key += std::to_string(modes_[pos].id);
         key += ',';
-        any_dirty = any_dirty || corner_dirty(modes_[pos].id, c);
+        any_dirty = any_dirty || slot_dirty(pos, c);
       }
       std::shared_ptr<ValidatedMergeResult> result;
       auto prev = clique_results_.find(key);
@@ -404,27 +428,9 @@ const McmmSession::CommitResult& McmmSession::commit() {
         ++out.cliques_merged;
       }
       if (obs::Journal::enabled()) {
-        std::vector<std::string> names;
-        names.reserve(clique.size());
-        for (size_t pos : clique) {
-          names.push_back(journal_name(modes_[pos].name, modes_[pos].id));
-        }
-        obs::JournalEvent ev("clique");
-        ev.field("session", journal_id_)
-            .field("commit", commit_seq_)
-            .field("clique", static_cast<uint64_t>(clique_index))
-            .field("action",
-                   reuse ? "reused" : (had_prev ? "remerged" : "formed"));
-        if (!corners_.single()) {
-          ev.field("corner", corners_.name(c))
-              .field("corner_id", static_cast<uint64_t>(c));
-        }
-        ev.string_array("members", names);
-        ev.id_array("member_ids", out.clique_ids[clique_index]);
-        ev.field("sdc_bytes",
-                 reuse ? uint64_t{0}
-                       : static_cast<uint64_t>(
-                             sdc::write_sdc(*result->merge.merged).size()));
+        journal_clique(c, clique_index, out, reuse,
+                       reuse ? "reused" : (had_prev ? "remerged" : "formed"),
+                       *result);
       }
       next_results.emplace(std::move(key), result);
       out.merged[c].push_back(result);
@@ -435,11 +441,11 @@ const McmmSession::CommitResult& McmmSession::commit() {
   results_valid_ = true;
   dirty_.clear();
 
-  MM_COUNT("mcmm/commits", 1);
-  MM_COUNT("mcmm/cliques_merged", out.cliques_merged);
-  MM_COUNT("mcmm/cliques_reused", out.cliques_reused);
-  MM_GAUGE_SET("mcmm/modes", n);
-  MM_GAUGE_SET("mcmm/corners", num_corners);
+  MM_COUNT("session/commits", 1);
+  MM_COUNT("session/cliques_dirty", out.cliques_merged);
+  MM_COUNT("session/cliques_reused", out.cliques_reused);
+  MM_GAUGE_SET("session/modes", n);
+  MM_GAUGE_SET("session/corners", num_corners);
   ctx_->export_stats();
 
   out.total_seconds = timer.elapsed_seconds();
@@ -458,9 +464,113 @@ const McmmSession::CommitResult& McmmSession::commit() {
           .field("pair_corner_reuses", out.pair_corner_reuses);
     }
   }
+  // A commit is a phase boundary: push everything buffered to the file so
+  // a crash or a reader mid-session sees whole segments.
   obs::Journal::drain();
   last_ = std::move(out);
   return last_;
+}
+
+void McmmSession::journal_clique(CornerId corner, size_t clique_index,
+                                 const CommitResult& out, bool reused,
+                                 const char* action,
+                                 const ValidatedMergeResult& result) const {
+  const std::vector<size_t>& clique = out.cliques[clique_index];
+  std::vector<std::string> names;
+  names.reserve(clique.size());
+  for (size_t pos : clique) {
+    names.push_back(journal_name(modes_[pos].name, modes_[pos].id));
+  }
+  auto corner_fields = [&](obs::JournalEvent& ev) {
+    if (!corners_.single()) {
+      ev.field("corner", corners_.name(corner))
+          .field("corner_id", static_cast<uint64_t>(corner));
+    }
+  };
+  // Each builder appends its line at end of scope; keep the scopes disjoint
+  // so the clique/refine/equivalence lines land in that order (seq is
+  // assigned at construction, the append at destruction).
+  {
+    obs::JournalEvent ev("clique");
+    ev.field("session", journal_id_)
+        .field("commit", commit_seq_)
+        .field("clique", static_cast<uint64_t>(clique_index))
+        .field("action", action);
+    corner_fields(ev);
+    ev.string_array("members", names);
+    ev.id_array("member_ids", out.clique_ids[clique_index]);
+    // Bytes of the merged deck this clique (re)produced; reused cliques
+    // changed nothing, which is what the timeline wants to show.
+    ev.field("sdc_bytes",
+             reused ? uint64_t{0}
+                    : static_cast<uint64_t>(
+                          sdc::write_sdc(*result.merge.merged).size()));
+  }
+  if (reused) return;
+  const MergeStats& s = result.merge.stats;
+  {
+    obs::JournalEvent rev("refine");
+    rev.field("session", journal_id_)
+        .field("commit", commit_seq_)
+        .field("clique", static_cast<uint64_t>(clique_index));
+    corner_fields(rev);
+    rev.field("inferred_disables", s.inferred_disables)
+        .field("clock_stops_added", s.clock_stops_added)
+        .field("data_clock_fps_added", s.data_clock_fps_added)
+        .field("pass0_pair_fixed", s.pass0_pair_fixed)
+        .field("pass1_mismatch_fixed", s.pass1_mismatch_fixed)
+        .field("pass1_ambiguous", s.pass1_ambiguous)
+        .field("pass2_mismatch_fixed", s.pass2_mismatch_fixed)
+        .field("pass2_ambiguous", s.pass2_ambiguous)
+        .field("pass3_pairs", s.pass3_pairs)
+        .field("pass3_fps_added", s.pass3_fps_added)
+        .field("unresolved_pessimism", s.unresolved_pessimism)
+        // Per-pass wall clock in whole ms, like validate_ms below.
+        .field("pass0_ms", to_ms(s.pass0_seconds))
+        .field("pass1_ms", to_ms(s.pass1_seconds))
+        .field("pass2_ms", to_ms(s.pass2_seconds))
+        .field("pass3_ms", to_ms(s.pass3_seconds));
+  }
+  const EquivalenceReport& eq = result.equivalence;
+  obs::JournalEvent eev("equivalence");
+  eev.field("session", journal_id_)
+      .field("commit", commit_seq_)
+      .field("clique", static_cast<uint64_t>(clique_index));
+  corner_fields(eev);
+  eev.field("equivalent", eq.equivalent())
+      .field("signoff_safe", eq.signoff_safe())
+      .field("keys_compared", eq.keys_compared)
+      .field("matches", eq.matches)
+      .field("optimism_violations", eq.optimism_violations)
+      .field("pessimism_keys", eq.pessimism_keys)
+      .field("state_mismatches", eq.state_mismatches)
+      // Wall-clock of the clique's batched validation walk; rounded to
+      // whole ms (renderers ignore it — it is for jq-level profiling of
+      // commit cost, see docs/OBSERVABILITY.md).
+      .field("validate_ms", to_ms(s.validate_seconds));
+}
+
+std::vector<MergedModeSet> McmmSession::release_batch() {
+  std::vector<MergedModeSet> out(corners_.size());
+  for (CornerId c = 0; c < out.size(); ++c) {
+    out[c].num_input_modes = last_.num_input_modes;
+    out[c].cliques = last_.cliques;
+    out[c].total_seconds = last_.total_seconds;
+    if (c >= last_.merged.size()) continue;  // no commit yet
+    out[c].merged.reserve(last_.merged[c].size());
+    for (const std::shared_ptr<const ValidatedMergeResult>& r :
+         last_.merged[c]) {
+      // Move the payload out of the shared object. The reuse cache is
+      // cleared below, so no later commit can observe the hollowed-out
+      // results.
+      out[c].merged.push_back(
+          std::move(*std::const_pointer_cast<ValidatedMergeResult>(r)));
+    }
+  }
+  last_ = CommitResult{};
+  clique_results_.clear();
+  results_valid_ = false;
+  return out;
 }
 
 QoRReport McmmSession::qor(CornerId corner, double slack_eps) const {

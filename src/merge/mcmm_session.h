@@ -1,46 +1,45 @@
 #pragma once
-// McmmSession: the multi-corner multi-mode merge engine (docs/MCMM.md).
+// McmmSession: the delta-driven merge engine over a matrix of modes x
+// corners (docs/MCMM.md). It is the only session engine: MergeSession
+// (merge/session.h) is its single-corner view, and the batch
+// merge_mode_set is one MergeSession commit.
 //
-// An MCMM sign-off matrix is modes x corners, but the corner axis only
-// varies constraint VALUES (derates, loads, voltages) — topology (clocks,
-// exceptions, drive/load channel shape) is a property of the mode. The
-// session exploits that split end to end:
+// Sign-off is iterative, so the session keeps the pipeline's state alive
+// between edits and each delta pays only for what it invalidated:
 //
-//   data model   one skeleton extraction per mode (corner 0, full
-//                extract_relationships with interned keys) plus one
-//                value-only delta fill per additional corner
-//                (RelationshipCache::get_corner) — M skeletons + M*C value
-//                tables instead of M*C full extractions.
-//   mergeability two modes merge only when mergeable in EVERY registered
-//                corner. The structural check runs once per pair (corner 0,
-//                full check_mergeable); corners 1..C-1 run the value-only
-//                screen (check_mergeable_values) when they share their
-//                mode's skeleton, with early exit on the first conflicting
-//                corner. The conflicting corner's name/id lands in the
-//                PairVerdict and the journal.
-//   cover        ONE clique cover over the combined (all-corner) verdicts —
-//                the mode partition is shared across corners, which is what
-//                makes the merged matrix navigable.
-//   merge        each clique merges once per corner from that corner's
-//                member decks; per-(clique, corner) results are cached and
-//                reused across commits like MergeSession's clique results.
+//   add_mode(m)        -> m's pairs are checked at the next commit; every
+//                         clean pair verdict is carried over.
+//   update_mode(m, c)  -> only the (m, c) slot is dirtied: its relationship
+//                         set is re-derived, corner c is re-checked on m's
+//                         pairs, and corner c's cliques containing m
+//                         re-merge.
+//   remove_mode(m)     -> m's verdicts are dropped; no pair is re-checked,
+//                         only cliques that lose a member re-merge.
+//   commit()           -> visits only the pairs with a dirty endpoint,
+//                         recomputes the greedy cover over the full
+//                         verdict matrix, and re-merges only dirty
+//                         (clique, corner) slots; an untouched slot's
+//                         result is reused byte for byte.
 //
-// Incrementality is per (mode, corner): update_mode(id, corner, deck)
-// dirties only that corner's slot, so the next commit re-checks only that
-// corner's values on the mode's pairs (stored per-corner verdicts for clean
-// corners are carried over) and re-merges only that corner's cliques.
+// Corners vary only constraint values, so each mode has one skeleton
+// extraction (corner 0) plus one value-only delta fill per other corner.
+// Two modes merge only when mergeable in EVERY corner: corner 0 runs the
+// full check, the others the value-only screen while they share their
+// mode's skeleton (check_mergeable_in_corner), with early exit on the
+// first conflicting corner. ONE clique cover is computed over the combined
+// verdicts, and each clique merges once per corner.
 //
-// Determinism contract: with one registered corner, commit() produces the
-// same mergeability graph, cover, merged SDC bytes and verdicts as a
-// MergeSession over the same decks — the corner machinery adds zero
-// byte-level difference at C == 1 (fuzz property P8). At C > 1, each
-// corner's cover-constrained merged decks are byte-identical to what the
-// flat engine produces for that corner's decks under the shared cover.
+// The session is rooted in a MergeContext (key table, relationship cache,
+// thread pool): borrow one to share those caches across sessions, or pass
+// MergeOptions to own a private one.
 //
-// Observability: commits bump mcmm/* counters (pair_corner_checks,
-// pair_corner_reuses, delta fills arrive via merge/relationship_cache_*);
-// journal events carry corner provenance fields only when C > 1 so
-// single-corner journals stay byte-stable against pre-MCMM builds.
+// Determinism contract (fuzz P5 and P8, bench_incremental): commit()
+// output equals a from-scratch merge of the live modes in insertion order,
+// corner by corner under the shared cover. The mm.journal/1 events
+// (obs/journal.h) are emitted serially in deterministic order, so a
+// journal is byte-identical across num_threads values; corner fields
+// appear only at C > 1. Counters: the session/* family
+// (docs/OBSERVABILITY.md).
 
 #include <cstdint>
 #include <memory>
@@ -128,8 +127,13 @@ class McmmSession {
   /// Run the corner-aware pipeline over the current matrix, reusing every
   /// per-corner verdict and per-(clique, corner) merge the deltas since the
   /// previous commit did not invalidate. The returned reference stays valid
-  /// until the next commit().
+  /// until the next commit() / release_batch().
   const CommitResult& commit();
+
+  /// Move the last commit's results out, one MergedModeSet per corner (the
+  /// batch API's shape). Ends the reuse guarantees: the result cache is
+  /// cleared and a later commit re-merges every clique.
+  std::vector<MergedModeSet> release_batch();
 
   /// Never-optimistic QoR gate for ONE corner of the last commit: the
   /// corner's member decks vs its merged cliques, one flat report
@@ -156,42 +160,52 @@ class McmmSession {
     std::vector<const Sdc*> decks;  // [corner]
     std::vector<std::shared_ptr<const ModeRelationships>> rels;  // [corner]
   };
-  /// Stored per-corner verdicts for one live pair. checked[c] == 0 marks a
+  /// Stored verdicts for one live pair. checked[c] == 0 marks a corner
   /// slot that was invalidated (dirty endpoint) or never reached (a lower
-  /// corner early-exited); it is recomputed on demand the next time the
-  /// resume scan reaches corner c.
+  /// corner early-exited); the resume scan recomputes it when it reaches
+  /// corner c. `combined` is the all-corner verdict the cover reads and
+  /// `scanned` the number of corner slots that scan visited; both change
+  /// only when a commit recomputes a slot of this pair.
   struct PairState {
-    std::vector<uint8_t> checked;    // [corner]
+    std::vector<uint8_t> checked;       // [corner]
     std::vector<PairVerdict> verdicts;  // [corner]
+    PairVerdict combined;
+    uint32_t scanned = 0;
   };
 
   uint64_t pair_key(ModeId a, ModeId b) const;
   size_t position_of(ModeId id) const;
-  bool corner_dirty(ModeId id, CornerId corner) const;
-  /// One corner's verdict for one pair: full check at corner 0, value-only
-  /// screen for skeleton-sharing corners, full check on mismatch.
-  PairVerdict check_corner(const Entry& a, const Entry& b,
-                           CornerId corner) const;
+  /// The clique event of one (clique, corner) slot, followed by its refine
+  /// and equivalence events when the slot was merged this commit.
+  void journal_clique(CornerId corner, size_t clique_index,
+                      const CommitResult& out, bool reused,
+                      const char* action,
+                      const ValidatedMergeResult& result) const;
 
   const timing::TimingGraph& timing_graph_;
   CornerSet corners_;
   std::unique_ptr<MergeContext> owned_ctx_;  // set iff constructed w/ options
   MergeContext* ctx_ = nullptr;
 
+  /// Process-unique id tying this session's journal events together, and
+  /// the 1-based commit counter scoping each journal segment.
   uint64_t journal_id_ = 0;
   uint64_t commit_seq_ = 0;
+  /// Content fingerprint of the context's merge policy (0 for exact),
+  /// folded into every pair key and clique-result key so cached decisions
+  /// made under one policy are never served to another.
   uint64_t policy_salt_ = 0;
 
   ModeId next_id_ = 1;
   std::vector<Entry> modes_;  // live modes, insertion order
   /// Per-pair per-corner verdict state, keyed by pair_key(id, id).
   std::unordered_map<uint64_t, PairState> pairs_;
-  /// Dirty (mode, corner) slots since the last commit.
+  /// Dirty (mode, corner) slots since the last commit; a mode is present
+  /// only with at least one dirty slot.
   std::unordered_map<ModeId, std::vector<uint8_t>> dirty_;
   bool results_valid_ = false;
   /// Previous commit's per-(clique, corner) results, keyed by
-  /// "p<salt>:c<corner>:id,id,..." (salt/corner tags dropped when 0 / C==1
-  /// so single-corner exact keys match MergeSession's).
+  /// "p<salt>:c<corner>:id,id,..." (salt/corner tags dropped when 0 / C==1).
   std::unordered_map<std::string, std::shared_ptr<ValidatedMergeResult>>
       clique_results_;
   MergeabilityGraph graph_{0, {}, {}};

@@ -328,6 +328,19 @@ PairVerdict check_mergeable_values(const ModeRelationships& a,
   return finish_verdict({true, ""}, options, use);
 }
 
+PairVerdict check_mergeable_in_corner(CornerId corner,
+                                      const ModeRelationships& a,
+                                      const ModeRelationships& a_primary,
+                                      const ModeRelationships& b,
+                                      const ModeRelationships& b_primary,
+                                      const MergeOptions& options) {
+  const bool shares_skeleton = corner != kPrimaryCorner &&
+                               a.structure_fp == a_primary.structure_fp &&
+                               b.structure_fp == b_primary.structure_fp;
+  return shares_skeleton ? check_mergeable_values(a, b, options)
+                         : check_mergeable(a, b, options);
+}
+
 PairVerdict check_mergeable_corners(
     const std::vector<const ModeRelationships*>& a,
     const std::vector<const ModeRelationships*>& b, const CornerSet& corners,
@@ -336,7 +349,8 @@ PairVerdict check_mergeable_corners(
   // Structural check: once per pair, through the primary corner. At C == 1
   // the corner accounting fields stay at their flat defaults, so the
   // returned verdict is the flat verdict member for member.
-  PairVerdict primary = check_mergeable(*a[0], *b[0], options);
+  PairVerdict primary = check_mergeable_in_corner(
+      kPrimaryCorner, *a[0], *a[0], *b[0], *b[0], options);
   MM_COUNT("merge/mcmm_structural_checks", 1);
   if (!primary.mergeable) {
     if (!corners.single()) {
@@ -348,12 +362,9 @@ PairVerdict check_mergeable_corners(
   }
   // Value checks per corner, early exit on the first conflicting corner.
   for (CornerId c = 1; c < corners.size(); ++c) {
-    const bool shares_skeleton =
-        a[c]->structure_fp == a[kPrimaryCorner]->structure_fp &&
-        b[c]->structure_fp == b[kPrimaryCorner]->structure_fp;
-    PairVerdict v = shares_skeleton
-                        ? check_mergeable_values(*a[c], *b[c], options)
-                        : check_mergeable(*a[c], *b[c], options);
+    PairVerdict v = check_mergeable_in_corner(c, *a[c], *a[kPrimaryCorner],
+                                              *b[c], *b[kPrimaryCorner],
+                                              options);
     MM_COUNT("merge/mcmm_value_checks", 1);
     if (!v.mergeable) {
       v.corner = corners.name(c);

@@ -49,7 +49,7 @@ struct PairVerdict {
   double window_budget = 0.0;
 
   /// Corner provenance (merge/corner.h), filled only by
-  /// check_mergeable_corners: the corner the first conflict fired in (name
+  /// check_mergeable_corners and the session's combined verdict: the corner the first conflict fired in (name
   /// + id; empty/0 on a single-corner run or a flat check), and how many
   /// corners were value-checked before the verdict settled — C on a
   /// mergeable verdict (every corner agreed), the conflicting corner's
@@ -97,6 +97,19 @@ PairVerdict check_mergeable_values(const ModeRelationships& a,
                                    const ModeRelationships& b,
                                    const MergeOptions& options);
 
+/// One corner's verdict for a pair, given each mode's relationship set in
+/// `corner` and in the primary corner: the full check at the primary
+/// corner or when either corner deck left its mode's skeleton (structure
+/// fingerprint differs from the primary's), the value-only screen
+/// otherwise. The per-corner step of check_mergeable_corners and of the
+/// session's resume scan (merge/mcmm_session.h).
+PairVerdict check_mergeable_in_corner(CornerId corner,
+                                      const ModeRelationships& a,
+                                      const ModeRelationships& a_primary,
+                                      const ModeRelationships& b,
+                                      const ModeRelationships& b_primary,
+                                      const MergeOptions& options);
+
 /// The MCMM accept rule: two modes merge only when mergeable in EVERY
 /// registered corner. `a`/`b` hold one relationship set per corner
 /// (corner-major, a.size() == corners.size()). The structural check runs
@@ -116,9 +129,10 @@ PairVerdict check_mergeable_corners(
 /// nonzero = edge, diagonal set): seeds cliques in descending-degree order
 /// (stable-sorted, so ties break by index) and grows each with every
 /// still-unassigned compatible mode. This is the single cover
-/// implementation — MergeabilityGraph::clique_cover and the incremental
-/// MergeSession both call it, which is what makes an incremental commit's
-/// cover bit-identical to a from-scratch build over the same verdicts.
+/// implementation — MergeabilityGraph::clique_cover and the session engine
+/// (McmmSession, which MergeSession wraps at C == 1) both call it, which
+/// is what makes an incremental commit's cover bit-identical to a
+/// from-scratch build over the same verdicts.
 std::vector<std::vector<size_t>> greedy_clique_cover(
     size_t n, const std::vector<uint8_t>& adj);
 
@@ -132,7 +146,7 @@ class MergeabilityGraph {
   /// bit-identical to a serial build.
   MergeabilityGraph(const std::vector<const Sdc*>& modes, MergeContext& ctx);
 
-  /// Assemble from precomputed verdicts (the incremental MergeSession path:
+  /// Assemble from precomputed verdicts (the incremental session path:
   /// only dirty pairs were re-checked, clean verdicts were carried over).
   /// `adj` and `reasons` are row-major n*n with the diagonal set.
   MergeabilityGraph(size_t n, std::vector<uint8_t> adj,

@@ -137,7 +137,7 @@ class RelationshipCache {
   static uint64_t content_key(const Sdc& sdc);
 
   /// Drop the entry for this mode's current content, if present. Used by
-  /// MergeSession::update_mode so a long-lived session does not accumulate
+  /// the session's update_mode so a long-lived session does not accumulate
   /// entries for constraint decks nothing can reach anymore. (Content
   /// addressing already prevents *stale hits*; this bounds growth.)
   void invalidate(const Sdc& sdc);

@@ -10,7 +10,7 @@
 //   mode_add /    session deltas, with the session-stable mode id and the
 //   mode_update / mode's content key (the RelationshipCache hash of deck
 //   mode_remove   text + netlist identity)
-//   commit_begin  one per MergeSession::commit(); everything up to the
+//   commit_begin  one per session commit(); everything up to the
 //   commit_end    matching commit_end is that commit's journal *segment*
 //   pair_verdict  one per re-checked pair: mergeable or the first-conflict
 //                 provenance (reason category, conflicting constraint
@@ -24,7 +24,7 @@
 //
 // Writer design: events are serialized into per-thread buffers (each with
 // its own uncontended mutex, exactly like obs/trace.cpp) and drained to the
-// file at phase boundaries — MergeSession::commit() drains once at the end
+// file at phase boundaries — a session commit() drains once at the end
 // of the commit, Journal::close() drains the rest — so hot parallel loops
 // never contend on the file or a global lock. Each event carries a
 // process-wide "seq" (relaxed atomic) giving readers a total order.
@@ -58,7 +58,7 @@ class Journal {
   static void close();
 
   /// Flush all buffered events to the file. Called at phase boundaries
-  /// (end of MergeSession::commit()); no-op when disabled.
+  /// (end of a session commit()); no-op when disabled.
   static void drain();
 
   /// Append one already-serialized event line (no trailing newline) to the

@@ -180,8 +180,7 @@ std::string explain_pair(const JournalData& journal, std::string_view a,
       os << "    subject:  " << ev.str("subject") << "\n";
       os << "    reason:   " << ev.str("reason") << "\n";
     }
-    // Corner provenance is only journaled by the corner-aware MCMM engine
-    // at C > 1: corners_checked on every verdict, plus the conflicting
+    // Corner provenance is only journaled by sessions with C > 1 corners: corners_checked on every verdict, plus the conflicting
     // corner's identity when the per-corner scan early-exited.
     if (ev.find("corners_checked") != nullptr) {
       os << "  corners: " << ev.uint("corners_checked") << " checked";

@@ -13,10 +13,12 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/design_gen.h"
 #include "gen/mode_gen.h"
+#include "merge/mcmm_session.h"
 #include "merge/session.h"
 #include "netlist/libcell.h"
 #include "obs/journal.h"
@@ -326,6 +328,41 @@ TEST_F(JournalTest, ExplainUnknownModeThrows) {
   const JournalData j = read_journal(file);
   EXPECT_THROW(explain_pair(j, family_[0].name, "no_such_mode"), Error);
   EXPECT_NO_THROW(explain_pair(j, family_[0].name, family_[1].name));
+}
+
+/// Flat and corner-aware sessions share one journal-id counter, so two of
+/// them journaling into one file never collide on a (session, commit) key.
+TEST_F(JournalTest, FlatAndCornerSessionsGetDistinctSessionIds) {
+  const std::string file = path("journal_two_sessions.jsonl");
+  ASSERT_TRUE(Journal::open(file));
+  merge::MergeOptions options;
+  options.validate = false;
+  merge::MergeSession flat(*graph_, options);
+  merge::McmmSession corners(*graph_, merge::CornerSet({"typ", "hot"}),
+                             options);
+  for (size_t i = 0; i < 2; ++i) {
+    flat.add_mode(family_[i].name, modes_[i].get());
+    corners.add_mode(family_[i].name, {modes_[i].get(), modes_[i].get()});
+  }
+  flat.commit();
+  corners.commit();
+  Journal::close();
+
+  std::set<uint64_t> sessions;
+  std::set<std::pair<uint64_t, uint64_t>> commit_keys;
+  for (const JournalRecord& rec : read_journal(file).events) {
+    if (rec.json.find("session") != nullptr) {
+      sessions.insert(rec.json.uint("session"));
+    }
+    if (rec.ev == "commit_begin") {
+      EXPECT_TRUE(commit_keys
+                      .emplace(rec.json.uint("session"),
+                               rec.json.uint("commit"))
+                      .second);
+    }
+  }
+  EXPECT_EQ(sessions.size(), 2u);
+  EXPECT_EQ(commit_keys.size(), 2u);
 }
 
 void write_file(const std::string& path, const std::string& text) {

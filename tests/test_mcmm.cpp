@@ -161,30 +161,66 @@ TEST_F(McmmTest, JournalAndExplainCarryCornerProvenance) {
       "create_clock -name c -period 10 [get_ports clk1]\n"
       "set_clock_uncertainty -setup 0.7 [get_clocks c]\n");
 
+  const sdc::Sdc shared_again = parse(
+      "create_clock -name c -period 10 [get_ports clk1]\n"
+      "set_clock_uncertainty -setup 0.3 [get_clocks c]\n");
+
   const std::string path = ::testing::TempDir() + "/mcmm_journal.jsonl";
   ASSERT_TRUE(obs::Journal::open(path));
+  std::vector<size_t> cliques_merged;  // per commit
   {
     MergeOptions options;
     options.validate = false;
     McmmSession session(pgraph, CornerSet({"typ", "hot"}), options);
-    session.add_mode("A", {&shared, &shared});
+    const McmmSession::ModeId a = session.add_mode("A", {&shared, &shared});
     session.add_mode("B", {&shared, &conflicting});
-    session.commit();
+    cliques_merged.push_back(session.commit().cliques_merged);
+    // Re-derive A's typ slot only: the pair stays in conflict through the
+    // stored hot verdict, and only A's typ clique re-merges.
+    session.update_mode(a, 0, &shared_again);
+    cliques_merged.push_back(session.commit().cliques_merged);
   }
   obs::Journal::close();
+  EXPECT_EQ(cliques_merged, (std::vector<size_t>{4, 1}));
 
   const obs::JournalData journal = obs::read_journal(path);
-  bool saw_verdict = false;
+  size_t verdicts = 0;
+  std::vector<size_t> refines(2, 0), equivalences(2, 0);
   for (const obs::JournalRecord& rec : journal.events) {
+    const uint64_t commit = rec.json.uint("commit");
+    if (rec.ev == "refine" || rec.ev == "equivalence") {
+      ASSERT_TRUE(commit == 1 || commit == 2);
+      ++(rec.ev == "refine" ? refines : equivalences)[commit - 1];
+      EXPECT_FALSE(rec.json.str("corner").empty());
+      continue;
+    }
     if (rec.ev != "pair_verdict") continue;
-    saw_verdict = true;
+    ++verdicts;
     EXPECT_EQ(rec.json.uint("corners_checked"), 2u);
     EXPECT_EQ(rec.json.str("corner"), "hot");
     EXPECT_EQ(rec.json.uint("corner_id"), 1u);
+    // Commit 1 extracted both modes; commit 2 only A's typ slot.
+    EXPECT_TRUE(rec.json.boolean("a_rels_fresh", false));
+    EXPECT_EQ(rec.json.boolean("b_rels_fresh", false), commit == 1);
   }
-  EXPECT_TRUE(saw_verdict);
+  EXPECT_EQ(verdicts, 2u);
+  EXPECT_EQ(refines, cliques_merged);
+  EXPECT_EQ(equivalences, cliques_merged);
 
   const std::string rendered = obs::explain_pair(journal, "A", "B");
+  EXPECT_NE(rendered.find("commit 1 (session"), std::string::npos);
+  const std::string commit1 = rendered.substr(
+      rendered.find("commit 1 (session"),
+      rendered.find("commit 2 (session") - rendered.find("commit 1 (session"));
+  EXPECT_NE(commit1.find("A: id 1, relationships recomputed"),
+            std::string::npos)
+      << rendered;
+  EXPECT_NE(commit1.find("B: id 2, relationships recomputed"),
+            std::string::npos)
+      << rendered;
+  EXPECT_NE(rendered.find("B: id 2, relationships cache-carried"),
+            std::string::npos)
+      << rendered;
   EXPECT_NE(rendered.find("corners: 2 checked"), std::string::npos)
       << rendered;
   EXPECT_NE(rendered.find("conflict in corner hot"), std::string::npos)

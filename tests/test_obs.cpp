@@ -255,10 +255,13 @@ TEST(Metrics, SnapshotSortedAndDeterministic) {
     EXPECT_EQ(s1.counters[i], s2.counters[i]);
   }
 
-  // Full documents are byte-identical once the wall-clock field is masked.
-  const std::regex elapsed("\"elapsed_seconds\":[0-9.eE+-]+");
-  const std::string j1 = std::regex_replace(stats_json(), elapsed, "X");
-  const std::string j2 = std::regex_replace(stats_json(), elapsed, "X");
+  // Full documents are byte-identical once the process measurements are
+  // masked: wall clock, and peak RSS, which can grow between the two calls
+  // (under ASan the regex allocations alone raise it).
+  const std::regex measured(
+      "\"(elapsed_seconds|peak_rss_bytes)\":[0-9.eE+-]+");
+  const std::string j1 = std::regex_replace(stats_json(), measured, "X");
+  const std::string j2 = std::regex_replace(stats_json(), measured, "X");
   EXPECT_EQ(j1, j2);
 }
 
