@@ -2,7 +2,7 @@
 // (gen/mode_gen.h — carrier gaps alternating around the window boundary)
 // merged under MergePolicy::uniform(W) for a ladder of windows, W = 0
 // being the exact baseline. Per window the bench records merge wall time,
-// QoR wall time (one batched STA per multi-member clique), the clique
+// QoR wall time (one STA per deck of each multi-member clique), the clique
 // count, and the mm.qor/1 pessimism aggregates.
 //
 // Acceptance (exit 1 on violation, visible in CI logs):

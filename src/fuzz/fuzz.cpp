@@ -185,7 +185,6 @@ namespace {
 merge::MergeOptions baseline_options(const FuzzOptions& options) {
   merge::MergeOptions base;
   base.num_threads = options.threads;
-  base.use_batched_sta = options.use_batched_sta;
   base.debug_mutation = options.inject;
   return base;
 }

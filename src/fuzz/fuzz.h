@@ -45,10 +45,6 @@ struct FuzzOptions {
   size_t max_regs = 90;
   /// Merge threads for the baseline configuration (0 = hardware).
   size_t threads = 0;
-  /// Baseline validation engine: batched multi-lane STA (default) or the
-  /// serial per-mode reference (--no-batched-sta). P1's equivalence oracle
-  /// exercises whichever is selected.
-  bool use_batched_sta = true;
   /// Enable the SDC-text mutation stage.
   bool mutate_sdc = true;
   // Property toggles.

@@ -4,20 +4,16 @@
 
 #include "obs/obs.h"
 #include "timing/relationships.h"
-#include "timing/sta_batch.h"
 #include "util/thread_pool.h"
 
 namespace mm::merge {
 
-using timing::BatchOptions;
-using timing::BatchPropagator;
 using timing::CompiledExceptions;
 using timing::ModeGraph;
 using timing::Propagator;
 using timing::PropagationOptions;
 using timing::RelationKey;
 using timing::RelationMap;
-using timing::StaLane;
 using timing::StateSet;
 
 namespace {
@@ -26,34 +22,12 @@ const StateSet& side_states(const timing::RelationData& data, int side) {
   return side == 0 ? data.states : data.hold_states;
 }
 
-/// The merged deck's relation map: a one-lane batched walk, or the serial
-/// engine as the byte-parity reference.
-RelationMap propagate_merged(const timing::TimingGraph& graph,
-                             const Sdc& merged, const PropagationOptions& opts,
-                             ThreadPool& pool, bool use_batched_sta) {
-  const ModeGraph mg(graph, merged);
-  const CompiledExceptions ce(graph, merged);
-  if (!use_batched_sta) {
-    Propagator prop(mg, ce);
-    prop.run(opts);
-    return prop.release_relations();
-  }
-  BatchOptions bopts;
-  bopts.track_startpoints = opts.track_startpoints;
-  bopts.compute_arrivals = opts.compute_arrivals;
-  bopts.analyze_hold = opts.analyze_hold;
-  bopts.pool = &pool;
-  BatchPropagator prop(graph, {StaLane{&mg, &ce}});
-  prop.run(bopts);
-  return prop.relations(0);
-}
-
 }  // namespace
 
 EquivalenceReport check_equivalence(const RefineContext& ctx,
                                     const Sdc& merged, const ClockMap& map,
                                     bool startpoint_level, size_t num_threads,
-                                    bool use_batched_sta) {
+                                    bool /*use_batched_sta*/) {
   MM_SPAN("merge/equivalence");
   EquivalenceReport report;
   const timing::TimingGraph& graph = *ctx.graph;
@@ -67,14 +41,17 @@ EquivalenceReport check_equivalence(const RefineContext& ctx,
   ThreadPool& pool = ctx.pool(local, num_threads);
 
   // Individual side: the union over members of their (memoized) relation
-  // maps, clocks mapped to merged space. Merged side: one walk.
+  // maps, clocks mapped to merged space. Merged side: one serial walk.
   RelationMap indiv;
   const auto members = ctx.member_relations(opts, pool);
   for (size_t m = 0; m < members->size(); ++m) {
     accumulate_mapped((*members)[m], m, map, indiv);
   }
-  const RelationMap mrel =
-      propagate_merged(graph, merged, opts, pool, use_batched_sta);
+  const ModeGraph merged_graph(graph, merged);
+  const CompiledExceptions merged_exceptions(graph, merged);
+  Propagator prop(merged_graph, merged_exceptions);
+  prop.run(opts);
+  const RelationMap mrel = prop.release_relations();
 
   // Lost-relation keys live in the *mapped individual* clock space; a
   // candidate that dropped a clock entirely has no name for them.

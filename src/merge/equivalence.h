@@ -34,11 +34,11 @@ struct EquivalenceReport {
 /// instead — slower, finer.
 ///
 /// The members' relation maps come from `ctx.member_relations`, so after
-/// data refinement on the same context only the merged deck is walked.
-/// `use_batched_sta` (the default) walks it as a one-lane batched
-/// levelized walk (timing/sta_batch.h); `false` runs the serial engine,
-/// kept as the byte-parity reference. Report counters are identical either
-/// way, only `examples` ordering may differ.
+/// data refinement on the same context only the merged deck is walked, by
+/// one Propagator run.
+///
+/// `use_batched_sta`: ignored; kept only because the benchmark harness still
+/// names it; removed with the next benchmark PR.
 EquivalenceReport check_equivalence(const RefineContext& ctx,
                                     const Sdc& merged, const ClockMap& map,
                                     bool startpoint_level = false,

@@ -544,7 +544,7 @@ void McmmSession::journal_clique(CornerId corner, size_t clique_index,
       .field("optimism_violations", eq.optimism_violations)
       .field("pessimism_keys", eq.pessimism_keys)
       .field("state_mismatches", eq.state_mismatches)
-      // Wall-clock of the clique's batched validation walk; rounded to
+      // Wall-clock of the clique's validation walk; rounded to
       // whole ms (renderers ignore it — it is for jq-level profiling of
       // commit cost, see docs/OBSERVABILITY.md).
       .field("validate_ms", to_ms(s.validate_seconds));

@@ -70,8 +70,7 @@ ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
       out.equivalence = check_equivalence(ctx, *out.merge.merged,
                                           out.merge.clock_map,
                                           /*startpoint_level=*/false,
-                                          options.num_threads,
-                                          options.use_batched_sta);
+                                          options.num_threads);
       out.merge.stats.validate_seconds = vtimer.elapsed_seconds();
       if (!out.equivalence.signoff_safe()) {
         MM_ERROR("merged mode has %zu optimism violation(s)",

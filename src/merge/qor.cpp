@@ -34,27 +34,35 @@ QoRReport qor_report(const timing::TimingGraph& graph,
   out.pessimism_bound = options.policy.pessimism_bound();
   out.slack_eps = slack_eps;
 
+  // Every deck of every multi-member clique, members first and the merged
+  // deck last, timed by its own setup-only run_sta across the pool; each
+  // index writes only its own slot.
+  std::vector<size_t> first_deck(cliques.size() + 1, 0);
+  std::vector<const Sdc*> decks;
+  for (size_t c = 0; c < cliques.size(); ++c) {
+    first_deck[c] = decks.size();
+    if (cliques[c].size() < 2) continue;  // merged deck is the mode verbatim
+    for (size_t m : cliques[c]) decks.push_back(modes[m]);
+    decks.push_back(merged_decks[c]);
+  }
+  first_deck[cliques.size()] = decks.size();
+  std::vector<timing::StaResult> sta(decks.size());
   ThreadPool pool(options.num_threads);
-  double pessimism_sum = 0.0;
+  pool.parallel_for(decks.size(), [&](size_t d) {
+    sta[d] = timing::run_sta(graph, *decks[d], /*analyze_hold=*/false);
+  });
 
+  double pessimism_sum = 0.0;
   for (size_t c = 0; c < cliques.size(); ++c) {
     const std::vector<size_t>& clique = cliques[c];
-    if (clique.size() < 2) continue;  // merged deck is the mode verbatim
+    if (clique.size() < 2) continue;
+    const size_t merged_index = first_deck[c + 1] - 1;
+    const timing::StaResult& merged_sta = sta[merged_index];
 
-    // Members + the merged deck as the last lane of one batched walk, so
-    // per-lane slacks come from identical delays and level schedules.
-    std::vector<const Sdc*> lanes;
-    lanes.reserve(clique.size() + 1);
-    for (size_t m : clique) lanes.push_back(modes[m]);
-    lanes.push_back(merged_decks[c]);
-    const timing::BatchStaResult batch =
-        timing::run_sta_batch(graph, lanes, /*analyze_hold=*/false, &pool);
-    const timing::StaResult& merged_sta = batch.per_mode.back();
-
-    // Worst (minimum) individual slack per endpoint over the member lanes.
+    // Worst (minimum) individual slack per endpoint over the members.
     std::unordered_map<uint32_t, float> worst;
-    for (size_t l = 0; l + 1 < batch.per_mode.size(); ++l) {
-      for (const auto& [ep, slack] : batch.per_mode[l].endpoint_slack) {
+    for (size_t d = first_deck[c]; d < merged_index; ++d) {
+      for (const auto& [ep, slack] : sta[d].endpoint_slack) {
         auto [it, inserted] = worst.emplace(ep, slack);
         if (!inserted) it->second = std::min(it->second, slack);
       }

@@ -57,9 +57,9 @@ struct QoRReport {
   }
 };
 
-/// Build the report over a completed merge: one batched setup-only STA walk
-/// per multi-member clique, with the members and the merged deck as lanes
-/// of the same walk (timing/sta_batch.h), then per-endpoint deltas.
+/// Build the report over a completed merge: one setup-only run_sta per
+/// member and per merged deck of each multi-member clique, fanned over a
+/// pool of options.num_threads, then per-endpoint deltas.
 /// Singleton cliques reuse the original constraints verbatim and are
 /// skipped. `slack_eps` absorbs float accumulation noise in the
 /// optimism direction only — pessimism is reported at full precision.

@@ -55,11 +55,8 @@ struct MergeOptions {
   /// mergeability checks, refinement passes, and equivalence validation
   /// (0 = hardware concurrency).
   size_t num_threads = 0;
-  /// Walk the merged deck in validation with the batched level-parallel
-  /// STA engine (timing/sta_batch.h) as one lane; the members' relation
-  /// maps are reused from data refinement. Off = one serial propagation
-  /// (--no-batched-sta), kept as the byte-parity reference — both paths
-  /// produce identical reports and merged output.
+  /// ignored; kept only because the benchmark harness still names it;
+  /// removed with the next benchmark PR
   bool use_batched_sta = true;
   /// Run §3.2 refinement (clock + data + 3-pass). Disabling yields the
   /// preliminary merged mode only — used by benchmarks and ablations.

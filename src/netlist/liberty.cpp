@@ -56,6 +56,12 @@ class LibertyParser {
     throw Error("liberty:" + std::to_string(line_) + ": " + msg);
   }
 
+  /// An argument loop made no progress: the next byte is a delimiter no
+  /// argument may start with.
+  [[noreturn]] void unexpected(const std::string& where) const {
+    fail(std::string("unexpected '") + peek() + "' " + where);
+  }
+
   void skip_space() {
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
@@ -132,11 +138,13 @@ class LibertyParser {
     if (group.type.empty()) fail("expected group name");
     if (!eat('(')) fail("expected '(' after " + group.type);
     while (!eat(')')) {
+      const size_t before = pos_;
       const std::string arg = read_token();
       if (!arg.empty()) group.args.push_back(arg);
       eat(',');
       skip_space();
       if (pos_ >= text_.size()) fail("unterminated group arguments");
+      if (pos_ == before) unexpected("in " + group.type + " arguments");
     }
     if (!eat('{')) fail("expected '{' after " + group.type + "(...)");
 
@@ -193,12 +201,14 @@ class LibertyParser {
           ++pos_;  // '('
           std::string value;
           while (!eat(')')) {
+            const size_t before = pos_;
             const std::string tok = read_token();
             if (!value.empty() && !tok.empty()) value += ", ";
             value += tok;
             eat(',');
             skip_space();
             if (pos_ >= text_.size()) fail("unterminated complex attribute");
+            if (pos_ == before) unexpected("in " + name + " arguments");
           }
           eat(';');
           group.attrs.emplace_back(name, value);

@@ -179,50 +179,6 @@ PathState CompiledExceptions::resolve(const std::vector<uint8_t>& progress,
   return best ? best->state() : PathState::valid();
 }
 
-void CompiledExceptions::resolve_both(const std::vector<uint8_t>& progress,
-                                      ClockId launch, PinId endpoint,
-                                      ClockId capture, PathState* setup_out,
-                                      PathState* hold_out) const {
-  // One pass over the exception list maintaining a per-side winner under
-  // the same precedence/tie rules as resolve(); the applicability checks
-  // (progress / -from clock / -to anchor) are shared between the sides.
-  const CompiledException* best_setup = nullptr;
-  const CompiledException* best_hold = nullptr;
-  auto consider = [](const CompiledException*& best,
-                     const CompiledException& ce) {
-    if (!best) {
-      best = &ce;
-      return;
-    }
-    const int rank_new = precedence_rank(ce.state().kind);
-    const int rank_best = precedence_rank(best->state().kind);
-    if (rank_new > rank_best ||
-        (rank_new == rank_best &&
-         (ce.spec_score > best->spec_score ||
-          (ce.spec_score == best->spec_score &&
-           ce.source_index > best->source_index)))) {
-      best = &ce;
-    }
-  };
-  for (const CompiledException& ce : exceptions_) {
-    if (ce.tracked) {
-      if (progress.empty() || progress[ce.track_slot] != ce.num_throughs())
-        continue;
-    } else if (ce.has_from && !ce.from_clock_matches(launch)) {
-      continue;
-    }
-    if (!ce.to_matches(endpoint, capture)) continue;
-    if (ce.setup && ce.kind != ExceptionKind::kMinDelay) {
-      consider(best_setup, ce);
-    }
-    if (ce.hold && ce.kind != ExceptionKind::kMaxDelay) {
-      consider(best_hold, ce);
-    }
-  }
-  *setup_out = best_setup ? best_setup->state() : PathState::valid();
-  *hold_out = best_hold ? best_hold->state() : PathState::valid();
-}
-
 std::string PathState::str() const {
   switch (kind) {
     case StateKind::kValid: return "V";

@@ -77,11 +77,6 @@ struct CompiledException {
     }
     return PathState::valid();
   }
-
-  /// Content equality — two modes with element-wise equal exception lists
-  /// resolve every (progress, launch, endpoint, capture) identically.
-  friend bool operator==(const CompiledException&,
-                         const CompiledException&) = default;
 };
 
 class CompiledExceptions {
@@ -116,12 +111,6 @@ class CompiledExceptions {
   PathState resolve(const std::vector<uint8_t>& progress, ClockId launch,
                     PinId endpoint, ClockId capture, bool setup_side) const;
 
-  /// Both analysis sides in one pass over the exception list — exactly
-  /// `resolve(.., true)` and `resolve(.., false)`, sharing the per-exception
-  /// applicability checks. The batched engine's resolution hot path.
-  void resolve_both(const std::vector<uint8_t>& progress, ClockId launch,
-                    PinId endpoint, ClockId capture, PathState* setup_out,
-                    PathState* hold_out) const;
 
  private:
   void compile(const TimingGraph& graph, const Sdc& sdc);

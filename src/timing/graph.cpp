@@ -177,7 +177,6 @@ void TimingGraph::levelize() {
   for (uint32_t i = 0; i < n; ++i) {
     if (indegree[i] == 0) queue.push_back(i);
   }
-  level_of_.assign(n, 0);
   for (size_t head = 0; head < queue.size(); ++head) {
     const uint32_t pin = queue[head];
     topo_order_.push_back(PinId(pin));
@@ -185,7 +184,6 @@ void TimingGraph::levelize() {
       const Arc& arc = arcs_[aid.index()];
       if (arc.loop_break) continue;
       const uint32_t to = arc.to.value();
-      level_of_[to] = std::max(level_of_[to], level_of_[pin] + 1);
       if (--indegree[to] == 0) queue.push_back(to);
     }
   }
@@ -193,18 +191,10 @@ void TimingGraph::levelize() {
   topo_pos_.resize(n);
   for (uint32_t i = 0; i < n; ++i) topo_pos_[topo_order_[i].index()] = i;
 
-  // Bucket pins by level, in topo order within a bucket, so a level-major
-  // walk visits pins in a deterministic order.
-  uint32_t max_level = 0;
-  for (uint32_t i = 0; i < n; ++i) max_level = std::max(max_level, level_of_[i]);
-  levels_.assign(n == 0 ? 0 : max_level + 1, {});
-  for (PinId pin : topo_order_) levels_[level_of_[pin.index()]].push_back(pin);
-
   has_launch_.assign(n, 0);
   for (const Arc& arc : arcs_) {
     if (arc.kind == ArcKind::kLaunch) has_launch_[arc.from.index()] = 1;
   }
-  MM_GAUGE_SET("timing/graph/levels", levels_.size());
 }
 
 }  // namespace mm::timing

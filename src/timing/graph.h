@@ -78,16 +78,6 @@ class TimingGraph {
   /// Topological level of a pin (position in topo_order).
   uint32_t topo_position(PinId pin) const { return topo_pos_[pin.index()]; }
 
-  /// Topological level buckets: levels()[k] holds every pin whose longest
-  /// fan-in chain over non-loop-break arcs has k arcs (level 0 = pins with
-  /// no such fan-in). All fan-ins of a level-k pin sit at levels < k, so a
-  /// level is the unit of the batched STA's level-parallel walk: the pins
-  /// of one level can be processed concurrently, each pulling only from
-  /// already-settled lower levels. Within a bucket, pins are in topo_order
-  /// (deterministic).
-  const std::vector<std::vector<PinId>>& levels() const { return levels_; }
-  size_t num_levels() const { return levels_.size(); }
-  uint32_t level_of(PinId pin) const { return level_of_[pin.index()]; }
 
   /// Pin drives >= 1 register launch (CP->Q) arc: its tags leave only
   /// through launch arcs — the clock becomes data at Q (mode-independent,
@@ -122,8 +112,6 @@ class TimingGraph {
   std::vector<std::vector<uint32_t>> checks_at_;
   std::vector<PinId> topo_order_;
   std::vector<uint32_t> topo_pos_;
-  std::vector<std::vector<PinId>> levels_;
-  std::vector<uint32_t> level_of_;
   std::vector<uint8_t> has_launch_;
   std::vector<PinId> endpoints_;
   std::vector<PinId> startpoints_;

@@ -251,13 +251,6 @@ void ModeGraph::find_active_points() {
 
 std::vector<ClockArrival> ModeGraph::capture_clocks_at(PinId endpoint) const {
   std::vector<ClockArrival> out;
-  capture_clocks_at(endpoint, out);
-  return out;
-}
-
-void ModeGraph::capture_clocks_at(PinId endpoint,
-                                  std::vector<ClockArrival>& out) const {
-  out.clear();
   const Design& d = graph_->design();
   if (d.pin(endpoint).is_port()) {
     // Output port: capture clocks come from set_output_delay -clock.
@@ -267,7 +260,7 @@ void ModeGraph::capture_clocks_at(PinId endpoint,
       for (const ClockArrival& ca : out) seen |= (ca.clock == pd.clock);
       if (!seen) out.push_back({pd.clock, 0.0});
     }
-    return;
+    return out;
   }
   for (uint32_t ci : graph_->checks_at(endpoint)) {
     const Check& check = graph_->checks()[ci];
@@ -277,6 +270,7 @@ void ModeGraph::capture_clocks_at(PinId endpoint,
       if (!seen) out.push_back(ca);
     }
   }
+  return out;
 }
 
 double ModeGraph::source_latency(ClockId clock) const {

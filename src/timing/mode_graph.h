@@ -69,9 +69,6 @@ class ModeGraph {
   /// For a check data pin: the clocks capturing at its register's CP pin.
   /// For an output port: the -clock of its set_output_delay entries.
   std::vector<ClockArrival> capture_clocks_at(PinId endpoint) const;
-  /// Allocation-free variant: clears `out` and fills it with the same list
-  /// (the batched engine calls this once per endpoint per lane).
-  void capture_clocks_at(PinId endpoint, std::vector<ClockArrival>& out) const;
 
   /// Source latency (set_clock_latency -source) of a clock, max flavour.
   double source_latency(ClockId clock) const;

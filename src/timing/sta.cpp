@@ -1,12 +1,9 @@
 #include "timing/sta.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "obs/obs.h"
 #include "timing/delay_calc.h"
-#include "timing/sta_batch.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace mm::timing {
@@ -78,95 +75,6 @@ StaResult run_sta_multi(const TimingGraph& graph,
   }
   combined.runtime_seconds = timer.elapsed_seconds();
   return combined;
-}
-
-BatchStaResult run_sta_batch(const TimingGraph& graph,
-                             const std::vector<const Sdc*>& modes,
-                             bool analyze_hold, ThreadPool* pool) {
-  MM_SPAN("sta/multi_batched");
-  MM_COUNT("sta/modes_analyzed", modes.size());
-  Stopwatch timer;
-  BatchStaResult out;
-  out.per_mode.resize(modes.size());
-
-  // Per-mode views and delays are built once up front (fanned over the
-  // pool: each index writes only its own slot), then modes become lanes of
-  // shared walks chunked at the mask width.
-  std::vector<std::unique_ptr<ModeGraph>> mode_graphs(modes.size());
-  std::vector<std::unique_ptr<CompiledExceptions>> exceptions(modes.size());
-  std::vector<DelayCalcResult> delays(modes.size());
-  auto build_one = [&](size_t m) {
-    mode_graphs[m] = std::make_unique<ModeGraph>(graph, *modes[m]);
-    exceptions[m] = std::make_unique<CompiledExceptions>(graph, *modes[m]);
-    delays[m] = compute_delays(graph, *modes[m], 12);
-  };
-  if (pool && modes.size() > 1) {
-    pool->parallel_for(modes.size(), build_one);
-  } else {
-    for (size_t m = 0; m < modes.size(); ++m) build_one(m);
-  }
-
-  for (size_t base = 0; base < modes.size(); base += kMaxBatchLanes) {
-    const size_t count = std::min(kMaxBatchLanes, modes.size() - base);
-    std::vector<StaLane> lanes(count);
-    for (size_t l = 0; l < count; ++l) {
-      lanes[l].mode = mode_graphs[base + l].get();
-      lanes[l].exceptions = exceptions[base + l].get();
-      lanes[l].arc_delays = &delays[base + l].arc_delay;
-      lanes[l].arc_delays_min = &delays[base + l].arc_delay_min;
-    }
-    BatchPropagator prop(graph, std::move(lanes));
-    BatchOptions options;
-    options.compute_arrivals = true;
-    options.analyze_hold = analyze_hold;
-    options.pool = pool;
-    prop.run(options);
-    out.tag_groups += prop.shared_tag_groups();
-    out.lane_tags += prop.lane_tag_total();
-
-    for (size_t l = 0; l < count; ++l) {
-      StaResult& one = out.per_mode[base + l];
-      one.endpoint_slack = prop.worst_slack_by_endpoint(l);
-      one.num_endpoints = one.endpoint_slack.size();
-      for (const auto& [ep, slack] : one.endpoint_slack) {
-        if (slack < 0) {
-          one.wns = std::min(one.wns, static_cast<double>(slack));
-          one.tns += slack;
-        }
-      }
-      if (analyze_hold) {
-        one.endpoint_hold_slack = prop.worst_hold_slack_by_endpoint(l);
-        for (const auto& [ep, slack] : one.endpoint_hold_slack) {
-          if (slack < 0)
-            one.whs = std::min(one.whs, static_cast<double>(slack));
-        }
-      }
-    }
-  }
-
-  for (const StaResult& one : out.per_mode) {
-    for (const auto& [ep, slack] : one.endpoint_slack) {
-      auto [it, inserted] = out.combined.endpoint_slack.emplace(ep, slack);
-      if (!inserted) it->second = std::min(it->second, slack);
-    }
-    for (const auto& [ep, slack] : one.endpoint_hold_slack) {
-      auto [it, inserted] = out.combined.endpoint_hold_slack.emplace(ep, slack);
-      if (!inserted) it->second = std::min(it->second, slack);
-    }
-  }
-  out.combined.num_endpoints = out.combined.endpoint_slack.size();
-  for (const auto& [ep, slack] : out.combined.endpoint_slack) {
-    if (slack < 0) {
-      out.combined.wns = std::min(out.combined.wns, static_cast<double>(slack));
-      out.combined.tns += slack;
-    }
-  }
-  for (const auto& [ep, slack] : out.combined.endpoint_hold_slack) {
-    if (slack < 0)
-      out.combined.whs = std::min(out.combined.whs, static_cast<double>(slack));
-  }
-  out.combined.runtime_seconds = timer.elapsed_seconds();
-  return out;
 }
 
 double conformity(const StaResult& individual, const StaResult& merged,

@@ -10,10 +10,6 @@
 
 #include "timing/relationships.h"
 
-namespace mm {
-class ThreadPool;
-}
-
 namespace mm::timing {
 
 struct StaResult {
@@ -39,22 +35,6 @@ StaResult run_sta(const TimingGraph& graph, const Sdc& sdc,
 /// (paper §4, "worst slacks on all the endpoints ... merged vs individual").
 StaResult run_sta_multi(const TimingGraph& graph,
                         const std::vector<const Sdc*>& modes);
-
-/// Multi-mode STA through the batched level-parallel engine (sta_batch.h):
-/// all modes propagate as lanes of shared BatchPropagator walks (chunked at
-/// kMaxBatchLanes) instead of independent per-mode runs. Slacks are
-/// byte-identical to run_sta per mode; `run_sta_multi` above stays the
-/// serial reference.
-struct BatchStaResult {
-  std::vector<StaResult> per_mode;  // one per input mode, in order
-  StaResult combined;               // min-merged like run_sta_multi
-  size_t tag_groups = 0;            // shared tag entries over all walks
-  size_t lane_tags = 0;             // per-lane tags those entries stand for
-};
-BatchStaResult run_sta_batch(const TimingGraph& graph,
-                             const std::vector<const Sdc*>& modes,
-                             bool analyze_hold = false,
-                             ThreadPool* pool = nullptr);
 
 /// Conformity metric from Table 6: the percentage of endpoints whose merged
 /// slack deviates from the individual worst slack by at most

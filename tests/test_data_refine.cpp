@@ -305,15 +305,14 @@ uint64_t span_count(const std::string& phase) {
 
 struct Work {
   uint64_t propagations = 0;
-  uint64_t lanes = 0;
   uint64_t mode_graphs = 0;
 
   static Work now() {
-    return {counter("timing/propagations"), counter("sta/lanes"),
+    return {counter("timing/propagations"),
             span_count("timing/case_analysis")};
   }
   Work since(const Work& before) const {
-    return {propagations - before.propagations, lanes - before.lanes,
+    return {propagations - before.propagations,
             mode_graphs - before.mode_graphs};
   }
 };
@@ -326,43 +325,36 @@ TEST_F(DataRefineTest, CliqueMergePropagatesEachMemberOnce) {
   const std::vector<const Sdc*> members = ptrs(modes);
   const uint64_t m = members.size();
 
-  for (const bool batched : {true, false}) {
-    SCOPED_TRACE(batched ? "batched validation" : "serial validation");
-    MergeOptions options;
-    options.num_threads = 2;
-    options.use_batched_sta = batched;
-    MergeContext session(options);
-    MergeResult result = preliminary_merge(members, session);
-    RefineContext ctx(graph, members, session);
-    refine_clock_network(ctx, result, options);
+  MergeOptions options;
+  options.num_threads = 2;
+  MergeContext session(options);
+  MergeResult result = preliminary_merge(members, session);
+  RefineContext ctx(graph, members, session);
+  refine_clock_network(ctx, result, options);
 
-    // Data refinement: M + 1 endpoint-level walks in pass 1 (each member
-    // once, then the merged deck), M + 1 cone-filtered walks in pass 2 when
-    // it descends, and one merged ModeGraph for all four passes.
-    const Work before_refine = Work::now();
-    refine_data_network(ctx, result, options);
-    const Work refine = Work::now().since(before_refine);
-    const uint64_t pass2_walks = result.stats.pass1_ambiguous > 0 ? m + 1 : 0;
-    EXPECT_EQ(refine.propagations, m + 1 + pass2_walks);
-    EXPECT_EQ(refine.mode_graphs, 1u);
-    EXPECT_EQ(refine.lanes, 0u);
+  // Data refinement: M + 1 endpoint-level walks in pass 1 (each member
+  // once, then the merged deck), M + 1 cone-filtered walks in pass 2 when
+  // it descends, and one merged ModeGraph for all four passes.
+  const Work before_refine = Work::now();
+  refine_data_network(ctx, result, options);
+  const Work refine = Work::now().since(before_refine);
+  const uint64_t pass2_walks = result.stats.pass1_ambiguous > 0 ? m + 1 : 0;
+  EXPECT_EQ(refine.propagations, m + 1 + pass2_walks);
+  EXPECT_EQ(refine.mode_graphs, 1u);
 
-    // Validation reads the members from pass 1's memo and walks only the
-    // merged deck: one batch lane, or one serial propagation.
-    const Work before_validate = Work::now();
-    const EquivalenceReport report =
-        check_equivalence(ctx, *result.merged, result.clock_map,
-                          /*startpoint_level=*/false, options.num_threads,
-                          options.use_batched_sta);
-    const Work validate = Work::now().since(before_validate);
-    EXPECT_EQ(validate.lanes, batched ? 1u : 0u);
-    EXPECT_EQ(validate.propagations, batched ? 0u : 1u);
-    EXPECT_EQ(validate.mode_graphs, 1u);
-    EXPECT_TRUE(report.signoff_safe());
-  }
+  // Validation reads the members from pass 1's memo and walks only the
+  // merged deck: one propagation over one ModeGraph.
+  const Work before_validate = Work::now();
+  const EquivalenceReport report =
+      check_equivalence(ctx, *result.merged, result.clock_map,
+                        /*startpoint_level=*/false, options.num_threads);
+  const Work validate = Work::now().since(before_validate);
+  EXPECT_EQ(validate.propagations, 1u);
+  EXPECT_EQ(validate.mode_graphs, 1u);
+  EXPECT_TRUE(report.signoff_safe());
 }
 
-TEST_F(DataRefineTest, ValidatedMergeModesAddsOneLane) {
+TEST_F(DataRefineTest, ValidatedMergeModesAddsOnePropagation) {
   const gen::DesignParams dp = small_design();
   const netlist::Design design = gen::generate_design(lib, dp);
   const TimingGraph graph(design);
@@ -374,10 +366,11 @@ TEST_F(DataRefineTest, ValidatedMergeModesAddsOneLane) {
   const Work before = Work::now();
   const ValidatedMergeResult out = merge_modes(graph, members, options);
   const Work work = Work::now().since(before);
-  EXPECT_EQ(work.lanes, 1u);
+  // Pass 1 walks the members and the merged deck (pass 2 again when it
+  // descends); validation adds exactly one walk, of the merged deck.
   const uint64_t walks = members.size() + 1;
   EXPECT_EQ(work.propagations,
-            out.merge.stats.pass1_ambiguous > 0 ? 2 * walks : walks);
+            (out.merge.stats.pass1_ambiguous > 0 ? 2 * walks : walks) + 1);
   // Member views once; merged views: two in clock refinement (disable
   // inference changes what the second one sees), one for all of data
   // refinement, one for validation.
@@ -388,7 +381,7 @@ TEST_F(DataRefineTest, ValidatedMergeModesAddsOneLane) {
 TEST_F(DataRefineTest, FreshContextAndStartpointLevelComputeOwnMaps) {
   // A context without a memo, and the startpoint-level check (never
   // memoized), walk every member themselves; results match the counters
-  // of the memoized path.
+  // of the memoized path. Every check also walks the merged deck once.
   const netlist::Design design = gen::paper_circuit(lib);
   const TimingGraph graph(design);
   const std::vector<Sdc> modes = paper_modes(design);
@@ -399,11 +392,11 @@ TEST_F(DataRefineTest, FreshContextAndStartpointLevelComputeOwnMaps) {
   const Work before = Work::now();
   const EquivalenceReport first =
       check_equivalence(ctx, *base.merged, base.clock_map);
-  EXPECT_EQ(Work::now().since(before).propagations, members.size());
+  EXPECT_EQ(Work::now().since(before).propagations, members.size() + 1);
   const Work again = Work::now();
   const EquivalenceReport second =
       check_equivalence(ctx, *base.merged, base.clock_map);
-  EXPECT_EQ(Work::now().since(again).propagations, 0u);
+  EXPECT_EQ(Work::now().since(again).propagations, 1u);
   EXPECT_EQ(first.keys_compared, second.keys_compared);
   EXPECT_EQ(first.optimism_violations, second.optimism_violations);
   EXPECT_EQ(first.pessimism_keys, second.pessimism_keys);
@@ -413,7 +406,8 @@ TEST_F(DataRefineTest, FreshContextAndStartpointLevelComputeOwnMaps) {
                     /*startpoint_level=*/true);
   check_equivalence(ctx, *base.merged, base.clock_map,
                     /*startpoint_level=*/true);
-  EXPECT_EQ(Work::now().since(sp_before).propagations, 2 * members.size());
+  EXPECT_EQ(Work::now().since(sp_before).propagations,
+            2 * (members.size() + 1));
 }
 
 }  // namespace

@@ -248,6 +248,10 @@ TEST(LibertyTest, SyntaxErrors) {
   EXPECT_THROW(read_liberty("not_a_library () {}"), Error);
   EXPECT_THROW(read_liberty("library (x) { cell (c) { pin (p) { } }"), Error);
   EXPECT_THROW(read_liberty("library (x) { }"), Error);  // no cells
+  // Argument loops that meet a delimiter must fail, not spin.
+  EXPECT_THROW(read_liberty("library (x) { cell (a) { values ( }"), Error);
+  EXPECT_THROW(read_liberty("library (x) { cell (a { }"), Error);
+  EXPECT_THROW(read_liberty("library (x { }"), Error);
 }
 
 TEST(LibertyTest, EndToEndStaOnLibertyLibrary) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "sdc/parser.h"
 #include "sdc/writer.h"
 #include "timing/graph.h"
+#include "timing/sta.h"
 
 namespace mm::merge {
 namespace {
@@ -219,6 +222,98 @@ TEST_F(PolicyFamilyTest, NearMissQoRNeverOptimisticAndBounded) {
   const std::string json = write_qor_json(qor);
   EXPECT_NE(json.find("\"schema\":\"mm.qor/1\""), std::string::npos);
   EXPECT_NE(json.find("\"never_optimistic\":true"), std::string::npos);
+}
+
+/// qor_report fans one run_sta per deck over its pool: the report must not
+/// depend on the thread count, and must equal the deltas computed by hand
+/// from serial per-deck run_sta calls.
+TEST_F(PolicyFamilyTest, QoRFanOutMatchesSerialPerDeckSta) {
+  struct Family {
+    gen::ModeFamilyParams params;
+    MergePolicy policy;
+  };
+  for (const Family& f : {Family{paper(12, 3), MergePolicy::exact()},
+                          Family{near_miss(8, 0.2, 0.05),
+                                 MergePolicy::uniform(0.2)}}) {
+    const std::vector<const sdc::Sdc*> ptrs = family(f.params);
+    MergeOptions opt;
+    opt.validate = false;
+    opt.policy = f.policy;
+    const MergedModeSet out = merge_mode_set(*graph_, ptrs, opt);
+
+    opt.num_threads = 1;
+    const QoRReport one = qor_report(*graph_, ptrs, out, opt);
+    opt.num_threads = 4;
+    const QoRReport four = qor_report(*graph_, ptrs, out, opt);
+    ASSERT_GE(one.cliques.size(), 2u);
+    ASSERT_EQ(one.cliques.size(), four.cliques.size());
+    for (size_t i = 0; i < one.cliques.size(); ++i) {
+      const CliqueQoR& a = one.cliques[i];
+      const CliqueQoR& b = four.cliques[i];
+      EXPECT_EQ(a.clique_index, b.clique_index);
+      EXPECT_EQ(a.num_members, b.num_members);
+      EXPECT_EQ(a.endpoints_compared, b.endpoints_compared);
+      EXPECT_EQ(a.missing_endpoints, b.missing_endpoints);
+      EXPECT_EQ(a.optimism_violations, b.optimism_violations);
+      EXPECT_EQ(a.max_pessimism, b.max_pessimism);
+      EXPECT_EQ(a.mean_pessimism, b.mean_pessimism);
+    }
+    EXPECT_EQ(one.endpoints_compared, four.endpoints_compared);
+    EXPECT_EQ(one.max_pessimism, four.max_pessimism);
+    EXPECT_EQ(one.mean_pessimism, four.mean_pessimism);
+
+    // By hand: worst member slack vs the merged deck's slack per endpoint.
+    size_t compared = 0;
+    double max_pessimism = 0.0;
+    double pessimism_sum = 0.0;
+    for (const CliqueQoR& q : one.cliques) {
+      const std::vector<size_t>& clique = out.cliques[q.clique_index];
+      std::map<uint32_t, float> worst;
+      for (size_t m : clique) {
+        for (const auto& [ep, slack] :
+             timing::run_sta(*graph_, *ptrs[m]).endpoint_slack) {
+          auto [it, inserted] = worst.emplace(ep, slack);
+          if (!inserted) it->second = std::min(it->second, slack);
+        }
+      }
+      const timing::StaResult merged = timing::run_sta(
+          *graph_, *out.merged[q.clique_index].merge.merged);
+      size_t clique_compared = 0;
+      size_t missing = 0;
+      double clique_max = 0.0;
+      double clique_sum = 0.0;
+      for (const auto& [ep, individual] : worst) {
+        const auto it = merged.endpoint_slack.find(ep);
+        if (it == merged.endpoint_slack.end()) {
+          ++missing;
+          continue;
+        }
+        ++clique_compared;
+        const double delta =
+            static_cast<double>(individual) - static_cast<double>(it->second);
+        if (delta > 0.0) {
+          clique_max = std::max(clique_max, delta);
+          clique_sum += delta;
+        }
+      }
+      EXPECT_EQ(q.num_members, clique.size());
+      EXPECT_EQ(q.endpoints_compared, clique_compared);
+      EXPECT_EQ(q.missing_endpoints, missing);
+      EXPECT_EQ(q.max_pessimism, clique_max);
+      if (clique_compared > 0) {
+        EXPECT_DOUBLE_EQ(q.mean_pessimism,
+                         clique_sum / static_cast<double>(clique_compared));
+      }
+      compared += clique_compared;
+      max_pessimism = std::max(max_pessimism, clique_max);
+      pessimism_sum += clique_sum;
+    }
+    EXPECT_EQ(one.endpoints_compared, compared);
+    EXPECT_GT(compared, 0u);
+    EXPECT_EQ(one.max_pessimism, max_pessimism);
+    EXPECT_DOUBLE_EQ(one.mean_pessimism,
+                     pessimism_sum / static_cast<double>(compared));
+  }
 }
 
 /// Hand-built decks on the paper circuit: per-field envelope + provenance.

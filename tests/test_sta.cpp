@@ -1,10 +1,11 @@
 // STA driver tests: per-endpoint slacks, multi-mode worst slack, WNS/TNS,
-// conformity metric.
+// conformity metric, and degenerate graphs (empty design, buffer chain).
 
 #include <gtest/gtest.h>
 
 #include "gen/design_gen.h"
 #include "gen/paper_circuit.h"
+#include "netlist/builder.h"
 #include "sdc/parser.h"
 #include "timing/sta.h"
 
@@ -129,6 +130,66 @@ TEST_F(StaTest, GeneratedDesignRuns) {
   const StaResult result = run_sta(g, sdc);
   EXPECT_GT(result.num_endpoints, 100u);
   EXPECT_FALSE(result.tag_overflow);
+}
+
+TEST_F(StaTest, EmptyGraphEdgeCase) {
+  // A design with no pins has an empty topological order; both the engine
+  // and the STA driver must run and report nothing.
+  netlist::Design empty("empty", &lib);
+  TimingGraph g(empty);
+  EXPECT_TRUE(g.topo_order().empty());
+
+  const sdc::Sdc sdc = sdc::parse_sdc("", empty);
+  const ModeGraph mode(g, sdc);
+  const CompiledExceptions exceptions(g, sdc);
+  Propagator prop(mode, exceptions);
+  PropagationOptions opts;
+  opts.analyze_hold = true;
+  prop.run(opts);
+  EXPECT_TRUE(prop.relations().empty());
+
+  const StaResult result = run_sta(g, sdc, /*analyze_hold=*/true);
+  EXPECT_EQ(result.num_endpoints, 0u);
+  EXPECT_TRUE(result.endpoint_hold_slack.empty());
+  EXPECT_DOUBLE_EQ(result.wns, 0.0);
+}
+
+TEST_F(StaTest, SingleNodeLevelChain) {
+  // A pure buffer chain: one pin per topological level. The one
+  // port-to-port path must be timed on both sides, with a setup slack
+  // below period - input delay - output delay.
+  netlist::Design chain("chain", &lib);
+  netlist::Builder b(&chain);
+  b.input("in");
+  b.inst(netlist::cells::kBuf, "b1", {{"A", "in"}, {"Z", "n1"}});
+  b.inst(netlist::cells::kBuf, "b2", {{"A", "n1"}, {"Z", "n2"}});
+  b.inst(netlist::cells::kBuf, "b3", {{"A", "n2"}, {"Z", "out"}});
+  b.output("out");
+  TimingGraph g(chain);
+  EXPECT_EQ(g.topo_order().size(), chain.num_pins());
+
+  const sdc::Sdc sdc = sdc::parse_sdc(
+      "create_clock -name c -period 10\n"
+      "set_input_delay 1 -clock c [get_ports in]\n"
+      "set_output_delay 2 -clock c [get_ports out]\n",
+      chain);
+  const ModeGraph mode(g, sdc);
+  const CompiledExceptions exceptions(g, sdc);
+  Propagator prop(mode, exceptions);
+  PropagationOptions opts;
+  opts.analyze_hold = true;
+  prop.run(opts);
+  ASSERT_EQ(prop.relations().size(), 1u);
+  const RelationData& rel = prop.relations().begin()->second;
+  EXPECT_TRUE(rel.states.any_timed());
+  EXPECT_TRUE(rel.hold_states.any_timed());
+
+  const uint32_t out = chain.find_pin("out").value();
+  const StaResult result = run_sta(g, sdc, /*analyze_hold=*/true);
+  ASSERT_EQ(result.num_endpoints, 1u);
+  EXPECT_GT(result.endpoint_slack.at(out), 0.0f);
+  EXPECT_LT(result.endpoint_slack.at(out), 7.0f);
+  EXPECT_EQ(result.endpoint_hold_slack.count(out), 1u);
 }
 
 }  // namespace

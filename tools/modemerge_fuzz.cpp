@@ -45,8 +45,6 @@ void usage(std::FILE* to) {
       "  --max-violations N   stop after N minimized findings (default 1)\n"
       "  --corpus-dir DIR     write minimized repros under DIR\n"
       "  --no-mutate          skip the SDC text-mutation stage\n"
-      "  --no-batched-sta     validate with the serial STA\n"
-      "                       reference instead of the batched engine\n"
       "  --no-minimize        report raw cases without delta-debugging\n"
       "\n"
       "properties (all on by default):\n"
@@ -156,7 +154,6 @@ int main(int argc, char** argv) {
           static_cast<size_t>(parse_u64_arg("--max-violations", value()));
     else if (arg == "--corpus-dir") opt.corpus_dir = value();
     else if (arg == "--no-mutate") opt.mutate_sdc = false;
-    else if (arg == "--no-batched-sta") opt.use_batched_sta = false;
     else if (arg == "--no-minimize") opt.minimize = false;
     else if (arg == "--no-equiv") opt.check_equiv = false;
     else if (arg == "--no-parity") opt.check_parity = false;

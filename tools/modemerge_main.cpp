@@ -85,10 +85,6 @@ void usage(std::FILE* to) {
       "  --no-refine          preliminary merge only (skip 3-pass refinement)\n"
       "  --no-validate        skip the final equivalence validation\n"
       "  --no-hold            setup-side analysis only\n"
-      "  --no-batched-sta     walk each clique's merged deck in validation\n"
-      "                       with the serial STA engine instead of the\n"
-      "                       batched one (parity reference; output is\n"
-      "                       byte-identical either way)\n"
       "  --corners C          multi-corner (MCMM) batch merge: the --mode\n"
       "                       list is an M x C deck matrix in mode-major\n"
       "                       order (mode 0 corner 0, mode 0 corner 1, ...);\n"
@@ -111,8 +107,8 @@ void usage(std::FILE* to) {
       "  --window-drive-load X   driving-cell / port-load budget\n"
       "  --qor-out FILE       write the mm.qor/1 conformity report (merged vs\n"
       "                       worst-member slack per endpoint; batch mode\n"
-      "                       only, runs one batched STA per multi-mode\n"
-      "                       clique)\n"
+      "                       only, runs one STA per deck of each\n"
+      "                       multi-mode clique)\n"
       "\n"
       "analysis / reports:\n"
       "  --sta                run STA individual-vs-merged and report reduction\n"
@@ -470,7 +466,6 @@ int main(int argc, char** argv) {
     else if (arg == "--no-refine") options.run_refinement = false;
     else if (arg == "--no-validate") options.validate = false;
     else if (arg == "--no-hold") options.analyze_hold = false;
-    else if (arg == "--no-batched-sta") options.use_batched_sta = false;
     else if (arg == "--corners") {
       num_corners = parse_size_arg("--corners", value());
       if (num_corners == 0) bad_arg("--corners", "0", "a positive integer");
