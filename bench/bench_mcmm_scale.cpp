@@ -11,10 +11,16 @@
 //   skeletons    — full extractions the session actually paid (must be
 //                  exactly M: one skeleton per mode),
 //   delta_fills  — value-only corner fills (must be exactly M * (C - 1)),
-//   sharing      — M * C / skeletons, the skeleton-sharing factor.
+//   sharing      — M * C / skeletons, the skeleton-sharing factor,
+//   shared_merges — (clique, corner) merges that took corner 0's fix list
+//                  instead of refining (must be exactly cliques * (C - 1):
+//                  the derate ladder changes values only, never timing
+//                  state).
 //
 // Hard asserts, exit 1 on any failure: the cache counters must show
 // M skeletons + M * (C - 1) delta fills (never M * C full extractions),
+// every corner c > 0 merge must be shared (a deterministic count, not a
+// timing gate),
 // every corner's merged decks must be byte-identical to that corner's flat
 // merge, and the flat cover must equal the shared MCMM cover (the derate
 // ladder preserves exact-policy verdicts, so the combined cover loses
@@ -87,6 +93,7 @@ struct RunResult {
   uint64_t skeletons = 0;
   uint64_t delta_fills = 0;
   uint64_t skeleton_mismatches = 0;
+  size_t shared_merges = 0;
   bool parity = true;
 };
 
@@ -114,6 +121,7 @@ RunResult run_at(const timing::TimingGraph& graph, const Matrix& matrix) {
     if (rep > 0) continue;
 
     out.cliques = r.cliques;
+    out.shared_merges = r.corner_shared_merges;
     out.merged_sdc.resize(num_corners);
     for (size_t c = 0; c < num_corners; ++c) {
       for (const auto& m : r.merged[c]) {
@@ -178,9 +186,9 @@ int main(int argc, char** argv) {
               "thread(s))\n",
               design.num_instances(), scale,
               std::thread::hardware_concurrency());
-  std::printf("%6s %8s %11s %9s %10s %12s %8s\n", "modes", "corners",
+  std::printf("%6s %8s %11s %9s %10s %12s %8s %7s\n", "modes", "corners",
               "commit(ms)", "flat(ms)", "skeletons", "delta_fills",
-              "sharing");
+              "sharing", "shared");
 
   obs::JsonWriter json;
   json.begin_object();
@@ -203,18 +211,21 @@ int main(int argc, char** argv) {
           r.skeletons == num_modes &&
           r.delta_fills == num_modes * (num_corners - 1) &&
           r.skeleton_mismatches == 0;
-      ok = ok && r.parity && counters_ok;
+      const bool shared_ok =
+          r.shared_merges == r.cliques.size() * (num_corners - 1);
+      ok = ok && r.parity && counters_ok && shared_ok;
       const double sharing =
           r.skeletons > 0 ? static_cast<double>(num_modes * num_corners) /
                                 static_cast<double>(r.skeletons)
                           : 0.0;
 
-      std::printf("%6zu %8zu %11.2f %9.2f %10llu %12llu %7.1fx%s%s\n",
+      std::printf("%6zu %8zu %11.2f %9.2f %10llu %12llu %7.1fx %7zu%s%s%s\n",
                   num_modes, num_corners, r.commit_ms, r.flat_ms,
                   static_cast<unsigned long long>(r.skeletons),
                   static_cast<unsigned long long>(r.delta_fills), sharing,
-                  r.parity ? "" : "  PARITY MISMATCH",
-                  counters_ok ? "" : "  COUNTER MISMATCH");
+                  r.shared_merges, r.parity ? "" : "  PARITY MISMATCH",
+                  counters_ok ? "" : "  COUNTER MISMATCH",
+                  shared_ok ? "" : "  SHARING MISMATCH");
 
       json.begin_object();
       json.key("cells").value(design.num_instances());
@@ -227,6 +238,7 @@ int main(int argc, char** argv) {
       json.key("delta_fills").value(r.delta_fills);
       json.key("skeleton_mismatches").value(r.skeleton_mismatches);
       json.key("sharing_factor").value(sharing);
+      json.key("shared_merges").value(r.shared_merges);
       json.key("parity").value(r.parity);
       json.end_object();
     }
@@ -236,7 +248,7 @@ int main(int argc, char** argv) {
   json.end_object();
 
   std::ofstream("BENCH_mcmm_scale.json") << json.str() << '\n';
-  std::printf("wrote BENCH_mcmm_scale.json (parity + counters %s)\n",
+  std::printf("wrote BENCH_mcmm_scale.json (parity + counters + sharing %s)\n",
               ok ? "ok" : "FAILED");
   return ok ? 0 : 1;
 }

@@ -651,7 +651,9 @@ void check_policy_property(const timing::TimingGraph& graph,
 /// graph must equal the corner-0 reference graph edge for edge and reason
 /// for reason (skeleton sharing + value-only screens change no verdict),
 /// and every corner's merged decks must be byte-identical to an
-/// independent flat merge of that corner's decks. The C == 1 case needs no
+/// independent flat merge of that corner's decks. In some cases one corner
+/// also gets its own timing state (gen::TimingStateBreak), so corner
+/// sharing must fall back there at least once. The C == 1 case needs no
 /// oracle here: the flat MergeSession is the same engine at one corner,
 /// and P5 checks it against the batch merge.
 void check_mcmm_property(const timing::TimingGraph& graph,
@@ -686,6 +688,14 @@ void check_mcmm_property(const timing::TimingGraph& graph,
     // produce flat-identical verdicts and bytes.
     cp.structural_break_corner = 1 + rng.below(cp.num_corners - 1);
   }
+  if (rng.chance(30)) {
+    // Change one corner's timing state: that corner cannot take corner 0's
+    // fix list and must fall back to a full merge, still flat-identical.
+    cp.timing_state_break_corner = 1 + rng.below(cp.num_corners - 1);
+    cp.timing_state_break = rng.chance(50)
+                                ? gen::TimingStateBreak::kCaseAnalysis
+                                : gen::TimingStateBreak::kDisableTiming;
+  }
   const gen::CornerFamily fam = gen::generate_corner_family(c.design, mp, cp);
   const size_t num_modes = fam.modes.size();
   const size_t num_corners = fam.corners.size();
@@ -711,6 +721,13 @@ void check_mcmm_property(const timing::TimingGraph& graph,
     session.add_mode(fam.modes[m].name, decks);
   }
   const merge::McmmSession::CommitResult& r = session.commit();
+  if (cp.timing_state_break_corner != 0 && r.corner_share_fallbacks == 0) {
+    violations.push_back(
+        {"mcmm", "corner " + fam.corners[cp.timing_state_break_corner].name +
+                     " has its own timing state but no merge fell back from"
+                     " corner sharing"});
+    return;
+  }
 
   // Verdict identity: every corner agrees with corner 0 by construction, so
   // the combined graph must equal the corner-0 reference graph (fresh

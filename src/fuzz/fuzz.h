@@ -167,7 +167,10 @@ std::string mutate_sdc_text(const std::string& text, util::Rng& rng);
 ///                    sharing and value-only corner checks change no
 ///                    verdict — and each corner's merged decks are
 ///                    byte-identical to an independent flat merge of that
-///                    corner's decks.
+///                    corner's decks. Some cases give one corner its own
+///                    timing state (an extra case analysis or disable), and
+///                    then at least one of that corner's merges must fall
+///                    back from corner sharing to a full merge.
 CheckResult check_case(const FuzzCase& c, const FuzzOptions& options);
 
 /// Delta-debugging minimizer: greedily drop whole modes, ddmin each mode's

@@ -75,6 +75,10 @@ std::vector<CornerSpec> make_corner_specs(const CornerFamilyParams& params) {
     spec.structural_break =
         params.structural_break_corner != 0 &&
         c == params.structural_break_corner;
+    if (params.timing_state_break_corner != 0 &&
+        c == params.timing_state_break_corner) {
+      spec.timing_state_break = params.timing_state_break;
+    }
     out.push_back(std::move(spec));
   }
   return out;
@@ -84,7 +88,9 @@ std::string apply_corner(const std::string& sdc_text,
                          const CornerSpec& corner) {
   const bool identity = corner.clock_scale == 1.0 &&
                         corner.drive_scale == 1.0 &&
-                        corner.load_scale == 1.0 && !corner.structural_break;
+                        corner.load_scale == 1.0 &&
+                        !corner.structural_break &&
+                        corner.timing_state_break == TimingStateBreak::kNone;
   if (identity) return sdc_text;
 
   std::ostringstream out;
@@ -103,6 +109,16 @@ std::string apply_corner(const std::string& sdc_text,
     // engine must fall back to a full extraction + full pair check.
     out << "set_input_transition " << 0.37 * corner.drive_scale
         << " [get_ports di_1]\n";
+  }
+  switch (corner.timing_state_break) {
+    case TimingStateBreak::kNone:
+      break;
+    case TimingStateBreak::kCaseAnalysis:
+      out << "set_case_analysis 0 [get_pins g0/Z]\n";
+      break;
+    case TimingStateBreak::kDisableTiming:
+      out << "set_disable_timing [get_pins g0/Z]\n";
+      break;
   }
   return out.str();
 }

@@ -20,14 +20,27 @@
 // matrix is the flat family and exercises the single-corner byte-identity
 // contract. `structural_break_corner` deliberately violates the
 // shared-skeleton assumption in one corner (an extra drive channel) to
-// exercise the full-extraction fallback path.
+// exercise the full-extraction fallback path. `timing_state_break_corner`
+// keeps the skeleton but changes one corner's timing state (an extra case
+// analysis or disable on a data-network pin), so that corner cannot share
+// corner 0's refinement and must fall back to a full merge.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "gen/mode_gen.h"
 
 namespace mm::gen {
+
+/// A timing-state change appended to one corner's decks, on the
+/// data-network pin g0/Z (the first gate of register 0's cone, present in
+/// every generated design).
+enum class TimingStateBreak : uint8_t {
+  kNone,
+  kCaseAnalysis,   // set_case_analysis 0 [get_pins g0/Z]
+  kDisableTiming,  // set_disable_timing [get_pins g0/Z]
+};
 
 /// One corner's value transformation. Scales apply to the first numeric
 /// argument of the matching SDC commands; 1.0 everywhere is the identity.
@@ -44,6 +57,10 @@ struct CornerSpec {
   /// the base family does not drive di_1 (true for mode_gen families,
   /// whose only transition carrier is di_0).
   bool structural_break = false;
+  /// Append a timing-state change (see TimingStateBreak). Mergeability
+  /// does not read it, so verdicts and the skeleton are unchanged; the
+  /// corner's refinement is not.
+  TimingStateBreak timing_state_break = TimingStateBreak::kNone;
 };
 
 struct CornerFamilyParams {
@@ -57,6 +74,9 @@ struct CornerFamilyParams {
   /// 1-based corner index to break structurally (0 = none; corner 0 can
   /// never break — it IS the skeleton).
   size_t structural_break_corner = 0;
+  /// 1-based corner index whose decks get `timing_state_break` (0 = none).
+  size_t timing_state_break_corner = 0;
+  TimingStateBreak timing_state_break = TimingStateBreak::kCaseAnalysis;
   /// Corner names are "<name_prefix><index>".
   std::string name_prefix = "corner";
 };

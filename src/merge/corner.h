@@ -84,6 +84,18 @@ struct ModeSkeleton {
 /// clock value tables and the drive/load values.
 uint64_t structural_fingerprint(const Sdc& sdc);
 
+/// Hash of everything refinement and validation read from a deck: they run
+/// without arrival times, so they see only value-independent timing state.
+/// Covers design identity, the full clock table, exceptions with their
+/// values, case analysis, set_disable_timing, clock sense stops, clock
+/// groups (exclusivity included) and the I/O delay anchors (port, clock,
+/// edge and flags of each set_input_delay / set_output_delay). Omits every
+/// per-corner value: clock latency, uncertainty and transition, drive and
+/// load values, external-delay values and design rules. Two clique merges
+/// whose member and preliminary decks have equal fingerprints (and equal
+/// clock maps) refine to the same fix list and validate to the same report.
+uint64_t timing_state_fingerprint(const Sdc& sdc);
+
 /// The skeleton identity card of a deck (one structural_fingerprint pass).
 ModeSkeleton skeleton_of(const Sdc& sdc);
 

@@ -104,6 +104,7 @@ McmmSession::ModeId McmmSession::add_mode(std::string name,
   e.name = std::move(name);
   e.decks = std::move(decks);
   e.rels.resize(corners_.size());
+  if (!corners_.single()) e.state_fps.resize(corners_.size());
   modes_.push_back(std::move(e));
   dirty_[modes_.back().id].assign(corners_.size(), 1);
   MM_COUNT("session/modes_added", 1);
@@ -206,9 +207,16 @@ const McmmSession::CommitResult& McmmSession::commit() {
   for (Entry& e : modes_) {
     if (!e.rels[kPrimaryCorner]) need_skeleton.push_back(&e);
   }
+  // At C > 1 each refreshed slot also gets its timing-state fingerprint,
+  // which decides corner sharing below.
+  const bool share_corners = !corners_.single();
   ctx_->pool().parallel_for(need_skeleton.size(), [&](size_t k) {
-    need_skeleton[k]->rels[kPrimaryCorner] =
-        ctx_->relationships(*need_skeleton[k]->decks[kPrimaryCorner]);
+    Entry& e = *need_skeleton[k];
+    e.rels[kPrimaryCorner] = ctx_->relationships(*e.decks[kPrimaryCorner]);
+    if (share_corners) {
+      e.state_fps[kPrimaryCorner] =
+          timing_state_fingerprint(*e.decks[kPrimaryCorner]);
+    }
   });
   std::vector<std::pair<Entry*, CornerId>> need_delta;
   for (Entry& e : modes_) {
@@ -220,6 +228,7 @@ const McmmSession::CommitResult& McmmSession::commit() {
     auto [e, c] = need_delta[k];
     e->rels[c] =
         ctx_->cache().get_corner(*e->decks[c], *e->rels[kPrimaryCorner]);
+    e->state_fps[c] = timing_state_fingerprint(*e->decks[c]);
   });
 
   // Each live mode's dirty-corner mask by position (null when clean).
@@ -394,7 +403,8 @@ const McmmSession::CommitResult& McmmSession::commit() {
   // Merge each clique once per corner from that corner's member decks,
   // reusing the previous commit's result when no member deck of that corner
   // changed. Corner-major so a corner's decks can be handed to qor() as one
-  // flat report.
+  // flat report, and so corner 0's result of every clique (merged or
+  // reused) is there to donate its fix list to the later corners.
   out.merged.resize(num_corners);
   out.reused.resize(num_corners);
   std::unordered_map<std::string, std::shared_ptr<ValidatedMergeResult>>
@@ -423,9 +433,22 @@ const McmmSession::CommitResult& McmmSession::commit() {
         std::vector<const Sdc*> members;
         members.reserve(clique.size());
         for (size_t pos : clique) members.push_back(modes_[pos].decks[c]);
+        const ValidatedMergeResult* donor = nullptr;
+        if (c != kPrimaryCorner) {
+          bool same_state = true;
+          for (size_t pos : clique) {
+            const std::vector<uint64_t>& fps = modes_[pos].state_fps;
+            same_state = same_state && fps[c] == fps[kPrimaryCorner];
+          }
+          if (same_state) donor = out.merged[kPrimaryCorner][clique_index].get();
+        }
         result = std::make_shared<ValidatedMergeResult>(
-            merge_modes(timing_graph_, members, *ctx_));
+            merge_modes(timing_graph_, members, *ctx_, donor));
         ++out.cliques_merged;
+        if (c != kPrimaryCorner) {
+          ++(result->shared ? out.corner_shared_merges
+                            : out.corner_share_fallbacks);
+        }
       }
       if (obs::Journal::enabled()) {
         journal_clique(c, clique_index, out, reuse,
@@ -444,6 +467,10 @@ const McmmSession::CommitResult& McmmSession::commit() {
   MM_COUNT("session/commits", 1);
   MM_COUNT("session/cliques_dirty", out.cliques_merged);
   MM_COUNT("session/cliques_reused", out.cliques_reused);
+  if (share_corners) {
+    MM_COUNT("session/corner_shared_merges", out.corner_shared_merges);
+    MM_COUNT("session/corner_share_fallbacks", out.corner_share_fallbacks);
+  }
   MM_GAUGE_SET("session/modes", n);
   MM_GAUGE_SET("session/corners", num_corners);
   ctx_->export_stats();
@@ -487,6 +514,13 @@ void McmmSession::journal_clique(CornerId corner, size_t clique_index,
           .field("corner_id", static_cast<uint64_t>(corner));
     }
   };
+  // A shared result's refinement and validation ran in corner 0.
+  auto provenance = [&](obs::JournalEvent& ev) {
+    if (result.shared) {
+      ev.field("shared_from", corners_.name(kPrimaryCorner))
+          .field("shared_from_id", static_cast<uint64_t>(kPrimaryCorner));
+    }
+  };
   // Each builder appends its line at end of scope; keep the scopes disjoint
   // so the clique/refine/equivalence lines land in that order (seq is
   // assigned at construction, the append at destruction).
@@ -514,6 +548,7 @@ void McmmSession::journal_clique(CornerId corner, size_t clique_index,
         .field("commit", commit_seq_)
         .field("clique", static_cast<uint64_t>(clique_index));
     corner_fields(rev);
+    provenance(rev);
     rev.field("inferred_disables", s.inferred_disables)
         .field("clock_stops_added", s.clock_stops_added)
         .field("data_clock_fps_added", s.data_clock_fps_added)
@@ -537,6 +572,7 @@ void McmmSession::journal_clique(CornerId corner, size_t clique_index,
       .field("commit", commit_seq_)
       .field("clique", static_cast<uint64_t>(clique_index));
   corner_fields(eev);
+  provenance(eev);
   eev.field("equivalent", eq.equivalent())
       .field("signoff_safe", eq.signoff_safe())
       .field("keys_compared", eq.keys_compared)

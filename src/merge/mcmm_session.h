@@ -27,7 +27,11 @@
 // full check, the others the value-only screen while they share their
 // mode's skeleton (check_mergeable_in_corner), with early exit on the
 // first conflicting corner. ONE clique cover is computed over the combined
-// verdicts, and each clique merges once per corner.
+// verdicts, and each clique merges once per corner. Refinement and
+// validation read only value-independent timing state, so a corner c > 0
+// whose member decks have corner 0's timing state takes corner 0's fix
+// list and equivalence report instead of refining again (merge_modes'
+// donor); any other corner falls back to a full merge.
 //
 // The session is rooted in a MergeContext (key table, relationship cache,
 // thread pool): borrow one to share those caches across sessions, or pass
@@ -85,6 +89,11 @@ class McmmSession {
     /// (clique, corner) merges run vs reused, summed over corners.
     size_t cliques_merged = 0;
     size_t cliques_reused = 0;
+    /// Of the merges run in corners c > 0: those that took corner 0's fix
+    /// list and equivalence report (same timing state), and those that
+    /// fell back to a full refinement and validation. Both 0 at C == 1.
+    size_t corner_shared_merges = 0;
+    size_t corner_share_fallbacks = 0;
     double total_seconds = 0.0;
 
     size_t num_merged_modes() const { return cliques.size(); }
@@ -159,6 +168,9 @@ class McmmSession {
     std::string name;
     std::vector<const Sdc*> decks;  // [corner]
     std::vector<std::shared_ptr<const ModeRelationships>> rels;  // [corner]
+    /// timing_state_fingerprint of each deck, refreshed with rels; kept
+    /// only at C > 1, where it decides corner sharing.
+    std::vector<uint64_t> state_fps;  // [corner]
   };
   /// Stored verdicts for one live pair. checked[c] == 0 marks a corner
   /// slot that was invalidated (dirty endpoint) or never reached (a lower

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "merge/clock_refine.h"
+#include "merge/corner.h"
 #include "merge/data_refine.h"
 #include "merge/preliminary.h"
 #include "merge/session.h"
@@ -41,6 +42,61 @@ void apply_debug_mutation(Sdc& merged, const MergeOptions& options) {
   }
 }
 
+FixListMarks marks_of(const MergeResult& r) {
+  return {r.merged->disables().size(), r.merged->clock_sense_stops().size(),
+          r.merged->exceptions().size(), r.notes.size()};
+}
+
+/// Append `donor`'s fix list to `out` and adopt its refinement counters,
+/// when `out`'s preliminary merge has the donor's clock map and timing
+/// state. Returns false (with `out` untouched) otherwise.
+bool adopt_fix_list(MergeResult& out, const MergeResult& donor) {
+  if (out.clock_map != donor.clock_map) return false;
+  Sdc& merged = *out.merged;
+  const Sdc& from = *donor.merged;
+  const FixListMarks& m = donor.fix_marks;
+  merged.disables().insert(merged.disables().end(),
+                           from.disables().begin() + m.disables,
+                           from.disables().end());
+  merged.clock_sense_stops().insert(
+      merged.clock_sense_stops().end(),
+      from.clock_sense_stops().begin() + m.clock_sense_stops,
+      from.clock_sense_stops().end());
+  merged.exceptions().insert(merged.exceptions().end(),
+                             from.exceptions().begin() + m.exceptions,
+                             from.exceptions().end());
+  // With equal fix lists appended, equal fingerprints mean equal
+  // preliminary timing state.
+  if (timing_state_fingerprint(merged) != timing_state_fingerprint(from)) {
+    merged.disables().resize(out.fix_marks.disables);
+    merged.clock_sense_stops().resize(out.fix_marks.clock_sense_stops);
+    merged.exceptions().resize(out.fix_marks.exceptions);
+    return false;
+  }
+  out.notes.insert(out.notes.end(), donor.notes.begin() + m.notes,
+                   donor.notes.end());
+
+  // Refinement counters are the donor's; the preliminary counters and
+  // every timing stay this merge's own (no refinement ran here).
+  MergeStats& s = out.stats;
+  const MergeStats& d = donor.stats;
+  s.inferred_disables = d.inferred_disables;
+  s.clock_stops_added = d.clock_stops_added;
+  s.data_clock_fps_added = d.data_clock_fps_added;
+  s.pass0_pair_fixed = d.pass0_pair_fixed;
+  s.pass1_keys = d.pass1_keys;
+  s.pass1_mismatch_fixed = d.pass1_mismatch_fixed;
+  s.pass1_ambiguous = d.pass1_ambiguous;
+  s.pass2_keys = d.pass2_keys;
+  s.pass2_mismatch_fixed = d.pass2_mismatch_fixed;
+  s.pass2_ambiguous = d.pass2_ambiguous;
+  s.pass3_pairs = d.pass3_pairs;
+  s.pass3_paths_enumerated = d.pass3_paths_enumerated;
+  s.pass3_fps_added = d.pass3_fps_added;
+  s.unresolved_pessimism = d.unresolved_pessimism;
+  return true;
+}
+
 }  // namespace
 
 ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
@@ -52,11 +108,17 @@ ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
 
 ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
                                  const std::vector<const Sdc*>& modes,
-                                 MergeContext& session) {
+                                 MergeContext& session,
+                                 const ValidatedMergeResult* donor) {
   const MergeOptions& options = session.options();
   ValidatedMergeResult out{preliminary_merge(modes, session), {}};
+  out.merge.fix_marks = marks_of(out.merge);
 
-  if (options.run_refinement) {
+  if (donor != nullptr && options.debug_mutation == DebugMutation::kNone &&
+      adopt_fix_list(out.merge, donor->merge)) {
+    out.equivalence = donor->equivalence;
+    out.shared = true;
+  } else if (options.run_refinement) {
     Stopwatch timer;
     RefineContext ctx(graph, modes, session);
     refine_clock_network(ctx, out.merge, options);

@@ -18,6 +18,10 @@ namespace mm::merge {
 struct ValidatedMergeResult {
   MergeResult merge;
   EquivalenceReport equivalence;  // empty unless options.validate
+  /// Refinement and validation did not run for this result: its fix list,
+  /// refinement counters and equivalence report come from a donor merge of
+  /// the same clique with the same timing state (merge_modes' `donor`).
+  bool shared = false;
 };
 
 /// Merge N modes (assumed mergeable) into one superset mode over `graph`.
@@ -28,9 +32,20 @@ ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
 
 /// Session entry: every pass shares ctx's key table, relationship cache,
 /// and thread pool.
+///
+/// `donor` is the same clique's merge in another corner, offered by a
+/// caller that has matched every member deck's timing_state_fingerprint
+/// (merge/corner.h) against the donor's members. Refinement and validation
+/// read only that timing state, so when this merge's preliminary deck also
+/// has the donor's clock map and timing state, the result is its own
+/// preliminary merge plus the donor's fix list (appended in the same
+/// order), with the donor's refinement counters and equivalence report,
+/// zero refinement/validation seconds, and `shared` set. Otherwise — no
+/// donor, a mismatch, or a debug mutation to catch — the full merge runs.
 ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
                                  const std::vector<const Sdc*>& modes,
-                                 MergeContext& ctx);
+                                 MergeContext& ctx,
+                                 const ValidatedMergeResult* donor = nullptr);
 
 struct MergedModeSet {
   /// One merged mode per clique (cliques of size 1 reuse the original mode's

@@ -97,6 +97,8 @@ struct ClockMap {
 
   void register_clock(size_t mode, ClockId mode_clock, ClockId merged,
                       size_t total_modes);
+
+  friend bool operator==(const ClockMap&, const ClockMap&) = default;
 };
 
 struct MergeStats {
@@ -146,11 +148,23 @@ struct MergeStats {
   double pass3_seconds = 0.0;
 };
 
+/// Lengths of the merged deck's refinement-appended lists (and of the
+/// notes) as the preliminary merge left them. Refinement only appends — to
+/// disables, clock sense stops and exceptions — so everything past these
+/// marks is the refinement's fix list.
+struct FixListMarks {
+  size_t disables = 0;
+  size_t clock_sense_stops = 0;
+  size_t exceptions = 0;
+  size_t notes = 0;
+};
+
 struct MergeResult {
   std::unique_ptr<Sdc> merged;
   ClockMap clock_map;
   MergeStats stats;
   std::vector<std::string> notes;  // human-readable decision log
+  FixListMarks fix_marks;
 
   void note(std::string msg) { notes.push_back(std::move(msg)); }
 };

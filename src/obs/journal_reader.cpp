@@ -243,6 +243,10 @@ std::string render_timeline(const JournalData& journal) {
   struct CommitState {
     std::vector<std::string> deltas;
     uint64_t bytes = 0;
+    // Merges in corners c > 0 that shared corner 0's refinement / that
+    // refined on their own.
+    uint64_t shared = 0;
+    uint64_t refined_in_corner = 0;
   };
   std::map<CommitKey, CommitState> open;
 
@@ -264,6 +268,14 @@ std::string render_timeline(const JournalData& journal) {
     } else if (rec.ev == "clique") {
       auto it = open.find({session, ev.uint("commit")});
       if (it != open.end()) it->second.bytes += ev.uint("sdc_bytes");
+    } else if (rec.ev == "refine" && ev.uint("corner_id") != 0) {
+      // Only C > 1 journals carry corner_id: a merge in corner c > 0
+      // either shared corner 0's refinement or ran its own.
+      auto it = open.find({session, ev.uint("commit")});
+      if (it != open.end()) {
+        ++(ev.find("shared_from") != nullptr ? it->second.shared
+                                             : it->second.refined_in_corner);
+      }
     } else if (rec.ev == "commit_end") {
       const CommitKey key{session, ev.uint("commit")};
       CommitState st = std::move(open[key]);
@@ -286,6 +298,11 @@ std::string render_timeline(const JournalData& journal) {
       os << "  cover:   " << ev.uint("cliques") << " cliques ("
          << ev.uint("cliques_merged") << " merged, "
          << ev.uint("cliques_reused") << " reused)\n";
+      if (st.shared + st.refined_in_corner > 0) {
+        os << "  corners: " << st.shared
+           << " merges shared corner 0's refinement, "
+           << st.refined_in_corner << " fell back\n";
+      }
       os << "  bytes:   " << st.bytes << " of merged SDC (re)written\n";
     }
   }

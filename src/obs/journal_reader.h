@@ -9,7 +9,9 @@
 //                    MCMM journals, which carry corner fields at C > 1)
 //                    and where the cover placed each mode
 //   render_timeline  per-commit session history: deltas -> pairs rechecked
-//                    -> cliques dirtied -> bytes changed
+//                    -> cliques dirtied (and, on MCMM journals, how many
+//                    corner merges shared corner 0's refinement) -> bytes
+//                    changed
 //   profile_report   top-k self-time table aggregated from a Chrome
 //                    trace_event file (--trace-out output)
 //

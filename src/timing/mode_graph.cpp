@@ -25,6 +25,7 @@ ModeGraph::ModeGraph(const TimingGraph& graph, const Sdc& sdc)
   {
     MM_SPAN_HOT("timing/clock_propagation");
     propagate_clocks();
+    collect_capture_clocks();
     find_active_points();
   }
 }
@@ -249,28 +250,35 @@ void ModeGraph::find_active_points() {
   }
 }
 
-std::vector<ClockArrival> ModeGraph::capture_clocks_at(PinId endpoint) const {
-  std::vector<ClockArrival> out;
+void ModeGraph::collect_capture_clocks() {
   const Design& d = graph_->design();
-  if (d.pin(endpoint).is_port()) {
-    // Output port: capture clocks come from set_output_delay -clock.
-    for (const sdc::PortDelay& pd : sdc_->port_delays()) {
-      if (pd.is_input || pd.port_pin != endpoint || !pd.clock.valid()) continue;
-      bool seen = false;
-      for (const ClockArrival& ca : out) seen |= (ca.clock == pd.clock);
-      if (!seen) out.push_back({pd.clock, 0.0});
+  capture_begin_.resize(graph_->num_nodes() + 1);
+  for (size_t p = 0; p < graph_->num_nodes(); ++p) {
+    const PinId pin(p);
+    const size_t begin = capture_clocks_.size();
+    capture_begin_[p] = static_cast<uint32_t>(begin);
+    auto add_once = [&](const ClockArrival& ca) {
+      for (size_t i = begin; i < capture_clocks_.size(); ++i) {
+        if (capture_clocks_[i].clock == ca.clock) return;
+      }
+      capture_clocks_.push_back(ca);
+    };
+    if (d.pin(pin).is_port()) {
+      // Output port: capture clocks come from set_output_delay -clock.
+      for (const sdc::PortDelay& pd : sdc_->port_delays()) {
+        if (pd.is_input || pd.port_pin != pin || !pd.clock.valid()) continue;
+        add_once({pd.clock, 0.0});
+      }
+      continue;
     }
-    return out;
-  }
-  for (uint32_t ci : graph_->checks_at(endpoint)) {
-    const Check& check = graph_->checks()[ci];
-    for (const ClockArrival& ca : clocks_on_[check.clock.index()]) {
-      bool seen = false;
-      for (const ClockArrival& o : out) seen |= (o.clock == ca.clock);
-      if (!seen) out.push_back(ca);
+    for (uint32_t ci : graph_->checks_at(pin)) {
+      const Check& check = graph_->checks()[ci];
+      for (const ClockArrival& ca : clocks_on_[check.clock.index()]) {
+        add_once(ca);
+      }
     }
   }
-  return out;
+  capture_begin_.back() = static_cast<uint32_t>(capture_clocks_.size());
 }
 
 double ModeGraph::source_latency(ClockId clock) const {

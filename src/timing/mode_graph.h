@@ -7,6 +7,7 @@
 // consume: "which arcs are alive", "which clocks reach which pins and with
 // what latency", "which pins are constants".
 
+#include <span>
 #include <vector>
 
 #include "netlist/libcell.h"
@@ -68,7 +69,12 @@ class ModeGraph {
 
   /// For a check data pin: the clocks capturing at its register's CP pin.
   /// For an output port: the -clock of its set_output_delay entries.
-  std::vector<ClockArrival> capture_clocks_at(PinId endpoint) const;
+  /// Collected once per mode; the span lives as long as this view.
+  std::span<const ClockArrival> capture_clocks_at(PinId endpoint) const {
+    const uint32_t begin = capture_begin_[endpoint.index()];
+    return {capture_clocks_.data() + begin,
+            capture_begin_[endpoint.index() + 1] - begin};
+  }
 
   /// Source latency (set_clock_latency -source) of a clock, max flavour.
   double source_latency(ClockId clock) const;
@@ -85,6 +91,7 @@ class ModeGraph {
   void apply_disables();
   void kill_blocked_arcs();
   void propagate_clocks();
+  void collect_capture_clocks();
   void find_active_points();
 
   const TimingGraph* graph_;
@@ -93,6 +100,10 @@ class ModeGraph {
   std::vector<Logic> constants_;
   std::vector<uint8_t> arc_enabled_;
   std::vector<std::vector<ClockArrival>> clocks_on_;
+  /// capture_clocks_at(p) is capture_clocks_[capture_begin_[p] ..
+  /// capture_begin_[p + 1]).
+  std::vector<uint32_t> capture_begin_;
+  std::vector<ClockArrival> capture_clocks_;
   std::vector<PinId> active_startpoints_;
   std::vector<PinId> active_endpoints_;
 };

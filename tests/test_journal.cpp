@@ -136,9 +136,11 @@ TEST_F(JournalTest, ExactEventCountsAcrossMultiCommitSession) {
   }
   EXPECT_EQ(j.events.size(), seqs.size() + 1);
 
-  // Every refine event carries the per-pass wall clocks.
+  // Every refine event carries the per-pass wall clocks, and no
+  // single-corner event names a donor corner.
   for (const JournalRecord& rec : j.events) {
     if (rec.ev != "refine") continue;
+    EXPECT_EQ(rec.json.find("shared_from"), nullptr);
     for (const char* field : {"pass0_ms", "pass1_ms", "pass2_ms", "pass3_ms"}) {
       const JsonValue* v = rec.json.find(field);
       ASSERT_NE(v, nullptr) << field;
@@ -363,6 +365,39 @@ TEST_F(JournalTest, FlatAndCornerSessionsGetDistinctSessionIds) {
   }
   EXPECT_EQ(sessions.size(), 2u);
   EXPECT_EQ(commit_keys.size(), 2u);
+}
+
+/// A corner that shares corner 0's refinement says so on its refine and
+/// equivalence events; corner 0 and single-corner events never carry the
+/// field, and the timeline reports the commit's sharing counts.
+TEST_F(JournalTest, SharedCornerEventsNameTheirDonor) {
+  const std::string file = path("journal_shared.jsonl");
+  ASSERT_TRUE(Journal::open(file));
+  merge::McmmSession corners(*graph_, merge::CornerSet({"typ", "hot"}));
+  for (size_t i = 0; i < 3; ++i) {
+    corners.add_mode(family_[i].name, {modes_[i].get(), modes_[i].get()});
+  }
+  const merge::McmmSession::CommitResult& r = corners.commit();
+  Journal::close();
+  ASSERT_GT(r.corner_shared_merges, 0u);
+
+  const JournalData j = read_journal(file);
+  size_t shared = 0;
+  for (const JournalRecord& rec : j.events) {
+    if (rec.ev != "refine" && rec.ev != "equivalence") continue;
+    const bool from_typ = rec.json.find("shared_from") != nullptr;
+    EXPECT_EQ(from_typ, rec.json.uint("corner_id") == 1) << rec.ev;
+    if (!from_typ) continue;
+    ++shared;
+    EXPECT_EQ(rec.json.str("shared_from"), "typ");
+    EXPECT_EQ(rec.json.uint("shared_from_id"), 0u);
+  }
+  EXPECT_EQ(shared, 2 * r.corner_shared_merges);
+  EXPECT_NE(render_timeline(j).find(
+                "corners: " + std::to_string(r.corner_shared_merges) +
+                " merges shared corner 0's refinement, 0 fell back"),
+            std::string::npos)
+      << render_timeline(j);
 }
 
 void write_file(const std::string& path, const std::string& text) {

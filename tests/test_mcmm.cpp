@@ -6,10 +6,15 @@
 //   - update_mode on ONE corner re-checks only that corner's value slots;
 //   - a corner-delta edit re-fills only the value table — the skeleton is
 //     never re-extracted — and a structurally broken corner falls back to
-//     full extraction without changing any verdict.
+//     full extraction without changing any verdict;
+//   - corners with corner 0's timing state take corner 0's fix list and
+//     equivalence report (one full merge per clique on a value-only
+//     family), a corner with its own case analysis falls back to a full
+//     merge, and every result is byte-equal to a flat merge of its corner.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +28,7 @@
 #include "merge/mergeability.h"
 #include "merge/merger.h"
 #include "obs/journal.h"
+#include "obs/metrics.h"
 #include "obs/journal_reader.h"
 #include "sdc/parser.h"
 #include "sdc/writer.h"
@@ -362,6 +368,206 @@ TEST_F(McmmTest, StructuralBreakCornerFallsBackWithoutChangingVerdicts) {
           << "corner " << c << " clique " << k;
     }
   }
+}
+
+uint64_t counter(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+/// Per-corner byte parity of a commit against C flat merges of each
+/// corner's live decks, equivalence reports included.
+void expect_flat_parity(const timing::TimingGraph& graph,
+                        const McmmSession& session,
+                        const MergeOptions& options) {
+  const McmmSession::CommitResult& r = session.last_commit();
+  for (CornerId c = 0; c < session.corners().size(); ++c) {
+    const MergedModeSet flat =
+        merge_mode_set(graph, session.corner_modes(c), options);
+    ASSERT_EQ(flat.cliques, r.cliques) << "corner " << c;
+    for (size_t k = 0; k < r.cliques.size(); ++k) {
+      const ValidatedMergeResult& got = *r.merged[c][k];
+      const ValidatedMergeResult& want = flat.merged[k];
+      EXPECT_EQ(sdc::write_sdc(*got.merge.merged),
+                sdc::write_sdc(*want.merge.merged))
+          << "corner " << c << " clique " << k;
+      EXPECT_EQ(got.merge.notes, want.merge.notes)
+          << "corner " << c << " clique " << k;
+      EXPECT_EQ(got.merge.stats.pass1_mismatch_fixed,
+                want.merge.stats.pass1_mismatch_fixed);
+      EXPECT_EQ(got.merge.stats.clock_stops_added,
+                want.merge.stats.clock_stops_added);
+      EXPECT_EQ(got.equivalence.keys_compared, want.equivalence.keys_compared)
+          << "corner " << c << " clique " << k;
+      EXPECT_EQ(got.equivalence.matches, want.equivalence.matches);
+      EXPECT_EQ(got.equivalence.pessimism_keys,
+                want.equivalence.pessimism_keys);
+      EXPECT_EQ(got.equivalence.optimism_violations,
+                want.equivalence.optimism_violations);
+    }
+  }
+}
+
+/// A corner matrix over the fixture design: decks[m][c], parsed.
+struct CornerMatrix {
+  gen::CornerFamily fam;
+  std::vector<std::vector<std::unique_ptr<sdc::Sdc>>> decks;
+  std::vector<std::string> corner_names;
+};
+
+CornerMatrix make_corner_matrix(const netlist::Design& design,
+                                const gen::DesignParams& dp,
+                                size_t num_modes, size_t groups,
+                                size_t num_corners) {
+  gen::ModeFamilyParams mp;
+  mp.seed = 5;
+  mp.num_modes = num_modes;
+  mp.target_groups = groups;
+  mp.group_mcps = 4;
+  mp.mode_fps = 6;
+  gen::CornerFamilyParams cp;
+  cp.num_corners = num_corners;
+  CornerMatrix out;
+  out.fam = gen::generate_corner_family(dp, mp, cp);
+  for (const gen::CornerSpec& spec : out.fam.corners) {
+    out.corner_names.push_back(spec.name);
+  }
+  for (const std::vector<std::string>& row : out.fam.sdc_texts) {
+    out.decks.emplace_back();
+    for (const std::string& text : row) {
+      out.decks.back().push_back(
+          std::make_unique<sdc::Sdc>(sdc::parse_sdc(text, design)));
+    }
+  }
+  return out;
+}
+
+McmmSession::ModeId add_row(McmmSession& session, const CornerMatrix& mx,
+                            size_t m) {
+  std::vector<const Sdc*> decks;
+  for (const auto& d : mx.decks[m]) decks.push_back(d.get());
+  return session.add_mode(mx.fam.modes[m].name, decks);
+}
+
+TEST_F(McmmTest, ValueOnlyFamilyRefinesEachCliqueOnce) {
+  const CornerMatrix mx =
+      make_corner_matrix(*design_, dp_, /*num_modes=*/16, /*groups=*/4,
+                         /*num_corners=*/4);
+  MergeOptions options;  // validation on: the report is shared too
+  McmmSession session(*graph_, CornerSet(mx.corner_names), options);
+  for (size_t m = 0; m < mx.decks.size(); ++m) add_row(session, mx, m);
+
+  const uint64_t shared_before = counter("session/corner_shared_merges");
+  const uint64_t fallbacks_before = counter("session/corner_share_fallbacks");
+  const McmmSession::CommitResult& r = session.commit();
+  ASSERT_EQ(r.cliques.size(), 4u);
+  EXPECT_EQ(r.cliques_merged, 16u);
+  // 4 full merges in corner 0, 12 shared ones in corners 1..3.
+  EXPECT_EQ(r.corner_shared_merges, 12u);
+  EXPECT_EQ(r.corner_share_fallbacks, 0u);
+  EXPECT_EQ(counter("session/corner_shared_merges") - shared_before, 12u);
+  EXPECT_EQ(counter("session/corner_share_fallbacks") - fallbacks_before, 0u);
+  for (CornerId c = 0; c < 4; ++c) {
+    for (const auto& result : r.merged[c]) {
+      EXPECT_EQ(result->shared, c != kPrimaryCorner);
+      if (!result->shared) continue;
+      // No refinement or validation ran for a shared result.
+      EXPECT_EQ(result->merge.stats.refinement_seconds, 0.0);
+      EXPECT_EQ(result->merge.stats.validate_seconds, 0.0);
+      EXPECT_EQ(result->merge.stats.pass1_seconds, 0.0);
+    }
+  }
+  expect_flat_parity(*graph_, session, options);
+}
+
+TEST_F(McmmTest, CaseAnalysisEditFallsBackInItsCornerOnly) {
+  const CornerMatrix mx =
+      make_corner_matrix(*design_, dp_, /*num_modes=*/6, /*groups=*/2,
+                         /*num_corners=*/4);
+  MergeOptions options;
+  McmmSession session(*graph_, CornerSet(mx.corner_names), options);
+  std::vector<McmmSession::ModeId> ids;
+  for (size_t m = 0; m < mx.decks.size(); ++m) {
+    ids.push_back(add_row(session, mx, m));
+  }
+  session.commit();
+
+  // Edit every corner of mode 0; only corner 2 gains a case analysis on a
+  // data-network pin (a timing-state change mergeability does not see).
+  std::vector<std::unique_ptr<sdc::Sdc>> edited;
+  for (CornerId c = 0; c < 4; ++c) {
+    gen::CornerSpec spec = mx.fam.corners[c];
+    if (c == 2) spec.timing_state_break = gen::TimingStateBreak::kCaseAnalysis;
+    edited.push_back(std::make_unique<sdc::Sdc>(sdc::parse_sdc(
+        gen::apply_corner(mx.fam.modes[0].sdc_text, spec), *design_)));
+    session.update_mode(ids[0], c, edited.back().get());
+  }
+  const McmmSession::CommitResult& r = session.commit();
+  EXPECT_EQ(r.cliques_merged, 4u);  // mode 0's clique, once per corner
+  EXPECT_EQ(r.corner_shared_merges, 2u);    // corners 1 and 3
+  EXPECT_EQ(r.corner_share_fallbacks, 1u);  // corner 2
+  size_t k0 = 0;
+  while (std::find(r.clique_ids[k0].begin(), r.clique_ids[k0].end(),
+                   ids[0]) == r.clique_ids[k0].end()) {
+    ++k0;
+  }
+  EXPECT_FALSE(r.merged[2][k0]->shared);
+  EXPECT_TRUE(r.merged[1][k0]->shared);
+  expect_flat_parity(*graph_, session, options);
+
+  // Restore corner 2 alone: its one re-merge takes the fix list of corner
+  // 0's reused result.
+  const sdc::Sdc restored = sdc::parse_sdc(
+      gen::apply_corner(mx.fam.modes[0].sdc_text, mx.fam.corners[2]),
+      *design_);
+  session.update_mode(ids[0], 2, &restored);
+  const McmmSession::CommitResult& again = session.commit();
+  EXPECT_EQ(again.cliques_merged, 1u);
+  EXPECT_EQ(again.corner_shared_merges, 1u);
+  EXPECT_EQ(again.corner_share_fallbacks, 0u);
+  EXPECT_TRUE(again.reused[0][k0]);
+  expect_flat_parity(*graph_, session, options);
+}
+
+TEST_F(McmmTest, DebugMutationNeverShares) {
+  const CornerMatrix mx =
+      make_corner_matrix(*design_, dp_, /*num_modes=*/4, /*groups=*/1,
+                         /*num_corners=*/2);
+  MergeOptions options;
+  options.debug_mutation = DebugMutation::kDropExceptions;
+  McmmSession session(*graph_, CornerSet(mx.corner_names), options);
+  for (size_t m = 0; m < mx.decks.size(); ++m) add_row(session, mx, m);
+  const McmmSession::CommitResult& r = session.commit();
+  EXPECT_EQ(r.corner_shared_merges, 0u);
+  EXPECT_EQ(r.corner_share_fallbacks, r.cliques.size());
+}
+
+TEST(TimingStateFingerprintTest, CoversStateAndOmitsValues) {
+  const netlist::Library lib = netlist::Library::builtin();
+  const netlist::Design paper = gen::paper_circuit(lib);
+  const std::string base =
+      "create_clock -name c -period 10 [get_ports clk1]\n"
+      "set_clock_latency 0.4 [get_clocks c]\n"
+      "set_input_delay 1.0 -clock c [get_ports in1]\n";
+  auto fp = [&](const std::string& extra) {
+    return timing_state_fingerprint(sdc::parse_sdc(base + extra, paper));
+  };
+  const uint64_t ref = fp("");
+  // Values a corner derates leave the timing state alone ...
+  EXPECT_EQ(ref, timing_state_fingerprint(sdc::parse_sdc(
+                     "create_clock -name c -period 10 [get_ports clk1]\n"
+                     "set_clock_latency 0.9 [get_clocks c]\n"
+                     "set_input_delay 2.5 -clock c [get_ports in1]\n",
+                     paper)));
+  EXPECT_EQ(ref, fp("set_clock_uncertainty -setup 0.2 [get_clocks c]\n"));
+  // ... while case analysis and disables move it, though the structural
+  // fingerprint (mergeability's skeleton) does not see them.
+  const sdc::Sdc with_case =
+      sdc::parse_sdc(base + "set_case_analysis 0 [get_ports sel1]\n", paper);
+  EXPECT_NE(ref, timing_state_fingerprint(with_case));
+  EXPECT_EQ(structural_fingerprint(sdc::parse_sdc(base, paper)),
+            structural_fingerprint(with_case));
+  EXPECT_NE(ref, fp("set_disable_timing [get_ports sel1]\n"));
+  EXPECT_NE(ref, fp("set_input_delay 1.0 -clock c [get_ports sel1]\n"));
 }
 
 }  // namespace
