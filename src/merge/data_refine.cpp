@@ -37,6 +37,10 @@ namespace {
 
 enum Side : int { kSetup = 0, kHold = 1 };
 
+/// Path-enumeration cap per (startpoint, endpoint) pair in pass 3; a pair
+/// over the cap keeps its extra paths (pessimistic) and is noted.
+constexpr size_t kMaxEnumeratedPaths = 4096;
+
 const StateSet& side_states(const timing::RelationData& data, int side) {
   return side == kSetup ? data.states : data.hold_states;
 }
@@ -164,10 +168,8 @@ class DataRefiner {
               const MergeOptions& options)
       : ctx_(ctx),
         result_(result),
-        options_(options),
         graph_(*ctx.graph),
         analyze_hold_(options.analyze_hold),
-        pool_(ctx.pool(local_pool_, options.num_threads)),
         // Refinement only adds exceptions, which a ModeGraph never reads:
         // one merged view serves every pass.
         merged_view_(graph_, merged()) {}
@@ -178,7 +180,7 @@ class DataRefiner {
     {
       MM_SPAN("merge/refine_pass0");
       Stopwatch timer;
-      mode_exceptions_ = &ctx_.member_exceptions(pool_);
+      mode_exceptions_ = &ctx_.member_exceptions();
       step_clocks_on_data();
       s.pass0_seconds = timer.elapsed_seconds();
     }
@@ -288,7 +290,7 @@ class DataRefiner {
     // Union of individual reaches, one member per task.
     std::vector<uint64_t> allowed(num_rows * words, 0);
     std::mutex allowed_mutex;
-    pool_.parallel_for(ctx_.modes.size(), [&](size_t m) {
+    ctx_.pool.parallel_for(ctx_.modes.size(), [&](size_t m) {
       const std::vector<uint64_t> reach = member_clock_reach(m, words);
       std::lock_guard<std::mutex> lock(allowed_mutex);
       for (size_t i = 0; i < allowed.size(); ++i) allowed[i] |= reach[i];
@@ -366,13 +368,13 @@ class DataRefiner {
   std::vector<RelationMap> individual_relations(const PropagationOptions& opts) {
     std::vector<RelationMap> partial(ctx_.modes.size());
     if (opts.pin_filter == nullptr) {
-      const auto raw = ctx_.member_relations(opts, pool_);
-      pool_.parallel_for(ctx_.modes.size(), [&](size_t m) {
+      const auto raw = ctx_.member_relations(opts);
+      ctx_.pool.parallel_for(ctx_.modes.size(), [&](size_t m) {
         accumulate_mapped((*raw)[m], m, map(), partial[m]);
       });
       return partial;
     }
-    pool_.parallel_for(ctx_.modes.size(), [&](size_t m) {
+    ctx_.pool.parallel_for(ctx_.modes.size(), [&](size_t m) {
       Propagator prop(*ctx_.mode_graphs[m], *(*mode_exceptions_)[m]);
       prop.run(opts);
       accumulate_mapped(prop.relations(), m, map(), partial[m]);
@@ -507,6 +509,40 @@ class DataRefiner {
     return {descend_setup, descend_hold};
   }
 
+  /// The descent rule every group-level pass shares: emit the group's fix
+  /// (anchored by `group_anchor`); failing that, split the group by launch
+  /// clock and emit launch-qualified fixes (anchored by `launch_anchor`).
+  /// Returns whether anything is still open for the next, finer pass.
+  bool emit_or_split_by_launch(
+      const std::vector<KeyVerdict>& verdicts, const std::vector<size_t>& idxs,
+      const std::function<void(sdc::Exception&)>& group_anchor,
+      const std::function<void(sdc::Exception&, sdc::ClockId)>& launch_anchor,
+      size_t& counter) {
+    const auto [descend_s, descend_h] =
+        emit_group(verdicts, idxs, group_anchor, counter);
+    if (!descend_s && !descend_h) return false;
+
+    std::map<uint32_t, std::vector<size_t>> by_launch;
+    for (size_t i : idxs)
+      by_launch[verdicts[i].key.launch.value()].push_back(i);
+    bool still_open = false;
+    for (const auto& [launch, lidx] : by_launch) {
+      const sdc::ClockId clock(launch);
+      if (!clock.valid()) {
+        const GroupFix gs = analyze_group(verdicts, lidx, kSetup);
+        const GroupFix gh =
+            analyze_hold_ ? analyze_group(verdicts, lidx, kHold) : GroupFix{};
+        still_open |= gs.unresolved() || gh.unresolved();
+        continue;
+      }
+      const auto [ds, dh] = emit_group(
+          verdicts, lidx,
+          [&](sdc::Exception& ex) { launch_anchor(ex, clock); }, counter);
+      still_open |= ds || dh;
+    }
+    return still_open;
+  }
+
   // --- pass 0: clock-pair-level comparison -------------------------------------
   //
   // Coarser than the paper's pass 1: if the merged mode times ANY path
@@ -607,37 +643,19 @@ class DataRefiner {
     }
 
     std::set<uint32_t> ambiguous_endpoints;
-    for (auto& [ep, idxs] : by_endpoint) {
-      // Endpoint-level group (the paper's CSTR1: set_false_path -to rX/D).
-      auto [descend_s, descend_h] = emit_group(
+    for (const auto& [ep, idxs] : by_endpoint) {
+      const PinId endpoint(ep);
+      // Endpoint-level group (the paper's CSTR1: set_false_path -to rX/D),
+      // then per (endpoint, launch) groups: -from <clock> -to <endpoint>.
+      const bool open = emit_or_split_by_launch(
           verdicts, idxs,
-          [&](sdc::Exception& ex) { ex.to.pins.push_back(PinId(ep)); },
+          [&](sdc::Exception& ex) { ex.to.pins.push_back(endpoint); },
+          [&](sdc::Exception& ex, sdc::ClockId launch) {
+            ex.from.clocks.push_back(launch);
+            ex.to.pins.push_back(endpoint);
+          },
           result_.stats.pass1_mismatch_fixed);
-      if (!descend_s && !descend_h) continue;
-
-      // Per (endpoint, launch) groups: -from <clock> -to <endpoint>.
-      std::map<uint32_t, std::vector<size_t>> by_launch;
-      for (size_t i : idxs)
-        by_launch[verdicts[i].key.launch.value()].push_back(i);
-      bool still_open = false;
-      for (auto& [launch, lidx] : by_launch) {
-        if (!sdc::ClockId(launch).valid()) {
-          const GroupFix gs = analyze_group(verdicts, lidx, kSetup);
-          const GroupFix gh =
-              analyze_hold_ ? analyze_group(verdicts, lidx, kHold) : GroupFix{};
-          if (gs.unresolved() || gh.unresolved()) still_open = true;
-          continue;
-        }
-        auto [ds, dh] = emit_group(
-            verdicts, lidx,
-            [&](sdc::Exception& ex) {
-              ex.from.clocks.push_back(sdc::ClockId(launch));
-              ex.to.pins.push_back(PinId(ep));
-            },
-            result_.stats.pass1_mismatch_fixed);
-        still_open |= ds | dh;
-      }
-      if (still_open) ambiguous_endpoints.insert(ep);
+      if (open) ambiguous_endpoints.insert(ep);
     }
 
     // Optimism in the other direction: individual keys with timed states
@@ -690,51 +708,26 @@ class DataRefiner {
       verdicts.push_back(classify_key(indiv, key, data, "pass 2"));
     }
 
-    for (auto& [pair_key, idxs] : by_pair) {
+    for (const auto& [pair_key, idxs] : by_pair) {
       const PinId endpoint(pair_key.first);
       const PinId startpoint(pair_key.second);
-
-      // Pair-level group (paper's CSTR2: -from rA/CP -to rY/D).
-      auto [descend_s, descend_h] = emit_group(
+      // Pair-level group (paper's CSTR2: -from rA/CP -to rY/D), then
+      // per-launch groups (the §3.1.10 form).
+      const bool open = emit_or_split_by_launch(
           verdicts, idxs,
           [&](sdc::Exception& ex) {
             ex.from.pins.push_back(startpoint);
             ex.to.pins.push_back(endpoint);
           },
+          [&](sdc::Exception& ex, sdc::ClockId launch) {
+            ex.from.clocks.push_back(launch);
+            sdc::ExceptionPoint through;
+            through.pins.push_back(startpoint);
+            ex.throughs.push_back(std::move(through));
+            ex.to.pins.push_back(endpoint);
+          },
           result_.stats.pass2_mismatch_fixed);
-      if (!descend_s && !descend_h) continue;
-
-      // Per-launch groups (the §3.1.10 form).
-      std::map<uint32_t, std::vector<size_t>> by_launch;
-      for (size_t i : idxs)
-        by_launch[verdicts[i].key.launch.value()].push_back(i);
-      bool pair_open = false;
-      for (auto& [launch, lidx] : by_launch) {
-        if (!sdc::ClockId(launch).valid()) {
-          const GroupFix gs = analyze_group(verdicts, lidx, kSetup);
-          const GroupFix gh =
-              analyze_hold_ ? analyze_group(verdicts, lidx, kHold) : GroupFix{};
-          if (gs.unresolved() || gh.unresolved()) pair_open = true;
-          continue;
-        }
-        auto [ds, dh] = emit_group(
-            verdicts, lidx,
-            [&](sdc::Exception& ex) {
-              ex.from.clocks.push_back(sdc::ClockId(launch));
-              sdc::ExceptionPoint through;
-              through.pins.push_back(startpoint);
-              ex.throughs.push_back(std::move(through));
-              ex.to.pins.push_back(endpoint);
-            },
-            result_.stats.pass2_mismatch_fixed);
-        pair_open |= ds | dh;
-      }
-      if (pair_open) {
-        Pass3Pair p;
-        p.startpoint = startpoint;
-        p.endpoint = endpoint;
-        pass3_pairs_.push_back(p);
-      }
+      if (open) pass3_pairs_.push_back({startpoint, endpoint});
     }
     result_.stats.pass2_ambiguous = pass3_pairs_.size();
   }
@@ -763,7 +756,7 @@ class DataRefiner {
   }
 
   /// All arc-enabled paths S -> E in the merged view, pruned to E's fan-in
-  /// cone, capped at options_.max_enumerated_paths.
+  /// cone, capped at kMaxEnumeratedPaths.
   std::vector<std::vector<PinId>> enumerate_paths(const ModeGraph& view,
                                                   PinId start, PinId end,
                                                   bool* overflow) const {
@@ -782,7 +775,7 @@ class DataRefiner {
       Frame& frame = stack.back();
       if (frame.pin == end && stack.size() > 1) {
         paths.push_back(current);
-        if (paths.size() >= options_.max_enumerated_paths) {
+        if (paths.size() >= kMaxEnumeratedPaths) {
           *overflow = true;
           return paths;
         }
@@ -1115,11 +1108,8 @@ class DataRefiner {
 
   const RefineContext& ctx_;
   MergeResult& result_;
-  const MergeOptions& options_;
   const TimingGraph& graph_;
   const bool analyze_hold_;
-  std::unique_ptr<ThreadPool> local_pool_;
-  ThreadPool& pool_;
   const ModeGraph merged_view_;
 
   const std::vector<std::unique_ptr<CompiledExceptions>>* mode_exceptions_ =

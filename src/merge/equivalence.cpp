@@ -4,7 +4,6 @@
 
 #include "obs/obs.h"
 #include "timing/relationships.h"
-#include "util/thread_pool.h"
 
 namespace mm::merge {
 
@@ -26,7 +25,8 @@ const StateSet& side_states(const timing::RelationData& data, int side) {
 
 EquivalenceReport check_equivalence(const RefineContext& ctx,
                                     const Sdc& merged, const ClockMap& map,
-                                    bool startpoint_level, size_t num_threads,
+                                    bool startpoint_level,
+                                    size_t /*num_threads*/,
                                     bool /*use_batched_sta*/) {
   MM_SPAN("merge/equivalence");
   EquivalenceReport report;
@@ -37,13 +37,10 @@ EquivalenceReport check_equivalence(const RefineContext& ctx,
   opts.track_startpoints = startpoint_level;
   opts.analyze_hold = true;
 
-  std::unique_ptr<ThreadPool> local;
-  ThreadPool& pool = ctx.pool(local, num_threads);
-
   // Individual side: the union over members of their (memoized) relation
   // maps, clocks mapped to merged space. Merged side: one serial walk.
   RelationMap indiv;
-  const auto members = ctx.member_relations(opts, pool);
+  const auto members = ctx.member_relations(opts);
   for (size_t m = 0; m < members->size(); ++m) {
     accumulate_mapped((*members)[m], m, map, indiv);
   }

@@ -37,8 +37,9 @@ struct EquivalenceReport {
 /// data refinement on the same context only the merged deck is walked, by
 /// one Propagator run.
 ///
-/// `use_batched_sta`: ignored; kept only because the benchmark harness still
-/// names it; removed with the next benchmark PR.
+/// Member walks fan out on `ctx.pool`. `num_threads` and `use_batched_sta`
+/// are ignored; they are kept only because the benchmark harness still
+/// names them, and go with the next benchmark change.
 EquivalenceReport check_equivalence(const RefineContext& ctx,
                                     const Sdc& merged, const ClockMap& map,
                                     bool startpoint_level = false,

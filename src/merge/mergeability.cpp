@@ -18,11 +18,6 @@ namespace mm::merge {
 
 namespace {
 
-bool within_tolerance(double a, double b, double rel_tol) {
-  const double scale = std::max({std::fabs(a), std::fabs(b), 1e-12});
-  return std::fabs(a - b) <= rel_tol * scale + 1e-12;
-}
-
 /// Largest windowed acceptance seen while checking one pair: the policy
 /// provenance that ends up in PairVerdict. Strictly-greater updates + the
 /// identical comparison visit order of both check paths (the relationship
@@ -302,14 +297,14 @@ PairVerdict check_mergeable(const ModeRelationships& a,
         return one_sided_conflict(ex.sig_full, ex.full_id.id());
       }
     }
-    return {true, ""};
+    return PairVerdict{};
   };
   PairVerdict v = check_one_sided(a, b);
   if (!v.mergeable) return finish_verdict(std::move(v), options, use);
   v = check_one_sided(b, a);
   if (!v.mergeable) return finish_verdict(std::move(v), options, use);
 
-  return finish_verdict({true, ""}, options, use);
+  return finish_verdict(PairVerdict{}, options, use);
 }
 
 PairVerdict check_mergeable_values(const ModeRelationships& a,
@@ -325,7 +320,7 @@ PairVerdict check_mergeable_values(const ModeRelationships& a,
           a.drives, b.drives, a.loads, b.loads, options, use)) {
     return finish_verdict(std::move(*d), options, use);
   }
-  return finish_verdict({true, ""}, options, use);
+  return finish_verdict(PairVerdict{}, options, use);
 }
 
 PairVerdict check_mergeable_in_corner(CornerId corner,
@@ -548,14 +543,14 @@ PairVerdict check_mergeable(const Sdc& a, const Sdc& b,
         return one_sided_conflict(sig, 0);
       }
     }
-    return {true, ""};
+    return PairVerdict{};
   };
   PairVerdict v = check_one_sided(a, b_sigs, b_keys);
   if (!v.mergeable) return finish_verdict(std::move(v), options, use);
   v = check_one_sided(b, a_sigs, a_keys);
   if (!v.mergeable) return finish_verdict(std::move(v), options, use);
 
-  return finish_verdict({true, ""}, options, use);
+  return finish_verdict(PairVerdict{}, options, use);
 }
 
 MergeabilityGraph::MergeabilityGraph(const std::vector<const Sdc*>& modes,

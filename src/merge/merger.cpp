@@ -129,10 +129,8 @@ ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
 
     if (options.validate) {
       Stopwatch vtimer;
-      out.equivalence = check_equivalence(ctx, *out.merge.merged,
-                                          out.merge.clock_map,
-                                          /*startpoint_level=*/false,
-                                          options.num_threads);
+      out.equivalence =
+          check_equivalence(ctx, *out.merge.merged, out.merge.clock_map);
       out.merge.stats.validate_seconds = vtimer.elapsed_seconds();
       if (!out.equivalence.signoff_safe()) {
         MM_ERROR("merged mode has %zu optimism violation(s)",

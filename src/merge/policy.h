@@ -22,6 +22,7 @@
 // grants an absolute 1e-12 slop, so any comparison it rejects has
 // |a - b| > 1e-12 and cannot fit a zero window either.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -32,6 +33,13 @@ enum class PolicyLevel : uint8_t {
   kExact = 0,
   kWindowed = 1,
 };
+
+/// Accept `a` vs `b` when they agree within the relative `rel_tol`
+/// (paper §3.1.2), plus an absolute 1e-12 slop for values near zero.
+inline bool within_tolerance(double a, double b, double rel_tol) {
+  const double scale = std::max({std::fabs(a), std::fabs(b), 1e-12});
+  return std::fabs(a - b) <= rel_tol * scale + 1e-12;
+}
 
 /// Accept `a` vs `b` under an absolute pessimism window (same 1e-12
 /// absolute slop as within_tolerance, so window boundaries behave like

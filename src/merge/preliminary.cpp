@@ -33,10 +33,7 @@ void ClockMap::register_clock(size_t mode, ClockId mode_clock, ClockId merged,
 
 namespace {
 
-bool within_tolerance(double a, double b, double rel_tol) {
-  const double scale = std::max({std::fabs(a), std::fabs(b), 1e-12});
-  return std::fabs(a - b) <= rel_tol * scale + 1e-12;
-}
+using ClockInfo = ModeRelationships::ClockInfo;
 
 class PreliminaryMerger {
  public:
@@ -181,14 +178,17 @@ class PreliminaryMerger {
            within_window(f.min_value, f.max_value, window);
   }
 
-  template <class Getter>
-  Flavour collect(ClockId merged_clock, Getter getter) {
+  /// Fold one constraint channel over the members that have the clock.
+  /// `channel(info)` returns the channel's (value, present) from a
+  /// member clock's effective constraint values (relationship_cache.h:
+  /// last matching entry wins).
+  template <class Channel>
+  Flavour collect(ClockId merged_clock, Channel channel) {
     Flavour f;
     for (size_t m = 0; m < modes_.size(); ++m) {
       const ClockId mc = result_.clock_map.mode_clock_of(merged_clock, m);
       if (!mc.valid()) continue;  // clock absent in this mode: not counted
-      bool present = false;
-      const double v = getter(*modes_[m], mc, present);
+      const auto [v, present] = channel(rels_[m]->clocks[mc.index()]);
       if (!present) {
         f.present_everywhere = false;
         continue;
@@ -207,16 +207,9 @@ class PreliminaryMerger {
 
   void merge_latency(ClockId mc, bool source) {
     for (bool max_side : {false, true}) {
-      const Flavour f = collect(mc, [&](const Sdc& sdc, ClockId c, bool& present) {
-        double v = 0.0;
-        present = false;
-        for (const sdc::ClockLatency& lat : sdc.clock_latencies()) {
-          if (lat.clock != c || lat.source != source) continue;
-          if (max_side ? !lat.minmax.max : !lat.minmax.min) continue;
-          v = lat.value;
-          present = true;
-        }
-        return v;
+      const Flavour f = collect(mc, [&](const ClockInfo& c) {
+        return std::pair(c.latency[source][max_side],
+                         c.latency_present[source][max_side]);
       });
       if (!f.present_anywhere) continue;
       const bool enveloped =
@@ -245,16 +238,8 @@ class PreliminaryMerger {
   }
 
   void merge_uncertainty(ClockId mc, bool setup) {
-    const Flavour f = collect(mc, [&](const Sdc& sdc, ClockId c, bool& present) {
-      double v = 0.0;
-      present = false;
-      for (const sdc::ClockUncertainty& unc : sdc.clock_uncertainties()) {
-        if (unc.clock != c) continue;
-        if (setup ? !unc.setup_hold.setup : !unc.setup_hold.hold) continue;
-        v = unc.value;
-        present = true;
-      }
-      return v;
+    const Flavour f = collect(mc, [&](const ClockInfo& c) {
+      return std::pair(c.uncertainty[setup], c.uncertainty_present[setup]);
     });
     if (!f.present_anywhere) return;
     if (!f.present_everywhere || !f.within) {
@@ -277,16 +262,8 @@ class PreliminaryMerger {
   }
 
   void merge_transition(ClockId mc, bool max_side) {
-    const Flavour f = collect(mc, [&](const Sdc& sdc, ClockId c, bool& present) {
-      double v = 0.0;
-      present = false;
-      for (const sdc::ClockTransition& tr : sdc.clock_transitions()) {
-        if (tr.clock != c) continue;
-        if (max_side ? !tr.minmax.max : !tr.minmax.min) continue;
-        v = tr.value;
-        present = true;
-      }
-      return v;
+    const Flavour f = collect(mc, [&](const ClockInfo& c) {
+      return std::pair(c.transition[max_side], c.transition_present[max_side]);
     });
     if (!f.present_anywhere) return;
     const bool enveloped = !f.within && f.present_everywhere &&

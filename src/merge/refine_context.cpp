@@ -14,21 +14,13 @@ namespace {
 /// maps alive would cost memory for no reuse.
 bool memoizable(const PropagationOptions& opts) {
   return !opts.track_startpoints && opts.pin_filter == nullptr &&
-         opts.startpoints == nullptr && opts.max_tags_per_pin == 0 &&
          opts.arc_delays == nullptr && opts.arc_delays_min == nullptr;
 }
 
 }  // namespace
 
-ThreadPool& RefineContext::pool(std::unique_ptr<ThreadPool>& local,
-                                size_t num_threads) const {
-  if (session != nullptr) return session->pool();
-  local = std::make_unique<ThreadPool>(num_threads);
-  return *local;
-}
-
 const std::vector<std::unique_ptr<CompiledExceptions>>&
-RefineContext::member_exceptions(ThreadPool& pool) const {
+RefineContext::member_exceptions() const {
   std::lock_guard<std::mutex> lock(memo_mutex_);
   if (member_exceptions_.size() != modes.size()) {
     member_exceptions_.resize(modes.size());
@@ -41,7 +33,7 @@ RefineContext::member_exceptions(ThreadPool& pool) const {
 }
 
 std::shared_ptr<const std::vector<RelationMap>> RefineContext::member_relations(
-    const PropagationOptions& opts, ThreadPool& pool) const {
+    const PropagationOptions& opts) const {
   const bool memo = memoizable(opts);
   if (memo) {
     std::lock_guard<std::mutex> lock(memo_mutex_);
@@ -51,7 +43,7 @@ std::shared_ptr<const std::vector<RelationMap>> RefineContext::member_relations(
     }
   }
 
-  const auto& excs = member_exceptions(pool);
+  const auto& excs = member_exceptions();
   auto maps = std::make_shared<std::vector<RelationMap>>(modes.size());
   pool.parallel_for(modes.size(), [&](size_t m) {
     Propagator prop(*mode_graphs[m], *excs[m]);

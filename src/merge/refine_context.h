@@ -20,32 +20,35 @@ struct RefineContext {
   const timing::TimingGraph* graph = nullptr;
   std::vector<const Sdc*> modes;
   std::vector<std::unique_ptr<timing::ModeGraph>> mode_graphs;
-  /// The owning merge session, when the refinement stages run inside one:
-  /// its thread pool is reused instead of one pool per stage.
-  MergeContext* session = nullptr;
 
-  RefineContext(const timing::TimingGraph& g, std::vector<const Sdc*> m,
-                size_t num_threads = 0)
-      : graph(&g), modes(std::move(m)) {
-    ThreadPool pool(num_threads == 0 ? 0 : num_threads);
-    build_mode_graphs(g, pool);
+ private:
+  /// Set only by the standalone constructor; declared before `pool` so it
+  /// exists when the reference binds to it.
+  std::unique_ptr<ThreadPool> owned_pool_;
+
+ public:
+  /// The pool every stage fans out on: the merge session's when the stages
+  /// run inside one, otherwise one the context owns (hardware threads).
+  ThreadPool& pool;
+
+  RefineContext(const timing::TimingGraph& g, std::vector<const Sdc*> m)
+      : graph(&g),
+        modes(std::move(m)),
+        owned_pool_(std::make_unique<ThreadPool>()),
+        pool(*owned_pool_) {
+    build_mode_graphs(g);
   }
 
   RefineContext(const timing::TimingGraph& g, std::vector<const Sdc*> m,
                 MergeContext& ctx)
-      : graph(&g), modes(std::move(m)), session(&ctx) {
-    build_mode_graphs(g, ctx.pool());
+      : graph(&g), modes(std::move(m)), pool(ctx.pool()) {
+    build_mode_graphs(g);
   }
 
-  /// The session's pool when there is one; otherwise a pool of
-  /// `num_threads` (0 = hardware threads) created in `local`.
-  ThreadPool& pool(std::unique_ptr<ThreadPool>& local,
-                   size_t num_threads) const;
-
-  /// Each member's compiled exceptions, built for all members (on `pool`)
-  /// on first use and kept for the context's lifetime.
+  /// Each member's compiled exceptions, built for all members on first use
+  /// and kept for the context's lifetime.
   const std::vector<std::unique_ptr<timing::CompiledExceptions>>&
-  member_exceptions(ThreadPool& pool) const;
+  member_exceptions() const;
 
   /// Each member's relation map under `opts`, keys in the member's own
   /// clock ids (not yet mapped to the merged deck). Unfiltered
@@ -53,10 +56,10 @@ struct RefineContext {
   /// the equivalence check propagate each member once per clique merge;
   /// startpoint-level or filtered requests are computed fresh every call.
   std::shared_ptr<const std::vector<timing::RelationMap>> member_relations(
-      const timing::PropagationOptions& opts, ThreadPool& pool) const;
+      const timing::PropagationOptions& opts) const;
 
  private:
-  void build_mode_graphs(const timing::TimingGraph& g, ThreadPool& pool) {
+  void build_mode_graphs(const timing::TimingGraph& g) {
     mode_graphs.resize(modes.size());
     pool.parallel_for(modes.size(), [&](size_t i) {
       mode_graphs[i] = std::make_unique<timing::ModeGraph>(g, *modes[i]);

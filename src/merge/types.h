@@ -45,11 +45,6 @@ struct MergeOptions {
   /// Relative tolerance for merging clock-based / drive / load constraint
   /// values across modes (paper §3.1.2 "within a certain tolerance limit").
   double value_tolerance = 0.0;
-  /// Absolute tolerance for waveform/period comparison when deduplicating
-  /// clocks (§3.1.1).
-  double waveform_tolerance = 1e-9;
-  /// Path-enumeration cap per (startpoint, endpoint) pair in pass 3.
-  size_t max_enumerated_paths = 4096;
   /// Worker threads for the whole merge pipeline: the MergeContext pool
   /// sized by this value runs relationship extraction, pairwise
   /// mergeability checks, refinement passes, and equivalence validation

@@ -126,7 +126,7 @@ void Propagator::run(const PropagationOptions& options) {
         insert_tag(arc.to, tag.launch, tag.progress, tag.startpoint,
                    tag.amin + static_cast<float>(delay_min),
                    tag.amax + static_cast<float>(delay),
-                   /*advance=*/true, options.max_tags_per_pin);
+                   /*advance=*/true);
       }
     }
   }
@@ -145,9 +145,7 @@ void Propagator::run(const PropagationOptions& options) {
 }
 
 void Propagator::seed(const PropagationOptions& options) {
-  const std::vector<PinId>& sps =
-      options.startpoints ? *options.startpoints : mode_->active_startpoints();
-  for (PinId sp : sps) {
+  for (PinId sp : mode_->active_startpoints()) {
     if (options.pin_filter && !(*options.pin_filter)[sp.index()]) continue;
     seed_startpoint(sp, options);
   }
@@ -172,7 +170,7 @@ void Propagator::seed_startpoint(PinId sp, const PropagationOptions& options) {
       const uint32_t prog =
           progress_.intern(exceptions_->initial_progress(sp, pd.clock));
       insert_tag(sp, pd.clock, prog, tracked_sp, arrival, arrival,
-                 /*advance=*/false, options.max_tags_per_pin);
+                 /*advance=*/false);
     }
     return;
   }
@@ -188,13 +186,13 @@ void Propagator::seed_startpoint(PinId sp, const PropagationOptions& options) {
     const uint32_t prog =
         progress_.intern(exceptions_->initial_progress(sp, ca.clock));
     insert_tag(sp, ca.clock, prog, tracked_sp, arrival, arrival,
-               /*advance=*/false, options.max_tags_per_pin);
+               /*advance=*/false);
   }
 }
 
 void Propagator::insert_tag(PinId pin, ClockId launch, uint32_t progress_pre,
                             PinId startpoint, float amin, float amax,
-                            bool advance, size_t max_tags) {
+                            bool advance) {
   uint32_t progress = progress_pre;
   if (advance && exceptions_->num_tracked() > 0) {
     if (!exceptions_->throughs_at(pin).empty()) {
@@ -210,10 +208,6 @@ void Propagator::insert_tag(PinId pin, ClockId launch, uint32_t progress_pre,
       t.amax = std::max(t.amax, amax);
       return;
     }
-  }
-  if (max_tags != 0 && vec.size() >= max_tags) {
-    tag_overflow_ = true;
-    return;
   }
   vec.push_back({launch, progress, startpoint, amin, amax});
 }
@@ -368,10 +362,8 @@ void Propagator::resolve_endpoint(PinId endpoint,
               launch_edge + tc + cap_lat - unc - setup_time - output_delay;
           slack = required - tag.amax;
         }
-        if (slack < data.worst_slack) {
-          data.worst_slack = static_cast<float>(slack);
-          data.worst_capture = cap.clock;
-        }
+        data.worst_slack =
+            std::min(data.worst_slack, static_cast<float>(slack));
         data.worst_arrival = std::max(data.worst_arrival, tag.amax);
       }
     }

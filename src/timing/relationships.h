@@ -105,7 +105,6 @@ struct RelationData {
   float worst_slack = 1e30f;    // setup slack over timed paths (if arrivals on)
   float worst_hold_slack = 1e30f;
   float worst_arrival = -1e30f;
-  ClockId worst_capture;  // capture clock of the worst setup slack
 };
 
 using RelationMap = std::unordered_map<RelationKey, RelationData, RelationKeyHash>;
@@ -115,12 +114,6 @@ struct PropagationOptions {
   bool compute_arrivals = true;
   /// Restrict propagation to pins with filter[pin] != 0 (e.g. a fan-in cone).
   const std::vector<uint8_t>* pin_filter = nullptr;
-  /// Restrict seeding to these startpoints (nullptr = all active).
-  const std::vector<PinId>* startpoints = nullptr;
-  /// Cap on tags per pin; 0 = unlimited. When hit, extra tags are dropped
-  /// pessimistically-unsafe, so the engine records an overflow flag instead
-  /// of silently mistiming — callers must check tag_overflow().
-  size_t max_tags_per_pin = 0;
   /// Per-arc delays from a delay-calculation run (timing/delay_calc.h).
   /// nullptr falls back to the zero-slew closed-form model.
   const std::vector<double>* arc_delays = nullptr;
@@ -143,7 +136,6 @@ class Propagator {
   /// Tags on every pin after run() (indexed by pin).
   const std::vector<std::vector<Tag>>& tags() const { return tags_; }
   const ProgressTable& progress_table() const { return progress_; }
-  bool tag_overflow() const { return tag_overflow_; }
 
   /// Worst setup slack per endpoint over all keys (endpoint -> slack);
   /// endpoints with no timed relation are absent.
@@ -160,8 +152,7 @@ class Propagator {
   void seed(const PropagationOptions& options);
   void seed_startpoint(PinId sp, const PropagationOptions& options);
   void insert_tag(PinId pin, ClockId launch, uint32_t progress_pre,
-                  PinId startpoint, float amin, float amax, bool advance,
-                  size_t max_tags);
+                  PinId startpoint, float amin, float amax, bool advance);
   void resolve_endpoint(PinId endpoint, const PropagationOptions& options);
   double setup_relation(ClockId launch, ClockId capture, double mcp_mult) const;
   double hold_relation(ClockId launch, ClockId capture, double mcp_shift) const;
@@ -171,7 +162,6 @@ class Propagator {
   ProgressTable progress_;
   std::vector<std::vector<Tag>> tags_;
   RelationMap relations_;
-  bool tag_overflow_ = false;
 };
 
 }  // namespace mm::timing

@@ -29,7 +29,6 @@ StaResult run_sta(const TimingGraph& graph, const Sdc& sdc,
   prop.run(options);
 
   result.endpoint_slack = prop.worst_slack_by_endpoint();
-  result.tag_overflow = prop.tag_overflow();
   result.num_endpoints = result.endpoint_slack.size();
   for (const auto& [ep, slack] : result.endpoint_slack) {
     if (slack < 0) {
@@ -56,7 +55,6 @@ StaResult run_sta_multi(const TimingGraph& graph,
   StaResult combined;
   for (const Sdc* sdc : modes) {
     const StaResult one = run_sta(graph, *sdc);
-    combined.tag_overflow |= one.tag_overflow;
     for (const auto& [ep, slack] : one.endpoint_slack) {
       auto [it, inserted] = combined.endpoint_slack.emplace(ep, slack);
       if (!inserted) it->second = std::min(it->second, slack);

@@ -22,7 +22,6 @@ struct StaResult {
   double whs = 0.0;         // worst negative hold slack
   size_t num_endpoints = 0;
   double runtime_seconds = 0.0;
-  bool tag_overflow = false;
 };
 
 /// Run full STA on one mode. The TimingGraph must be built from sdc's

@@ -346,8 +346,7 @@ TEST_F(DataRefineTest, CliqueMergePropagatesEachMemberOnce) {
   // merged deck: one propagation over one ModeGraph.
   const Work before_validate = Work::now();
   const EquivalenceReport report =
-      check_equivalence(ctx, *result.merged, result.clock_map,
-                        /*startpoint_level=*/false, options.num_threads);
+      check_equivalence(ctx, *result.merged, result.clock_map);
   const Work validate = Work::now().since(before_validate);
   EXPECT_EQ(validate.propagations, 1u);
   EXPECT_EQ(validate.mode_graphs, 1u);

@@ -233,5 +233,50 @@ TEST_F(PrelimTest, GeneratedClockMasterRemapped) {
   EXPECT_EQ(g.master_clock, "m");
 }
 
+TEST_F(PrelimTest, ClockConstraintChannelsUseEffectiveValues) {
+  // Each constraint is written twice in mode A; only the last entry is in
+  // effect. A superseded value leaking into the merge would show up as a
+  // 0.9 latency, a 0.8 setup uncertainty or a 0.6 transition.
+  sdc::Sdc a = parse(
+      "create_clock -name c -period 10 [get_ports clk1]\n"
+      "set_clock_latency 0.9 [get_clocks c]\n"
+      "set_clock_latency 0.4 [get_clocks c]\n"
+      "set_clock_latency -source 0.7 [get_clocks c]\n"
+      "set_clock_uncertainty -setup 0.8 [get_clocks c]\n"
+      "set_clock_uncertainty -setup 0.2 [get_clocks c]\n"
+      "set_clock_uncertainty -hold 0.05 [get_clocks c]\n"
+      "set_clock_transition 0.6 [get_clocks c]\n"
+      "set_clock_transition 0.1 [get_clocks c]\n");
+  sdc::Sdc b = parse(
+      "create_clock -name c -period 10 [get_ports clk1]\n"
+      "set_clock_latency 0.5 [get_clocks c]\n"
+      "set_clock_uncertainty -setup 0.15 [get_clocks c]\n"
+      "set_clock_transition -max 0.12 [get_clocks c]\n");
+  MergeOptions loose;
+  loose.value_tolerance = 0.5;
+  MergeResult r = preliminary_merge({&a, &b}, loose);
+
+  // Network latency, in both modes: min of mins / max of maxes over the
+  // effective values. Source latency is only in A: dropped on both sides.
+  ASSERT_EQ(r.merged->clock_latencies().size(), 2u);
+  for (const sdc::ClockLatency& lat : r.merged->clock_latencies()) {
+    EXPECT_FALSE(lat.source);
+    EXPECT_DOUBLE_EQ(lat.value, lat.minmax.max ? 0.5 : 0.4);
+  }
+
+  // Uncertainty: the max over modes, and a hold value only A sets is kept.
+  ASSERT_EQ(r.merged->clock_uncertainties().size(), 2u);
+  for (const sdc::ClockUncertainty& unc : r.merged->clock_uncertainties()) {
+    EXPECT_DOUBLE_EQ(unc.value, unc.setup_hold.setup ? 0.2 : 0.05);
+  }
+
+  // Transition: the max side is in both modes; the min side only in A.
+  ASSERT_EQ(r.merged->clock_transitions().size(), 1u);
+  EXPECT_TRUE(r.merged->clock_transitions()[0].minmax.max);
+  EXPECT_FALSE(r.merged->clock_transitions()[0].minmax.min);
+  EXPECT_DOUBLE_EQ(r.merged->clock_transitions()[0].value, 0.12);
+  EXPECT_EQ(r.stats.clock_constraints_dropped, 3u);
+}
+
 }  // namespace
 }  // namespace mm::merge
