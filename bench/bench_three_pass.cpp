@@ -34,7 +34,9 @@ netlist::Design make_diamond_design(const netlist::Library& lib,
   b.input("clk");
   b.input("din");
   for (size_t l = 0; l < ladders; ++l) {
-    const std::string p = "l" + std::to_string(l) + "_";
+    std::string p = "l";
+    p += std::to_string(l);
+    p += '_';
     b.inst("DFF", p + "rs", {{"D", "din"}, {"CP", "clk"}, {"Q", p + "q0"}});
     std::string prev = p + "q0";
     for (size_t s = 0; s < stages; ++s) {

@@ -649,7 +649,7 @@ void check_policy_property(const timing::TimingGraph& graph,
 /// multiplicative derates preserve exact-policy verdicts corner by corner,
 /// see gen/corner_gen.h) is merged corner-aware; the combined mergeability
 /// graph must equal the corner-0 reference graph edge for edge and reason
-/// for reason (skeleton sharing + value-only screens change no verdict),
+/// for reason (skeleton sharing + delta fills change no verdict),
 /// and every corner's merged decks must be byte-identical to an
 /// independent flat merge of that corner's decks. In some cases one corner
 /// also gets its own timing state (gen::TimingStateBreak), so corner

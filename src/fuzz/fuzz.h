@@ -164,7 +164,7 @@ std::string mutate_sdc_text(const std::string& text, util::Rng& rng);
 ///                    exact-policy verdicts corner by corner): the combined
 ///                    mergeability graph equals the corner-0 reference
 ///                    graph edge for edge and reason for reason — skeleton
-///                    sharing and value-only corner checks change no
+///                    sharing and per-corner delta fills change no
 ///                    verdict — and each corner's merged decks are
 ///                    byte-identical to an independent flat merge of that
 ///                    corner's decks. Some cases give one corner its own

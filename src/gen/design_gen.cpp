@@ -89,8 +89,9 @@ Design generate_design(const netlist::Library& lib, const DesignParams& p) {
     std::string data = pick_source();
     for (size_t g = 0; g < p.comb_per_reg; ++g) {
       const char* cell = kCombCells[rng.below(std::size(kCombCells))];
-      const std::string gname = "g" + std::to_string(gate_counter);
-      const std::string znet = "n" + std::to_string(gate_counter);
+      const std::string id = std::to_string(gate_counter);
+      const std::string gname = "g" + id;
+      const std::string znet = "n" + id;
       ++gate_counter;
       if (cell[0] == 'I') {  // INV: single input
         b.inst(cell, gname, {{"A", data}, {"Z", znet}});

@@ -146,14 +146,4 @@ uint64_t timing_state_fingerprint(const Sdc& sdc) {
   return f.h;
 }
 
-ModeSkeleton skeleton_of(const Sdc& sdc) {
-  ModeSkeleton s;
-  s.structure_hash = structural_fingerprint(sdc);
-  s.num_clocks = sdc.num_clocks();
-  s.num_exceptions = sdc.exceptions().size();
-  s.num_drive_channels = sdc.drives().size();
-  s.num_load_channels = sdc.loads().size();
-  return s;
-}
-
 }  // namespace mm::merge

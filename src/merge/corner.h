@@ -5,12 +5,13 @@
 // definitions, exception anchors, constraint presence) is shared. The
 // engine therefore splits one mode's relationship data into
 //
-//   ModeSkeleton  — the value-independent structure, interned once per mode
-//                   into the shared CanonicalKeyTable (clock keys,
-//                   exception signatures, drive/load channel shape), and
-//   CornerDelta   — one per-corner table of the values riding on that
-//                   structure (relationship_cache.h fills it by a cheap
-//                   value-only re-scan of the corner deck),
+//   the skeleton  — the value-independent structure of the primary corner's
+//                   relationship set, interned once per mode into the shared
+//                   CanonicalKeyTable (clock keys, exception signatures,
+//                   drive/load channel shape), and
+//   corner values — the per-corner values riding on that structure
+//                   (relationship_cache.h fills them by a cheap value-only
+//                   re-scan of the corner deck),
 //
 // turning modes x corners relationship extraction into modes skeleton
 // interns + modes x corners delta fills. structural_fingerprint() is the
@@ -63,19 +64,6 @@ class CornerSet {
   std::vector<std::string> names_;
 };
 
-/// Value-independent summary of one mode's relationship structure. The
-/// authoritative skeleton *data* lives in the primary corner's
-/// ModeRelationships entry (relationship_cache.h) — this struct is the
-/// identity card: the structure hash corner decks are matched against,
-/// plus counts for reports.
-struct ModeSkeleton {
-  uint64_t structure_hash = 0;
-  size_t num_clocks = 0;
-  size_t num_exceptions = 0;
-  size_t num_drive_channels = 0;  // drive entries (channel shape, not values)
-  size_t num_load_channels = 0;
-};
-
 /// Hash of everything relationship extraction reads except per-corner
 /// values: design identity, the full clock table, exceptions (kind, value,
 /// setup/hold, anchor pins + clock indices), and the drive/load channel
@@ -95,8 +83,5 @@ uint64_t structural_fingerprint(const Sdc& sdc);
 /// whose member and preliminary decks have equal fingerprints (and equal
 /// clock maps) refine to the same fix list and validate to the same report.
 uint64_t timing_state_fingerprint(const Sdc& sdc);
-
-/// The skeleton identity card of a deck (one structural_fingerprint pass).
-ModeSkeleton skeleton_of(const Sdc& sdc);
 
 }  // namespace mm::merge

@@ -94,38 +94,6 @@ DynamicBitset keyset_bits(const KeySet& keys) {
   return bits;
 }
 
-KeyId CanonicalKeyTable::clock_key_id(const Sdc& sdc, ClockId id) {
-  return intern(clock_key(sdc, id));
-}
-
-KeySet CanonicalKeyTable::mode_clock_key_ids(const Sdc& sdc) {
-  KeySet ids;
-  ids.reserve(sdc.num_clocks());
-  for (size_t i = 0; i < sdc.num_clocks(); ++i) {
-    ids.push_back(clock_key_id(sdc, ClockId(i)));
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
-}
-
-KeyId CanonicalKeyTable::exception_signature_id(const Sdc& sdc,
-                                                const sdc::Exception& ex,
-                                                bool include_value) {
-  return intern(exception_signature(sdc, ex, include_value));
-}
-
-KeySet CanonicalKeyTable::effective_from_key_ids(const Sdc& sdc,
-                                                 const sdc::Exception& ex) {
-  if (ex.from.clocks.empty()) return mode_clock_key_ids(sdc);
-  KeySet ids;
-  ids.reserve(ex.from.clocks.size());
-  for (ClockId c : ex.from.clocks) ids.push_back(clock_key_id(sdc, c));
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
-}
-
 KeyId CanonicalKeyTable::intern(std::string_view key) {
   std::lock_guard<std::mutex> lock(mutex_);
   const size_t before = pool_.size();

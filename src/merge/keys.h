@@ -80,19 +80,6 @@ class CanonicalKeyTable {
   CanonicalKeyTable(const CanonicalKeyTable&) = delete;
   CanonicalKeyTable& operator=(const CanonicalKeyTable&) = delete;
 
-  /// Interned clock_key(sdc, id).
-  KeyId clock_key_id(const Sdc& sdc, ClockId id);
-
-  /// Interned mode_clock_keys(sdc), sorted by id.
-  KeySet mode_clock_key_ids(const Sdc& sdc);
-
-  /// Interned exception_signature(sdc, ex, include_value).
-  KeyId exception_signature_id(const Sdc& sdc, const sdc::Exception& ex,
-                               bool include_value);
-
-  /// Interned effective_from_keys(sdc, ex), sorted by id.
-  KeySet effective_from_key_ids(const Sdc& sdc, const sdc::Exception& ex);
-
   /// Intern an arbitrary key string.
   KeyId intern(std::string_view key);
 

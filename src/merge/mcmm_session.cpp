@@ -46,8 +46,7 @@ McmmSession::McmmSession(const timing::TimingGraph& graph, CornerSet corners,
     : timing_graph_(graph),
       corners_(std::move(corners)),
       ctx_(&ctx),
-      journal_id_(next_session_journal_id()),
-      policy_salt_(ctx.options().policy.fingerprint()) {}
+      journal_id_(next_session_journal_id()) {}
 
 McmmSession::McmmSession(const timing::TimingGraph& graph, CornerSet corners,
                          MergeOptions options)
@@ -55,16 +54,13 @@ McmmSession::McmmSession(const timing::TimingGraph& graph, CornerSet corners,
       corners_(std::move(corners)),
       owned_ctx_(std::make_unique<MergeContext>(options)),
       ctx_(owned_ctx_.get()),
-      journal_id_(next_session_journal_id()),
-      policy_salt_(owned_ctx_->options().policy.fingerprint()) {}
+      journal_id_(next_session_journal_id()) {}
 
 McmmSession::~McmmSession() = default;
 
-uint64_t McmmSession::pair_key(ModeId a, ModeId b) const {
+uint64_t McmmSession::pair_key(ModeId a, ModeId b) {
   if (a > b) std::swap(a, b);
-  // XOR-salted with the policy fingerprint (0 under exact, so exact keys are
-  // the plain packed ids); remove_mode un-salts before parsing the ids back.
-  return ((a << 32) | b) ^ policy_salt_;
+  return (a << 32) | b;
 }
 
 size_t McmmSession::position_of(ModeId id) const {
@@ -167,7 +163,7 @@ void McmmSession::remove_mode(ModeId id) {
   // Drop the mode's verdict row; surviving pairs stay clean — only cliques
   // that contained the mode will re-merge (their member-id key changes).
   for (auto it = pairs_.begin(); it != pairs_.end();) {
-    const uint64_t key = it->first ^ policy_salt_;
+    const uint64_t key = it->first;
     if ((key >> 32) == id || (key & 0xffffffffu) == id) {
       it = pairs_.erase(it);
     } else {
@@ -285,9 +281,7 @@ const McmmSession::CommitResult& McmmSession::commit() {
         CornerId c = 0;
         for (; c < num_corners; ++c) {
           if (!st.checked[c]) {
-            st.verdicts[c] = check_mergeable_in_corner(
-                c, *a.rels[c], *a.rels[kPrimaryCorner], *b.rels[c],
-                *b.rels[kPrimaryCorner], options);
+            st.verdicts[c] = check_mergeable(*a.rels[c], *b.rels[c], options);
             st.checked[c] = 1;
             ++computed[p];
           }
@@ -407,24 +401,19 @@ const McmmSession::CommitResult& McmmSession::commit() {
   // reused) is there to donate its fix list to the later corners.
   out.merged.resize(num_corners);
   out.reused.resize(num_corners);
-  std::unordered_map<std::string, std::shared_ptr<ValidatedMergeResult>>
-      next_results;
+  std::vector<CliqueResults> next_results(num_corners);
+  clique_results_.resize(num_corners);  // empty before the first commit
   for (CornerId c = 0; c < num_corners; ++c) {
+    const CliqueResults& prev_results = clique_results_[c];
     for (size_t clique_index = 0; clique_index < out.cliques.size();
          ++clique_index) {
       const std::vector<size_t>& clique = out.cliques[clique_index];
-      std::string key;
-      if (policy_salt_ != 0) key = "p" + std::to_string(policy_salt_) + ":";
-      if (!corners_.single()) key += "c" + std::to_string(c) + ":";
+      const std::vector<ModeId>& ids = out.clique_ids[clique_index];
       bool any_dirty = false;
-      for (size_t pos : clique) {
-        key += std::to_string(modes_[pos].id);
-        key += ',';
-        any_dirty = any_dirty || slot_dirty(pos, c);
-      }
+      for (size_t pos : clique) any_dirty = any_dirty || slot_dirty(pos, c);
       std::shared_ptr<ValidatedMergeResult> result;
-      auto prev = clique_results_.find(key);
-      const bool had_prev = results_valid_ && prev != clique_results_.end();
+      auto prev = prev_results.find(ids);
+      const bool had_prev = prev != prev_results.end();
       const bool reuse = !any_dirty && had_prev;
       if (reuse) {
         result = prev->second;
@@ -455,13 +444,12 @@ const McmmSession::CommitResult& McmmSession::commit() {
                        reuse ? "reused" : (had_prev ? "remerged" : "formed"),
                        *result);
       }
-      next_results.emplace(std::move(key), result);
+      next_results[c].emplace(ids, result);
       out.merged[c].push_back(result);
       out.reused[c].push_back(reuse);
     }
   }
   clique_results_ = std::move(next_results);
-  results_valid_ = true;
   dirty_.clear();
 
   MM_COUNT("session/commits", 1);
@@ -605,7 +593,6 @@ std::vector<MergedModeSet> McmmSession::release_batch() {
   }
   last_ = CommitResult{};
   clique_results_.clear();
-  results_valid_ = false;
   return out;
 }
 

@@ -23,15 +23,14 @@
 //
 // Corners vary only constraint values, so each mode has one skeleton
 // extraction (corner 0) plus one value-only delta fill per other corner.
-// Two modes merge only when mergeable in EVERY corner: corner 0 runs the
-// full check, the others the value-only screen while they share their
-// mode's skeleton (check_mergeable_in_corner), with early exit on the
-// first conflicting corner. ONE clique cover is computed over the combined
-// verdicts, and each clique merges once per corner. Refinement and
-// validation read only value-independent timing state, so a corner c > 0
-// whose member decks have corner 0's timing state takes corner 0's fix
-// list and equivalence report instead of refining again (merge_modes'
-// donor); any other corner falls back to a full merge.
+// Two modes merge only when mergeable in EVERY corner: check_mergeable
+// runs on each corner in order, with early exit on the first conflicting
+// corner. ONE clique cover is computed over the combined verdicts, and
+// each clique merges once per corner. Refinement and validation read only
+// value-independent timing state, so a corner c > 0 whose member decks
+// have corner 0's timing state takes corner 0's fix list and equivalence
+// report instead of refining again (merge_modes' donor); any other corner
+// falls back to a full merge.
 //
 // The session is rooted in a MergeContext (key table, relationship cache,
 // thread pool): borrow one to share those caches across sessions, or pass
@@ -46,6 +45,7 @@
 // (docs/OBSERVABILITY.md).
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -185,7 +185,8 @@ class McmmSession {
     uint32_t scanned = 0;
   };
 
-  uint64_t pair_key(ModeId a, ModeId b) const;
+  /// The two ids packed into one key, smaller id in the high half.
+  static uint64_t pair_key(ModeId a, ModeId b);
   size_t position_of(ModeId id) const;
   /// The clique event of one (clique, corner) slot, followed by its refine
   /// and equivalence events when the slot was merged this commit.
@@ -203,10 +204,6 @@ class McmmSession {
   /// the 1-based commit counter scoping each journal segment.
   uint64_t journal_id_ = 0;
   uint64_t commit_seq_ = 0;
-  /// Content fingerprint of the context's merge policy (0 for exact),
-  /// folded into every pair key and clique-result key so cached decisions
-  /// made under one policy are never served to another.
-  uint64_t policy_salt_ = 0;
 
   ModeId next_id_ = 1;
   std::vector<Entry> modes_;  // live modes, insertion order
@@ -215,11 +212,11 @@ class McmmSession {
   /// Dirty (mode, corner) slots since the last commit; a mode is present
   /// only with at least one dirty slot.
   std::unordered_map<ModeId, std::vector<uint8_t>> dirty_;
-  bool results_valid_ = false;
-  /// Previous commit's per-(clique, corner) results, keyed by
-  /// "p<salt>:c<corner>:id,id,..." (salt/corner tags dropped when 0 / C==1).
-  std::unordered_map<std::string, std::shared_ptr<ValidatedMergeResult>>
-      clique_results_;
+  /// Previous commit's results of one corner, keyed by clique member ids.
+  using CliqueResults =
+      std::map<std::vector<ModeId>, std::shared_ptr<ValidatedMergeResult>>;
+  /// [corner]; empty before the first commit and after release_batch().
+  std::vector<CliqueResults> clique_results_;
   MergeabilityGraph graph_{0, {}, {}};
   CommitResult last_;
 };

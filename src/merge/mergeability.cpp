@@ -307,66 +307,25 @@ PairVerdict check_mergeable(const ModeRelationships& a,
   return finish_verdict(PairVerdict{}, options, use);
 }
 
-PairVerdict check_mergeable_values(const ModeRelationships& a,
-                                   const ModeRelationships& b,
-                                   const MergeOptions& options) {
-  WindowUse use;
-  if (std::optional<PairVerdict> v =
-          clock_conflict_screen(a, b, options, use)) {
-    MM_COUNT("merge/mergeability_prescreen_conflicts", 1);
-    return finish_verdict(std::move(*v), options, use);
-  }
-  if (std::optional<PairVerdict> d = drive_load_conflict_screen(
-          a.drives, b.drives, a.loads, b.loads, options, use)) {
-    return finish_verdict(std::move(*d), options, use);
-  }
-  return finish_verdict(PairVerdict{}, options, use);
-}
-
-PairVerdict check_mergeable_in_corner(CornerId corner,
-                                      const ModeRelationships& a,
-                                      const ModeRelationships& a_primary,
-                                      const ModeRelationships& b,
-                                      const ModeRelationships& b_primary,
-                                      const MergeOptions& options) {
-  const bool shares_skeleton = corner != kPrimaryCorner &&
-                               a.structure_fp == a_primary.structure_fp &&
-                               b.structure_fp == b_primary.structure_fp;
-  return shares_skeleton ? check_mergeable_values(a, b, options)
-                         : check_mergeable(a, b, options);
-}
-
 PairVerdict check_mergeable_corners(
     const std::vector<const ModeRelationships*>& a,
     const std::vector<const ModeRelationships*>& b, const CornerSet& corners,
     const MergeOptions& options) {
   MM_ASSERT(a.size() == corners.size() && b.size() == corners.size());
-  // Structural check: once per pair, through the primary corner. At C == 1
-  // the corner accounting fields stay at their flat defaults, so the
-  // returned verdict is the flat verdict member for member.
-  PairVerdict primary = check_mergeable_in_corner(
-      kPrimaryCorner, *a[0], *a[0], *b[0], *b[0], options);
-  MM_COUNT("merge/mcmm_structural_checks", 1);
-  if (!primary.mergeable) {
-    if (!corners.single()) {
-      primary.corner = corners.name(kPrimaryCorner);
-      primary.corner_id = kPrimaryCorner;
-      primary.corners_checked = 1;
-    }
-    return primary;
-  }
-  // Value checks per corner, early exit on the first conflicting corner.
-  for (CornerId c = 1; c < corners.size(); ++c) {
-    PairVerdict v = check_mergeable_in_corner(c, *a[c], *a[kPrimaryCorner],
-                                              *b[c], *b[kPrimaryCorner],
-                                              options);
-    MM_COUNT("merge/mcmm_value_checks", 1);
+  PairVerdict primary;
+  for (CornerId c = 0; c < corners.size(); ++c) {
+    PairVerdict v = check_mergeable(*a[c], *b[c], options);
     if (!v.mergeable) {
-      v.corner = corners.name(c);
-      v.corner_id = c;
-      v.corners_checked = c + 1;
+      // At C == 1 the corner fields stay at their flat defaults, so the
+      // returned verdict is the flat verdict member for member.
+      if (!corners.single()) {
+        v.corner = corners.name(c);
+        v.corner_id = c;
+        v.corners_checked = c + 1;
+      }
       return v;
     }
+    if (c == kPrimaryCorner) primary = std::move(v);
   }
   if (!corners.single()) {
     primary.corners_checked = static_cast<uint32_t>(corners.size());

@@ -49,11 +49,11 @@ struct PairVerdict {
   double window_budget = 0.0;
 
   /// Corner provenance (merge/corner.h), filled only by
-  /// check_mergeable_corners and the session's combined verdict: the corner the first conflict fired in (name
-  /// + id; empty/0 on a single-corner run or a flat check), and how many
-  /// corners were value-checked before the verdict settled — C on a
-  /// mergeable verdict (every corner agreed), the conflicting corner's
-  /// 1-based position on early exit. All three stay at their flat defaults
+  /// check_mergeable_corners and the session's combined verdict: the corner
+  /// the first conflict fired in (name + id; empty/0 on a single-corner run
+  /// or a flat check), and how many corners were checked before the
+  /// verdict settled — C on a mergeable verdict (every corner agreed), the
+  /// conflicting corner's 1-based position on early exit. All three stay at their flat defaults
   /// from the corner-unaware check paths AND at C == 1, so a single-corner
   /// verdict is the flat verdict member for member.
   std::string corner;
@@ -85,41 +85,13 @@ PairVerdict check_mergeable(const ModeRelationships& a,
                             const ModeRelationships& b,
                             const MergeOptions& options);
 
-/// The value-only half of check_mergeable: the clock constraint-window
-/// screen plus drive/load compatibility, skipping the exception-signature
-/// sections entirely. Valid as a corner's full verdict ONLY when the
-/// corner shares its mode's skeleton with a corner already checked in
-/// full: exception signatures, from-keys and clock-key sets are structural
-/// (merge/corner.h), so the skipped sections are guaranteed to reproduce
-/// the primary corner's outcome. Visit order matches check_mergeable, so
-/// a value conflict carries the identical reason/category/subject.
-PairVerdict check_mergeable_values(const ModeRelationships& a,
-                                   const ModeRelationships& b,
-                                   const MergeOptions& options);
-
-/// One corner's verdict for a pair, given each mode's relationship set in
-/// `corner` and in the primary corner: the full check at the primary
-/// corner or when either corner deck left its mode's skeleton (structure
-/// fingerprint differs from the primary's), the value-only screen
-/// otherwise. The per-corner step of check_mergeable_corners and of the
-/// session's resume scan (merge/mcmm_session.h).
-PairVerdict check_mergeable_in_corner(CornerId corner,
-                                      const ModeRelationships& a,
-                                      const ModeRelationships& a_primary,
-                                      const ModeRelationships& b,
-                                      const ModeRelationships& b_primary,
-                                      const MergeOptions& options);
-
 /// The MCMM accept rule: two modes merge only when mergeable in EVERY
 /// registered corner. `a`/`b` hold one relationship set per corner
-/// (corner-major, a.size() == corners.size()). The structural check runs
-/// once — corner 0 goes through full check_mergeable — and corners 1..C-1
-/// run the value-only check when they share their mode's skeleton (full
-/// check on a structure mismatch), with early exit on the first
-/// conflicting corner. Conflict verdicts carry the corner's name/id when
-/// C > 1; a C == 1 call returns exactly the flat verdict (byte-identical
-/// single-corner path). The mergeable verdict's window provenance is the
-/// primary corner's.
+/// (corner-major, a.size() == corners.size()); check_mergeable runs on each
+/// corner in order, with early exit on the first conflicting corner.
+/// Conflict verdicts carry the corner's name/id when C > 1; a C == 1 call
+/// returns exactly the flat verdict (byte-identical single-corner path).
+/// The mergeable verdict's window provenance is the primary corner's.
 PairVerdict check_mergeable_corners(
     const std::vector<const ModeRelationships*>& a,
     const std::vector<const ModeRelationships*>& b, const CornerSet& corners,

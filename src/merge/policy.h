@@ -91,32 +91,6 @@ struct MergePolicy {
            kSlewDelayGain * (window_transition + window_drive_load);
   }
 
-  /// Stable content fingerprint (FNV-1a over level + window bit patterns).
-  /// 0 for the exact policy — pair-verdict caches key on it so sessions
-  /// with different policies never alias (merge/session.h).
-  uint64_t fingerprint() const {
-    if (!windowed()) return 0;
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-      for (int byte = 0; byte < 8; ++byte) {
-        h ^= (v >> (byte * 8)) & 0xff;
-        h *= 1099511628211ull;
-      }
-    };
-    mix(static_cast<uint64_t>(level));
-    auto bits = [](double d) {
-      uint64_t u;
-      static_assert(sizeof u == sizeof d);
-      __builtin_memcpy(&u, &d, sizeof u);
-      return u;
-    };
-    mix(bits(window_latency));
-    mix(bits(window_uncertainty));
-    mix(bits(window_transition));
-    mix(bits(window_drive_load));
-    return h != 0 ? h : 1;  // reserve 0 for exact
-  }
-
   friend bool operator==(const MergePolicy&, const MergePolicy&) = default;
 };
 

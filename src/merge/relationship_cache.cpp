@@ -92,7 +92,7 @@ ModeRelationships extract_relationships(const Sdc& sdc,
   // reproduces check_mergeable's last-matching-entry-wins scans.
   out.clocks.resize(sdc.num_clocks());
   std::map<std::string, uint32_t> by_key;  // first clock per key
-  KeySet clock_key_ids;
+  KeySet clock_keyset;
   for (size_t i = 0; i < sdc.num_clocks(); ++i) {
     ModeRelationships::ClockInfo& c = out.clocks[i];
     c.key = clock_key(sdc, ClockId(i));
@@ -100,12 +100,12 @@ ModeRelationships extract_relationships(const Sdc& sdc,
     by_key.emplace(c.key, static_cast<uint32_t>(i));
     // First-wins per key id == first-wins per key string (same bijection).
     out.by_key_id.emplace(c.key_id.id(), static_cast<uint32_t>(i));
-    clock_key_ids.push_back(c.key_id);
+    clock_keyset.push_back(c.key_id);
   }
   out.clock_order.reserve(by_key.size());
   for (const auto& [key, index] : by_key) out.clock_order.push_back(index);
-  std::sort(clock_key_ids.begin(), clock_key_ids.end());
-  out.clock_key_bits = keyset_bits(clock_key_ids);
+  std::sort(clock_keyset.begin(), clock_keyset.end());
+  out.clock_key_bits = keyset_bits(clock_keyset);
   fill_clock_values(out, sdc);
 
   // Exceptions: both signature flavors + effective launch-clock keys.
@@ -163,9 +163,8 @@ void RelationshipCache::invalidate(const Sdc& sdc) {
   map_.erase(key);
 }
 
-std::shared_ptr<const ModeRelationships> RelationshipCache::get(
-    const Sdc& sdc) {
-  const uint64_t key = content_key(sdc);
+RelationshipCache::Entry RelationshipCache::lookup_or_insert(
+    uint64_t key, const std::function<Entry()>& make) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = map_.find(key);
@@ -176,10 +175,9 @@ std::shared_ptr<const ModeRelationships> RelationshipCache::get(
     }
   }
 
-  // Extract outside the lock; a concurrent miss on the same key extracts
-  // twice and the first insert wins.
-  auto rels = std::make_shared<const ModeRelationships>(
-      extract_relationships(sdc, table_));
+  // Build outside the lock; a concurrent miss on the same key builds twice
+  // and the first insert wins.
+  Entry rels = make();
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.misses;
   MM_COUNT("merge/relationship_cache_misses", 1);
@@ -191,53 +189,42 @@ std::shared_ptr<const ModeRelationships> RelationshipCache::get(
   return it->second;
 }
 
+std::shared_ptr<const ModeRelationships> RelationshipCache::get(
+    const Sdc& sdc) {
+  return lookup_or_insert(content_key(sdc), [&] {
+    return std::make_shared<const ModeRelationships>(
+        extract_relationships(sdc, table_));
+  });
+}
+
 std::shared_ptr<const ModeRelationships> RelationshipCache::get_corner(
     const Sdc& corner_sdc, const ModeRelationships& skeleton) {
-  const uint64_t key = content_key(corner_sdc);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      ++stats_.hits;
-      MM_COUNT("merge/relationship_cache_hits", 1);
-      return it->second;
+  return lookup_or_insert(content_key(corner_sdc), [&]() -> Entry {
+    if (structural_fingerprint(corner_sdc) == skeleton.structure_fp) {
+      // Value-only delta fill: the skeleton's canonical keys, signatures
+      // and interned view are valid verbatim for this corner (equal
+      // fingerprints on the same design imply equal key derivations), so
+      // only the value tables are re-scanned — no string building, no
+      // interning.
+      MM_SPAN_HOT("merge/relationship_delta_fill");
+      auto filled = std::make_shared<ModeRelationships>(skeleton);
+      fill_clock_values(*filled, corner_sdc);
+      filled->drives = corner_sdc.drives();
+      filled->loads = corner_sdc.loads();
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++stats_.delta_fills;
+      MM_COUNT("merge/relationship_cache_delta_fills", 1);
+      return filled;
     }
-  }
-
-  std::shared_ptr<const ModeRelationships> rels;
-  if (structural_fingerprint(corner_sdc) == skeleton.structure_fp) {
-    // Value-only delta fill: the skeleton's canonical keys, signatures and
-    // interned view are valid verbatim for this corner (equal fingerprints
-    // on the same design imply equal key derivations), so only the value
-    // tables are re-scanned — no string building, no interning.
-    MM_SPAN_HOT("merge/relationship_delta_fill");
-    auto filled = std::make_shared<ModeRelationships>(skeleton);
-    fill_clock_values(*filled, corner_sdc);
-    filled->drives = corner_sdc.drives();
-    filled->loads = corner_sdc.loads();
-    rels = std::move(filled);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.delta_fills;
-    MM_COUNT("merge/relationship_cache_delta_fills", 1);
-  } else {
     // The corner deck's structure diverged from its mode's skeleton (extra
     // clock, edited exception, reshaped drive list): full extraction.
-    rels = std::make_shared<const ModeRelationships>(
+    Entry rels = std::make_shared<const ModeRelationships>(
         extract_relationships(corner_sdc, table_));
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.skeleton_mismatches;
     MM_COUNT("merge/relationship_cache_skeleton_mismatches", 1);
-  }
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-  MM_COUNT("merge/relationship_cache_misses", 1);
-  if (map_.size() >= max_entries_ && !map_.count(key)) {
-    stats_.evictions += map_.size();
-    map_.clear();
-  }
-  auto [it, inserted] = map_.emplace(key, std::move(rels));
-  return it->second;
+    return rels;
+  });
 }
 
 void RelationshipCache::clear() {

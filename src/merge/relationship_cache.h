@@ -23,6 +23,7 @@
 // their ids are mutually comparable.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -147,10 +148,17 @@ class RelationshipCache {
   Stats stats() const;
 
  private:
+  using Entry = std::shared_ptr<const ModeRelationships>;
+
+  /// The entry under `key`, counted as a hit; on a miss, `make()` builds it
+  /// outside the lock and it is inserted (evicting the whole table when
+  /// full).
+  Entry lookup_or_insert(uint64_t key, const std::function<Entry()>& make);
+
   const size_t max_entries_;
   CanonicalKeyTable& table_;
   mutable std::mutex mutex_;
-  std::unordered_map<uint64_t, std::shared_ptr<const ModeRelationships>> map_;
+  std::unordered_map<uint64_t, Entry> map_;
   Stats stats_;
 };
 

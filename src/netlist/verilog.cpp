@@ -301,7 +301,10 @@ bool needs_escape(std::string_view name) {
 
 std::string emit_name(std::string_view name) {
   if (!needs_escape(name)) return std::string(name);
-  return "\\" + std::string(name) + " ";
+  std::string out = "\\";
+  out.append(name);
+  out += ' ';
+  return out;
 }
 
 }  // namespace

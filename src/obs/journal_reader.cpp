@@ -254,12 +254,13 @@ std::string render_timeline(const JournalData& journal) {
   for (const JournalRecord& rec : journal.events) {
     const JsonValue& ev = rec.json;
     const uint64_t session = ev.uint("session");
+    auto delta = [&](char op) { return op + ev.str("name"); };
     if (rec.ev == "mode_add") {
-      pending[session].push_back("+" + ev.str("name"));
+      pending[session].push_back(delta('+'));
     } else if (rec.ev == "mode_update") {
-      pending[session].push_back("~" + ev.str("name"));
+      pending[session].push_back(delta('~'));
     } else if (rec.ev == "mode_remove") {
-      pending[session].push_back("-" + ev.str("name"));
+      pending[session].push_back(delta('-'));
     } else if (rec.ev == "commit_begin") {
       CommitState st;
       st.deltas = std::move(pending[session]);

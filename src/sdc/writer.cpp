@@ -1,9 +1,25 @@
 #include "sdc/writer.h"
 
+#include <charconv>
+#include <ostream>
 #include <sstream>
 
 namespace mm::sdc {
 namespace {
+
+/// A constraint value as the shortest text that parses back to the same
+/// double, in printf %g layout (so every value %g already printed exactly
+/// keeps its bytes): write_sdc + parse_sdc round-trips each value bitwise.
+struct Num {
+  double value;
+};
+
+std::ostream& operator<<(std::ostream& os, Num n) {
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof buf, n.value, std::chars_format::general);
+  return os.write(buf, r.ptr - buf);
+}
 
 class Writer {
  public:
@@ -36,10 +52,12 @@ class Writer {
         for (PinId p : c.sources) out_ << ' ' << pin_ref(p);
         out_ << '\n';
       } else {
-        out_ << "create_clock -name " << c.name << " -period " << c.period;
+        out_ << "create_clock -name " << c.name << " -period "
+             << Num{c.period};
         if (c.waveform.size() == 2 &&
             (c.waveform[0] != 0.0 || c.waveform[1] != c.period / 2)) {
-          out_ << " -waveform {" << c.waveform[0] << ' ' << c.waveform[1] << '}';
+          out_ << " -waveform {" << Num{c.waveform[0]} << ' '
+               << Num{c.waveform[1]} << '}';
         }
         if (c.add) out_ << " -add";
         for (PinId p : c.sources) out_ << ' ' << pin_ref(p);
@@ -56,24 +74,24 @@ class Writer {
       out_ << "set_clock_latency";
       if (lat.source) out_ << " -source";
       minmax(lat.minmax);
-      out_ << ' ' << lat.value << ' ' << clock_ref(lat.clock) << '\n';
+      out_ << ' ' << Num{lat.value} << ' ' << clock_ref(lat.clock) << '\n';
     }
     for (const ClockUncertainty& unc : sdc_.clock_uncertainties()) {
       out_ << "set_clock_uncertainty";
       setup_hold(unc.setup_hold);
-      out_ << ' ' << unc.value << ' ' << clock_ref(unc.clock) << '\n';
+      out_ << ' ' << Num{unc.value} << ' ' << clock_ref(unc.clock) << '\n';
     }
     for (const ClockTransition& tr : sdc_.clock_transitions()) {
       out_ << "set_clock_transition";
       minmax(tr.minmax);
-      out_ << ' ' << tr.value << ' ' << clock_ref(tr.clock) << '\n';
+      out_ << ' ' << Num{tr.value} << ' ' << clock_ref(tr.clock) << '\n';
     }
   }
 
   void write_port_delays() {
     for (const PortDelay& pd : sdc_.port_delays()) {
       out_ << (pd.is_input ? "set_input_delay" : "set_output_delay");
-      out_ << ' ' << pd.value;
+      out_ << ' ' << Num{pd.value};
       if (pd.clock.valid()) out_ << " -clock " << clock_ref(pd.clock);
       if (pd.clock_fall) out_ << " -clock_fall";
       if (pd.add_delay) out_ << " -add_delay";
@@ -147,10 +165,14 @@ class Writer {
       switch (ex.kind) {
         case ExceptionKind::kFalsePath: out_ << "set_false_path"; break;
         case ExceptionKind::kMulticyclePath:
-          out_ << "set_multicycle_path " << ex.value;
+          out_ << "set_multicycle_path " << Num{ex.value};
           break;
-        case ExceptionKind::kMinDelay: out_ << "set_min_delay " << ex.value; break;
-        case ExceptionKind::kMaxDelay: out_ << "set_max_delay " << ex.value; break;
+        case ExceptionKind::kMinDelay:
+          out_ << "set_min_delay " << Num{ex.value};
+          break;
+        case ExceptionKind::kMaxDelay:
+          out_ << "set_max_delay " << Num{ex.value};
+          break;
       }
       if (ex.setup_hold == SetupHoldFlags::setup_only()) out_ << " -setup";
       if (ex.setup_hold == SetupHoldFlags::hold_only()) out_ << " -hold";
@@ -175,16 +197,17 @@ class Writer {
     for (const DriveConstraint& dc : sdc_.drives()) {
       out_ << (dc.is_transition ? "set_input_transition" : "set_drive");
       minmax(dc.minmax);
-      out_ << ' ' << dc.value << ' ' << port_ref(dc.port_pin) << '\n';
+      out_ << ' ' << Num{dc.value} << ' ' << port_ref(dc.port_pin) << '\n';
     }
     for (const LoadConstraint& lc : sdc_.loads()) {
-      out_ << "set_load " << lc.value << ' ' << port_ref(lc.port_pin) << '\n';
+      out_ << "set_load " << Num{lc.value} << ' ' << port_ref(lc.port_pin)
+           << '\n';
     }
     for (const DesignRule& rule : sdc_.design_rules()) {
       out_ << (rule.kind == DesignRule::Kind::kMaxTransition
                    ? "set_max_transition "
                    : "set_max_capacitance ")
-           << rule.value;
+           << Num{rule.value};
       if (rule.port_pin.valid()) out_ << ' ' << port_ref(rule.port_pin);
       out_ << '\n';
     }

@@ -96,9 +96,4 @@ void ThreadPool::parallel_for(size_t count, size_t min_grain,
   if (done->error) std::rethrow_exception(done->error);
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
-}
-
 }  // namespace mm

@@ -37,9 +37,6 @@ class ThreadPool {
   void parallel_for(size_t count, size_t min_grain,
                     const std::function<void(size_t)>& fn);
 
-  /// Process-wide default pool (lazily constructed, hardware threads).
-  static ThreadPool& global();
-
  private:
   void worker_loop();
 

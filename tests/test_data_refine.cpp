@@ -270,8 +270,10 @@ TEST_F(DataRefineTest, Pass0MatchesSetReferenceAcrossWordBoundary) {
   for (size_t m = 0; m < 2; ++m) {
     std::ostringstream os;
     for (size_t c = 0; c < 33; ++c) {
-      const std::string name =
-          "C" + std::to_string(m) + "_" + std::to_string(c);
+      std::string name = "C";
+      name += std::to_string(m);
+      name += '_';
+      name += std::to_string(c);
       os << "create_clock -name " << name << " -period "
          << 1.0 + 0.25 * static_cast<double>(m * 33 + c)
          << " -add [get_ports clk1]\n"

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -27,6 +28,7 @@
 #include "merge/merger.h"
 #include "merge/mergeability.h"
 #include "merge/preliminary.h"
+#include "merge/relationship_cache.h"
 #include "sdc/parser.h"
 #include "sdc/writer.h"
 #include "timing/graph.h"
@@ -91,14 +93,28 @@ TEST_F(KeysTest, ClockKeyIdMatchesStringKey) {
       "create_clock -name c1 -period 10 [get_ports clk1]\n"
       "create_clock -name c2 -period 20 [get_ports clk2]\n");
   CanonicalKeyTable table;
+  const ModeRelationships rels = extract_relationships(mode, table);
+  ASSERT_EQ(rels.clocks.size(), mode.num_clocks());
   for (size_t i = 0; i < mode.num_clocks(); ++i) {
     const ClockId id{i};
-    EXPECT_EQ(table.str(table.clock_key_id(mode, id)), clock_key(mode, id));
+    EXPECT_EQ(table.str(rels.clocks[i].key_id), clock_key(mode, id));
   }
-  // mode_clock_key_ids is the interned image of mode_clock_keys.
-  std::set<std::string> from_ids;
-  for (KeyId k : table.mode_clock_key_ids(mode)) from_ids.insert(table.str(k));
-  EXPECT_EQ(from_ids, mode_clock_keys(mode));
+  // clock_key_bits is the interned image of mode_clock_keys.
+  const std::set<std::string> keys = mode_clock_keys(mode);
+  for (const std::string& k : keys) {
+    EXPECT_TRUE(rels.clock_key_bits.test(table.intern(k).id())) << k;
+  }
+  EXPECT_EQ(rels.clock_key_bits.count(), keys.size());
+}
+
+/// mode_clock_keys interned into `table`, sorted by id.
+KeySet interned_clock_keys(CanonicalKeyTable& table, const sdc::Sdc& mode) {
+  KeySet ids;
+  for (const std::string& k : mode_clock_keys(mode)) {
+    ids.push_back(table.intern(k));
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 TEST_F(KeysTest, KeySetDisjointAgreesWithStringPath) {
@@ -109,9 +125,9 @@ TEST_F(KeysTest, KeySetDisjointAgreesWithStringPath) {
   sdc::Sdc c = parse("create_clock -name w -period 5 [get_ports clk1]\n");
 
   CanonicalKeyTable table;
-  const KeySet ka = table.mode_clock_key_ids(a);
-  const KeySet kb = table.mode_clock_key_ids(b);
-  const KeySet kc = table.mode_clock_key_ids(c);
+  const KeySet ka = interned_clock_keys(table, a);
+  const KeySet kb = interned_clock_keys(table, b);
+  const KeySet kc = interned_clock_keys(table, c);
 
   // a shares clk2@20 with b; c's clk1@5 matches neither.
   EXPECT_FALSE(keys_disjoint(ka, kb));
@@ -154,11 +170,6 @@ TEST_F(KeysTest, GeneratedClockKeysEncodeGenerationParams) {
   // Different divide ratio: different identity.
   EXPECT_NE(kg2, kg4);
 
-  CanonicalKeyTable table;
-  EXPECT_EQ(table.clock_key_id(div2, div2.find_clock("g")),
-            table.clock_key_id(div2_renamed, div2_renamed.find_clock("h")));
-  EXPECT_NE(table.clock_key_id(div2, div2.find_clock("g")),
-            table.clock_key_id(div4, div4.find_clock("g")));
 }
 
 TEST_F(KeysTest, GeneratedClockMergeIdenticalBothPaths) {

@@ -87,15 +87,13 @@ class PolicyFamilyTest : public ::testing::Test {
   std::vector<std::unique_ptr<sdc::Sdc>> storage_;
 };
 
-/// The exact policy is the zero value: fingerprint 0 (no session cache-key
-/// salt), zero pessimism bound, and byte-identical output whether it is the
-/// default, stated explicitly, or approximated by a zero-width window.
+/// The exact policy is the zero value: zero pessimism bound, and
+/// byte-identical output whether it is the default, stated explicitly, or
+/// approximated by a zero-width window.
 TEST_F(PolicyFamilyTest, ExactEqualsZeroWidthWindowOnPaperFamily) {
   const std::vector<const sdc::Sdc*> ptrs = family(paper(10, 2));
 
-  EXPECT_EQ(MergePolicy().fingerprint(), 0u);
   EXPECT_EQ(MergePolicy().pessimism_bound(), 0.0);
-  EXPECT_NE(MergePolicy::uniform(0.25).fingerprint(), 0u);
 
   MergeOptions exact;
   exact.validate = false;
@@ -122,7 +120,8 @@ TEST_F(PolicyFamilyTest, ExactBytesIdenticalAcrossEngines) {
 
   MergeSession session(*graph_, opt);
   for (size_t i = 0; i < ptrs.size(); ++i) {
-    session.add_mode("m" + std::to_string(i), ptrs[i]);
+    const std::string id = std::to_string(i);
+    session.add_mode("m" + id, ptrs[i]);
   }
   const MergeSession::CommitResult& r = session.commit();
   ASSERT_EQ(r.cliques, base.cliques);
@@ -147,7 +146,8 @@ TEST_F(PolicyFamilyTest, SixtyFourModeExactParity) {
 
   MergeSession session(*graph_, opt);
   for (size_t i = 0; i < ptrs.size(); ++i) {
-    session.add_mode("m" + std::to_string(i), ptrs[i]);
+    const std::string id = std::to_string(i);
+    session.add_mode("m" + id, ptrs[i]);
   }
   const MergeSession::CommitResult& r = session.commit();
   ASSERT_EQ(r.cliques, base.cliques);

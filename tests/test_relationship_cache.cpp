@@ -13,9 +13,11 @@
 #include "gen/mode_gen.h"
 #include "gen/paper_circuit.h"
 #include "merge/context.h"
+#include "merge/merger.h"
 #include "merge/mergeability.h"
 #include "merge/relationship_cache.h"
 #include "sdc/parser.h"
+#include "timing/graph.h"
 
 namespace mm::merge {
 namespace {
@@ -120,6 +122,30 @@ TEST_F(RelationshipCacheTest, EqualNameAndCountsDesignsDoNotCollide) {
   EXPECT_EQ(cache.stats().misses, 2u);  // no alias, no stale hit
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.size(), 2u);
+}
+
+// Two decks whose latencies differ past the sixth significant digit are
+// different content: they get distinct keys (the key hashes written SDC
+// text, which must carry every digit), so neither reuses the other's
+// extraction, and the production merge splits them exactly as the Sdc-level
+// oracle does.
+TEST_F(RelationshipCacheTest, SeventhDigitLatencyEditIsNewContent) {
+  auto deck = [&](const std::string& latency) {
+    return parse("create_clock -name c -period 10 [get_ports clk1]\n"
+                 "set_clock_latency -max " +
+                 latency + " [get_clocks c]\n");
+  };
+  const sdc::Sdc a = deck("0.1234561");
+  const sdc::Sdc b = deck("0.1234564");
+  EXPECT_NE(RelationshipCache::content_key(a),
+            RelationshipCache::content_key(b));
+
+  MergeOptions exact;
+  exact.value_tolerance = 0.0;
+  EXPECT_FALSE(check_mergeable(a, b, exact).mergeable);
+  timing::TimingGraph graph(design);
+  const MergedModeSet set = merge_mode_set(graph, {&a, &b}, exact);
+  EXPECT_EQ(set.cliques.size(), 2u);
 }
 
 // Explicit invalidation (the MergeSession::update_mode path): dropping a

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "gen/paper_circuit.h"
 #include "sdc/parser.h"
 #include "sdc/writer.h"
@@ -34,6 +38,33 @@ TEST_F(WriterTest, Clocks) {
   EXPECT_DOUBLE_EQ(sdc.clock(sdc.find_clock("b")).waveform[0], 5.0);
   EXPECT_TRUE(sdc.clock(sdc.find_clock("b")).add);
   EXPECT_TRUE(sdc.clock(sdc.find_clock("v")).is_virtual());
+}
+
+// Values past the sixth significant digit survive write + parse bit for
+// bit: the writer prints the shortest text that parses back to the same
+// double.
+TEST_F(WriterTest, ValuesRoundTripBitwise) {
+  std::string emitted;
+  const Sdc sdc = round_trip(
+      "create_clock -name a -period 3.3333333 [get_ports clk1]\n"
+      "set_clock_latency -min 0.1234561 [get_clocks a]\n"
+      "set_clock_latency -max 0.1234564 [get_clocks a]\n",
+      &emitted);
+  EXPECT_NE(emitted.find("-period 3.3333333 "), std::string::npos) << emitted;
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  EXPECT_EQ(bits(sdc.clock(sdc.find_clock("a")).period), bits(3.3333333));
+  ASSERT_EQ(sdc.clock_latencies().size(), 2u);
+  EXPECT_EQ(bits(sdc.clock_latencies()[0].value), bits(0.1234561));
+  EXPECT_EQ(bits(sdc.clock_latencies()[1].value), bits(0.1234564));
+
+  // A value that six significant digits already print exactly keeps the
+  // %g text it always had.
+  round_trip(
+      "create_clock -name b -period 100000 [get_ports clk1]\n"
+      "set_clock_uncertainty 0.0005 [get_clocks b]\n",
+      &emitted);
+  EXPECT_NE(emitted.find("-period 100000 "), std::string::npos) << emitted;
+  EXPECT_NE(emitted.find(" 0.0005 "), std::string::npos) << emitted;
 }
 
 TEST_F(WriterTest, GeneratedClockAndPropagated) {
