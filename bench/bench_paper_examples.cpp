@@ -45,7 +45,7 @@ void table1(const netlist::Design& design, const timing::TimingGraph& graph) {
 }
 
 /// Relationship map of one constraint set (optionally per startpoint).
-timing::RelationMap relations_of(const timing::TimingGraph& graph,
+timing::RelationTable relations_of(const timing::TimingGraph& graph,
                                  const sdc::Sdc& sdc, bool startpoints) {
   timing::ModeGraph mode(graph, sdc);
   timing::CompiledExceptions exceptions(graph, sdc);
@@ -60,9 +60,9 @@ timing::RelationMap relations_of(const timing::TimingGraph& graph,
 /// Print a paper-style comparison row: individual state set (union of both
 /// modes, as the paper's tables show), merged state set, M/X/A verdict.
 void print_comparison(const netlist::Design& design,
-                      const timing::RelationMap& rel_a,
-                      const timing::RelationMap& rel_b,
-                      const timing::RelationMap& rel_m, const sdc::Sdc& sdc) {
+                      const timing::RelationTable& rel_a,
+                      const timing::RelationTable& rel_b,
+                      const timing::RelationTable& rel_m, const sdc::Sdc& sdc) {
   std::printf("%-10s %-10s %-8s %-8s %-12s %-12s %s\n", "Start", "End",
               "Launch", "Capture", "Individual", "Merged", "Result");
   // Deterministic order over merged keys.
@@ -74,15 +74,15 @@ void print_comparison(const netlist::Design& design,
   for (const auto* key : keys) {
     timing::StateSet indiv;
     bool a_full_timed = false, b_full_timed = false;
-    if (auto it = rel_a.find(*key); it != rel_a.end()) {
-      indiv.merge(it->second.states);
-      a_full_timed = it->second.states.any_timed() &&
-                     !it->second.states.contains_kind(timing::StateKind::kFalsePath);
+    if (const timing::RelationData* a = rel_a.find(*key)) {
+      indiv.merge(a->states);
+      a_full_timed = a->states.any_timed() &&
+                     !a->states.contains_kind(timing::StateKind::kFalsePath);
     }
-    if (auto it = rel_b.find(*key); it != rel_b.end()) {
-      indiv.merge(it->second.states);
-      b_full_timed = it->second.states.any_timed() &&
-                     !it->second.states.contains_kind(timing::StateKind::kFalsePath);
+    if (const timing::RelationData* b = rel_b.find(*key)) {
+      indiv.merge(b->states);
+      b_full_timed = b->states.any_timed() &&
+                     !b->states.contains_kind(timing::StateKind::kFalsePath);
     }
     const timing::StateSet& merged = rel_m.at(*key).states;
     // Verdict in the paper's terms.

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
-#include <tuple>
-#include <unordered_map>
+#include <span>
 #include <unordered_set>
 
 #include "obs/obs.h"
@@ -27,8 +25,9 @@ using timing::ModeGraph;
 using timing::PathState;
 using timing::Propagator;
 using timing::PropagationOptions;
+using timing::RelationData;
 using timing::RelationKey;
-using timing::RelationMap;
+using timing::RelationTable;
 using timing::StateKind;
 using timing::StateSet;
 using timing::TimingGraph;
@@ -65,16 +64,16 @@ enum class Verdict {
 /// tables: at pass-2 key (rB/CP, rY/D) mode A false-paths the bundle while
 /// mode B times all of it, so the merged mode must time all of it ("M" in
 /// Table 3); a union {FP, V} would look ambiguous.
-Verdict classify(const std::vector<const StateSet*>& mode_states,
+Verdict classify(std::span<const StateSet* const> mode_states,
                  const StateSet& merged, PathState* fix) {
   bool any_mode_timed = false;
   const StateSet* fully_timed_mode = nullptr;  // times every path at the key
   for (const StateSet* s : mode_states) {
-    if (!s || s->states.empty()) continue;
+    if (!s || s->empty()) continue;
     if (s->any_timed()) {
       any_mode_timed = true;
       bool has_untimed = false;
-      for (const PathState& ps : s->states) {
+      for (const PathState& ps : *s) {
         if (!ps.is_timed()) has_untimed = true;
       }
       if (!has_untimed) fully_timed_mode = s;
@@ -93,7 +92,7 @@ Verdict classify(const std::vector<const StateSet*>& mode_states,
 
   bool merged_has_untimed = false;
   StateSet merged_timed;
-  for (const PathState& ps : merged.states) {
+  for (const PathState& ps : merged) {
     if (ps.is_timed()) merged_timed.insert(ps);
     else merged_has_untimed = true;
   }
@@ -104,18 +103,18 @@ Verdict classify(const std::vector<const StateSet*>& mode_states,
     StateSet required;
     for (const StateSet* s : mode_states) {
       if (!s) continue;
-      for (const PathState& ps : s->states) {
+      for (const PathState& ps : *s) {
         if (ps.is_timed()) required.insert(ps);
       }
     }
     if (merged_timed == required) return Verdict::kMatch;
     if (merged_timed.singleton() &&
-        merged_timed.states[0].kind == StateKind::kValid &&
+        merged_timed[0].kind == StateKind::kValid &&
         required.singleton() &&
-        required.states[0].kind != StateKind::kValid) {
+        required[0].kind != StateKind::kValid) {
       // Every mode times the bundle with one identical exception state
       // (e.g. MCP(2)) that the merged mode lost: re-apply it.
-      *fix = required.states[0];
+      *fix = required[0];
       return Verdict::kFixable;
     }
     return Verdict::kAmbiguous;
@@ -144,7 +143,7 @@ sdc::Exception make_fix(const PathState& state, int side_mask) {
 }
 
 /// Result of analyzing one fix group (all keys of one endpoint, or one
-/// (endpoint, launch) bucket, or one (startpoint, endpoint) pair) on one
+/// (endpoint, launch) run, or one (startpoint, endpoint) pair) on one
 /// side.
 struct GroupFix {
   bool killable_all = true;  // every key either fixable-with-this-fix or a
@@ -362,36 +361,17 @@ class DataRefiner {
     return opts;
   }
 
-  /// Per-member relation maps in the merged clock space (parallel).
-  /// Unfiltered walks come from the context's memo, which the equivalence
-  /// check reads again; cone-filtered walks run here.
-  std::vector<RelationMap> individual_relations(const PropagationOptions& opts) {
-    std::vector<RelationMap> partial(ctx_.modes.size());
-    if (opts.pin_filter == nullptr) {
-      const auto raw = ctx_.member_relations(opts);
-      ctx_.pool.parallel_for(ctx_.modes.size(), [&](size_t m) {
-        accumulate_mapped((*raw)[m], m, map(), partial[m]);
-      });
-      return partial;
-    }
-    ctx_.pool.parallel_for(ctx_.modes.size(), [&](size_t m) {
-      Propagator prop(*ctx_.mode_graphs[m], *(*mode_exceptions_)[m]);
-      prop.run(opts);
-      accumulate_mapped(prop.relations(), m, map(), partial[m]);
+  /// The members' relation tables under `opts` (merged clock space) and,
+  /// as one more task beside their walks, the merged deck's table under
+  /// `merged_ce`, written to `merged_table`.
+  std::shared_ptr<const std::vector<RelationTable>> walk_members_and_merged(
+      const PropagationOptions& opts, const CompiledExceptions& merged_ce,
+      RelationTable& merged_table) {
+    return ctx_.member_relations(opts, map(), [&] {
+      Propagator mprop(merged_view_, merged_ce);
+      mprop.run(opts);
+      merged_table = mprop.release_relations();
     });
-    return partial;
-  }
-
-  /// Per-mode state sets for one key and side (nullptr where absent).
-  std::vector<const StateSet*> states_for_key(
-      const std::vector<RelationMap>& per_mode, const RelationKey& key,
-      int side) const {
-    std::vector<const StateSet*> out(per_mode.size(), nullptr);
-    for (size_t m = 0; m < per_mode.size(); ++m) {
-      const auto it = per_mode[m].find(key);
-      if (it != per_mode[m].end()) out[m] = &side_states(it->second, side);
-    }
-    return out;
   }
 
   void add_exception(sdc::Exception ex) {
@@ -410,17 +390,21 @@ class DataRefiner {
     SideVerdict side[2];
   };
 
-  KeyVerdict classify_key(const std::vector<RelationMap>& indiv,
-                          const RelationKey& key,
-                          const timing::RelationData& merged_data,
+  KeyVerdict classify_key(std::span<const RelationData* const> member_rows,
+                          const RelationKey& key, const RelationData& merged_data,
                           const char* pass_name) {
     KeyVerdict kv;
     kv.key = key;
+    mode_states_.resize(member_rows.size());
     for (int side = 0; side < num_sides(); ++side) {
+      for (size_t m = 0; m < member_rows.size(); ++m) {
+        mode_states_[m] =
+            member_rows[m] ? &side_states(*member_rows[m], side) : nullptr;
+      }
       const StateSet& ms = side_states(merged_data, side);
       SideVerdict& sv = kv.side[side];
       sv.merged_untimed = ms.all_untimed();
-      sv.verdict = classify(states_for_key(indiv, key, side), ms, &sv.fix);
+      sv.verdict = classify(mode_states_, ms, &sv.fix);
       if (sv.verdict == Verdict::kOptimism) {
         result_.note(std::string("OPTIMISM at ") + pass_name + " (" +
                      (side == kSetup ? "setup" : "hold") + ") on endpoint " +
@@ -430,11 +414,10 @@ class DataRefiner {
     return kv;
   }
 
-  GroupFix analyze_group(const std::vector<KeyVerdict>& verdicts,
-                         const std::vector<size_t>& idxs, int side) const {
+  GroupFix analyze_group(std::span<const KeyVerdict> group, int side) const {
     GroupFix g;
-    for (size_t i : idxs) {
-      const SideVerdict& sv = verdicts[i].side[side];
+    for (const KeyVerdict& kv : group) {
+      const SideVerdict& sv = kv.side[side];
       switch (sv.verdict) {
         case Verdict::kFixable:
           g.any_fix = true;
@@ -465,11 +448,11 @@ class DataRefiner {
   /// Emit group fixes for both sides via `builder` (which fills the
   /// anchors of a skeleton exception). Returns per-side "needs descent".
   std::pair<bool, bool> emit_group(
-      const std::vector<KeyVerdict>& verdicts, const std::vector<size_t>& idxs,
+      std::span<const KeyVerdict> group,
       const std::function<void(sdc::Exception&)>& builder, size_t& counter) {
-    const GroupFix s = analyze_group(verdicts, idxs, kSetup);
-    const GroupFix h = analyze_hold_ ? analyze_group(verdicts, idxs, kHold)
-                                     : GroupFix{};
+    const GroupFix s = analyze_group(group, kSetup);
+    const GroupFix h =
+        analyze_hold_ ? analyze_group(group, kHold) : GroupFix{};
 
     bool emitted_setup = false, emitted_hold = false;
     if (!analyze_hold_) {
@@ -512,35 +495,57 @@ class DataRefiner {
   /// The descent rule every group-level pass shares: emit the group's fix
   /// (anchored by `group_anchor`); failing that, split the group by launch
   /// clock and emit launch-qualified fixes (anchored by `launch_anchor`).
+  /// A group is a run of verdicts in key order, so each launch clock's keys
+  /// are a contiguous sub-run, in ascending clock order.
   /// Returns whether anything is still open for the next, finer pass.
   bool emit_or_split_by_launch(
-      const std::vector<KeyVerdict>& verdicts, const std::vector<size_t>& idxs,
+      std::span<const KeyVerdict> group,
       const std::function<void(sdc::Exception&)>& group_anchor,
       const std::function<void(sdc::Exception&, sdc::ClockId)>& launch_anchor,
       size_t& counter) {
-    const auto [descend_s, descend_h] =
-        emit_group(verdicts, idxs, group_anchor, counter);
+    const auto [descend_s, descend_h] = emit_group(group, group_anchor, counter);
     if (!descend_s && !descend_h) return false;
 
-    std::map<uint32_t, std::vector<size_t>> by_launch;
-    for (size_t i : idxs)
-      by_launch[verdicts[i].key.launch.value()].push_back(i);
     bool still_open = false;
-    for (const auto& [launch, lidx] : by_launch) {
-      const sdc::ClockId clock(launch);
+    for_each_run(group, same_launch, [&](std::span<const KeyVerdict> run) {
+      const sdc::ClockId clock = run.front().key.launch;
       if (!clock.valid()) {
-        const GroupFix gs = analyze_group(verdicts, lidx, kSetup);
+        const GroupFix gs = analyze_group(run, kSetup);
         const GroupFix gh =
-            analyze_hold_ ? analyze_group(verdicts, lidx, kHold) : GroupFix{};
+            analyze_hold_ ? analyze_group(run, kHold) : GroupFix{};
         still_open |= gs.unresolved() || gh.unresolved();
-        continue;
+        return;
       }
       const auto [ds, dh] = emit_group(
-          verdicts, lidx,
-          [&](sdc::Exception& ex) { launch_anchor(ex, clock); }, counter);
+          run, [&](sdc::Exception& ex) { launch_anchor(ex, clock); }, counter);
       still_open |= ds || dh;
-    }
+    });
     return still_open;
+  }
+
+  static bool same_endpoint(const KeyVerdict& a, const KeyVerdict& b) {
+    return a.key.endpoint == b.key.endpoint;
+  }
+  static bool same_pair(const KeyVerdict& a, const KeyVerdict& b) {
+    return same_endpoint(a, b) && a.key.startpoint == b.key.startpoint;
+  }
+  static bool same_launch(const KeyVerdict& a, const KeyVerdict& b) {
+    return a.key.launch == b.key.launch;
+  }
+
+  /// Call fn(run) for each maximal run of consecutive verdicts that `same`
+  /// holds between.
+  template <typename Same, typename Fn>
+  static void for_each_run(std::span<const KeyVerdict> verdicts, Same&& same,
+                           Fn&& fn) {
+    for (size_t first = 0; first < verdicts.size();) {
+      size_t last = first + 1;
+      while (last < verdicts.size() && same(verdicts[first], verdicts[last])) {
+        ++last;
+      }
+      fn(verdicts.subspan(first, last - first));
+      first = last;
+    }
   }
 
   // --- pass 0: clock-pair-level comparison -------------------------------------
@@ -551,129 +556,129 @@ class DataRefiner {
   // `set_false_path -from [get_clocks L] -to [get_clocks C]` — the only
   // SDC-expressible fix for capture-clock-specific mismatches (a -to
   // anchor cannot intersect a pin with a clock).
-  struct PairKey {
-    uint32_t launch;
-    uint32_t capture;
-    friend bool operator<(const PairKey& a, const PairKey& b) {
-      return std::tie(a.launch, a.capture) < std::tie(b.launch, b.capture);
-    }
-  };
+  //
+  // Pairs are flat (launch * clocks + capture) masks over the merged
+  // clocks; a member key whose clocks have no merged counterpart can match
+  // no merged pair and is skipped.
+  struct PairTiming {
+    size_t num_clocks = 0;
+    std::vector<uint8_t> merged_timed[2];
+    std::vector<uint8_t> indiv_timed[2];
 
-  std::set<PairKey> pass0(const std::vector<RelationMap>& indiv,
-                          const RelationMap& mrel, int side) {
-    std::map<PairKey, bool> merged_timed, indiv_timed;
-    for (const auto& [key, data] : mrel) {
-      if (!key.launch.valid()) continue;
-      merged_timed[{key.launch.value(), key.capture.value()}] |=
-          side_states(data, side).any_timed();
-    }
-    for (const RelationMap& pm : indiv) {
-      for (const auto& [key, data] : pm) {
-        if (!key.launch.valid()) continue;
-        indiv_timed[{key.launch.value(), key.capture.value()}] |=
-            side_states(data, side).any_timed();
+    explicit PairTiming(size_t clocks) : num_clocks(clocks) {
+      for (int side = 0; side < 2; ++side) {
+        merged_timed[side].assign(clocks * clocks, 0);
+        indiv_timed[side].assign(clocks * clocks, 0);
       }
     }
-    std::set<PairKey> fixed;
-    for (const auto& [pair, timed] : merged_timed) {
-      if (!timed) continue;
-      auto it = indiv_timed.find(pair);
-      if (it != indiv_timed.end() && it->second) continue;
-      fixed.insert(pair);
+    /// Index of the key's clock pair, or -1 when it has none.
+    std::ptrdiff_t slot(const RelationKey& key) const {
+      if (!key.launch.valid() || !key.capture.valid() ||
+          key.launch.index() >= num_clocks ||
+          key.capture.index() >= num_clocks) {
+        return -1;
+      }
+      return static_cast<std::ptrdiff_t>(key.launch.index() * num_clocks +
+                                         key.capture.index());
     }
-    return fixed;
-  }
+    bool fixed(size_t pair, int side) const {
+      return merged_timed[side][pair] && !indiv_timed[side][pair];
+    }
+  };
 
   // --- pass 1 -----------------------------------------------------------------
 
   void pass1() {
     const PropagationOptions opts = base_options();
-    const std::vector<RelationMap> indiv = individual_relations(opts);
-
     const CompiledExceptions merged_ce(graph_, merged());
-    Propagator mprop(merged_view_, merged_ce);
-    mprop.run(opts);
-    const RelationMap& mrel = mprop.relations();
+    // The member walks (memoized for the equivalence check) and the merged
+    // walk, side by side.
+    RelationTable mrel;
+    const auto indiv = walk_members_and_merged(opts, merged_ce, mrel);
 
     result_.stats.pass1_keys = mrel.size();
 
-    // Pass 0: emit clock-pair-level false paths (unqualified when both
-    // sides agree, -setup/-hold otherwise).
-    const std::set<PairKey> pair_fixed_setup = pass0(indiv, mrel, kSetup);
-    const std::set<PairKey> pair_fixed_hold =
-        analyze_hold_ ? pass0(indiv, mrel, kHold) : pair_fixed_setup;
-    {
-      std::set<PairKey> all = pair_fixed_setup;
-      all.insert(pair_fixed_hold.begin(), pair_fixed_hold.end());
-      for (const PairKey& pair : all) {
-        const bool in_s = pair_fixed_setup.count(pair) > 0;
-        const bool in_h = pair_fixed_hold.count(pair) > 0;
-        int mask = 3;
-        if (analyze_hold_ && in_s != in_h) mask = in_s ? 1 : 2;
-        sdc::Exception ex = make_fix(PathState::false_path(), mask);
-        ex.from.clocks.push_back(sdc::ClockId(pair.launch));
-        ex.to.clocks.push_back(sdc::ClockId(pair.capture));
-        add_exception(std::move(ex));
-        ++result_.stats.pass0_pair_fixed;
-        result_.note("clock-pair false path: " +
-                     merged().clock(sdc::ClockId(pair.launch)).name + " -> " +
-                     merged().clock(sdc::ClockId(pair.capture)).name);
-      }
-    }
-    auto pair_is_fixed = [&](const RelationKey& key, int side) {
-      if (!key.launch.valid()) return false;
-      const PairKey pair{key.launch.value(), key.capture.value()};
-      return side == kSetup ? pair_fixed_setup.count(pair) > 0
-                            : pair_fixed_hold.count(pair) > 0;
-    };
-
+    // One sweep over the member tables and the merged table: pass-0 pair
+    // timing, the per-key verdicts and the lost-relation scan.
+    PairTiming pairs(merged().num_clocks());
     std::vector<KeyVerdict> verdicts;
-    std::unordered_map<uint32_t, std::vector<size_t>> by_endpoint;
-    for (const auto& [key, data] : mrel) {
-      by_endpoint[key.endpoint.value()].push_back(verdicts.size());
-      KeyVerdict kv = classify_key(indiv, key, data, "pass 1");
-      // Keys whose whole clock pair was false-pathed in pass 0 are handled.
+    verdicts.reserve(mrel.size());
+    join_relations(*indiv, mrel, [&](const RelationKey& key,
+                                    const RelationData* mdata,
+                                    std::span<const RelationData* const> rows) {
+      const std::ptrdiff_t pair = pairs.slot(key);
+      if (pair >= 0) {
+        for (int side = 0; side < num_sides(); ++side) {
+          if (mdata) pairs.merged_timed[side][pair] |=
+                         side_states(*mdata, side).any_timed();
+          for (const RelationData* row : rows) {
+            if (row) pairs.indiv_timed[side][pair] |=
+                         side_states(*row, side).any_timed();
+          }
+        }
+      }
+      if (mdata) {
+        verdicts.push_back(classify_key(rows, key, *mdata, "pass 1"));
+        return;
+      }
+      // Optimism in the other direction: individual keys with timed states
+      // that the merged mode lost entirely.
+      for (const RelationData* row : rows) {
+        if (!row) continue;
+        if (!row->states.any_timed() && !row->hold_states.any_timed()) continue;
+        result_.note("OPTIMISM: merged mode lost relation at endpoint " +
+                     std::string(graph_.design().pin_name(key.endpoint)));
+      }
+    });
+
+    // Pass 0: emit clock-pair-level false paths in (launch, capture) order
+    // (unqualified when both sides agree, -setup/-hold otherwise).
+    const int hold_side = analyze_hold_ ? kHold : kSetup;
+    for (size_t pair = 0; pair < pairs.merged_timed[kSetup].size(); ++pair) {
+      const bool in_s = pairs.fixed(pair, kSetup);
+      const bool in_h = pairs.fixed(pair, hold_side);
+      if (!in_s && !in_h) continue;
+      int mask = 3;
+      if (analyze_hold_ && in_s != in_h) mask = in_s ? 1 : 2;
+      const sdc::ClockId launch(pair / pairs.num_clocks);
+      const sdc::ClockId capture(pair % pairs.num_clocks);
+      sdc::Exception ex = make_fix(PathState::false_path(), mask);
+      ex.from.clocks.push_back(launch);
+      ex.to.clocks.push_back(capture);
+      add_exception(std::move(ex));
+      ++result_.stats.pass0_pair_fixed;
+      result_.note("clock-pair false path: " + merged().clock(launch).name +
+                   " -> " + merged().clock(capture).name);
+    }
+
+    // Keys whose whole clock pair was false-pathed in pass 0 are handled.
+    for (KeyVerdict& kv : verdicts) {
+      const std::ptrdiff_t pair = pairs.slot(kv.key);
+      if (pair < 0) continue;
       for (int side = 0; side < num_sides(); ++side) {
-        if (kv.side[side].verdict != Verdict::kMatch && pair_is_fixed(key, side)) {
+        if (kv.side[side].verdict != Verdict::kMatch &&
+            pairs.fixed(pair, side == kSetup ? kSetup : hold_side)) {
           kv.side[side].verdict = Verdict::kMatch;
           kv.side[side].merged_untimed = true;  // will be, once the pair FP applies
         }
       }
-      verdicts.push_back(kv);
     }
 
-    std::set<uint32_t> ambiguous_endpoints;
-    for (const auto& [ep, idxs] : by_endpoint) {
-      const PinId endpoint(ep);
-      // Endpoint-level group (the paper's CSTR1: set_false_path -to rX/D),
-      // then per (endpoint, launch) groups: -from <clock> -to <endpoint>.
+    // Endpoint-level group (the paper's CSTR1: set_false_path -to rX/D),
+    // then per (endpoint, launch) groups: -from <clock> -to <endpoint>; in
+    // ascending endpoint order.
+    for_each_run(verdicts, same_endpoint, [&](std::span<const KeyVerdict> group) {
+      const PinId endpoint = group.front().key.endpoint;
       const bool open = emit_or_split_by_launch(
-          verdicts, idxs,
-          [&](sdc::Exception& ex) { ex.to.pins.push_back(endpoint); },
+          group, [&](sdc::Exception& ex) { ex.to.pins.push_back(endpoint); },
           [&](sdc::Exception& ex, sdc::ClockId launch) {
             ex.from.clocks.push_back(launch);
             ex.to.pins.push_back(endpoint);
           },
           result_.stats.pass1_mismatch_fixed);
-      if (open) ambiguous_endpoints.insert(ep);
-    }
-
-    // Optimism in the other direction: individual keys with timed states
-    // that the merged mode lost entirely.
-    for (const RelationMap& pm : indiv) {
-      for (const auto& [key, data] : pm) {
-        if (!data.states.any_timed() && !data.hold_states.any_timed()) continue;
-        if (!mrel.count(key)) {
-          result_.note("OPTIMISM: merged mode lost relation at endpoint " +
-                       std::string(graph_.design().pin_name(key.endpoint)));
-        }
-      }
-    }
-
-    result_.stats.pass1_ambiguous = ambiguous_endpoints.size();
-    for (uint32_t ep : ambiguous_endpoints) {
-      pass2_endpoints_.push_back(PinId(ep));
-    }
+      if (open) pass2_endpoints_.push_back(endpoint);
+    });
+    result_.stats.pass1_ambiguous = pass2_endpoints_.size();
   }
 
   // --- pass 2 -----------------------------------------------------------------
@@ -686,35 +691,34 @@ class DataRefiner {
 
     const std::vector<uint8_t> cone =
         Propagator::fanin_cone(merged_view_, pass2_endpoints_);
-    std::unordered_set<uint32_t> targets;
-    for (PinId ep : pass2_endpoints_) targets.insert(ep.value());
 
     PropagationOptions opts = base_options();
     opts.track_startpoints = true;
     opts.pin_filter = &cone;
 
-    const std::vector<RelationMap> indiv = individual_relations(opts);
+    RelationTable mrel;
+    const auto indiv = walk_members_and_merged(opts, merged_ce, mrel);
 
-    Propagator mprop(merged_view_, merged_ce);
-    mprop.run(opts);
-
+    // pass2_endpoints_ is ascending (pass 1 visits endpoints in order).
     std::vector<KeyVerdict> verdicts;
-    std::map<std::pair<uint32_t, uint32_t>, std::vector<size_t>> by_pair;
-    for (const auto& [key, data] : mprop.relations()) {
-      if (!targets.count(key.endpoint.value())) continue;
+    join_relations(*indiv, mrel, [&](const RelationKey& key,
+                                    const RelationData* mdata,
+                                    std::span<const RelationData* const> rows) {
+      if (!mdata || !std::binary_search(pass2_endpoints_.begin(),
+                                        pass2_endpoints_.end(), key.endpoint)) {
+        return;
+      }
       ++result_.stats.pass2_keys;
-      by_pair[{key.endpoint.value(), key.startpoint.value()}].push_back(
-          verdicts.size());
-      verdicts.push_back(classify_key(indiv, key, data, "pass 2"));
-    }
+      verdicts.push_back(classify_key(rows, key, *mdata, "pass 2"));
+    });
 
-    for (const auto& [pair_key, idxs] : by_pair) {
-      const PinId endpoint(pair_key.first);
-      const PinId startpoint(pair_key.second);
+    for_each_run(verdicts, same_pair, [&](std::span<const KeyVerdict> group) {
+      const PinId endpoint = group.front().key.endpoint;
+      const PinId startpoint = group.front().key.startpoint;
       // Pair-level group (paper's CSTR2: -from rA/CP -to rY/D), then
       // per-launch groups (the §3.1.10 form).
       const bool open = emit_or_split_by_launch(
-          verdicts, idxs,
+          group,
           [&](sdc::Exception& ex) {
             ex.from.pins.push_back(startpoint);
             ex.to.pins.push_back(endpoint);
@@ -728,7 +732,7 @@ class DataRefiner {
           },
           result_.stats.pass2_mismatch_fixed);
       if (open) pass3_pairs_.push_back({startpoint, endpoint});
-    }
+    });
     result_.stats.pass2_ambiguous = pass3_pairs_.size();
   }
 
@@ -1114,6 +1118,7 @@ class DataRefiner {
 
   const std::vector<std::unique_ptr<CompiledExceptions>>* mode_exceptions_ =
       nullptr;
+  std::vector<const StateSet*> mode_states_;  // classify_key's scratch
   std::vector<PinId> pass2_endpoints_;
   std::vector<Pass3Pair> pass3_pairs_;
 };

@@ -1,6 +1,7 @@
 #include "merge/equivalence.h"
 
 #include <memory>
+#include <span>
 
 #include "obs/obs.h"
 #include "timing/relationships.h"
@@ -11,8 +12,9 @@ using timing::CompiledExceptions;
 using timing::ModeGraph;
 using timing::Propagator;
 using timing::PropagationOptions;
+using timing::RelationData;
 using timing::RelationKey;
-using timing::RelationMap;
+using timing::RelationTable;
 using timing::StateSet;
 
 namespace {
@@ -37,18 +39,17 @@ EquivalenceReport check_equivalence(const RefineContext& ctx,
   opts.track_startpoints = startpoint_level;
   opts.analyze_hold = true;
 
-  // Individual side: the union over members of their (memoized) relation
-  // maps, clocks mapped to merged space. Merged side: one serial walk.
-  RelationMap indiv;
-  const auto members = ctx.member_relations(opts);
-  for (size_t m = 0; m < members->size(); ++m) {
-    accumulate_mapped((*members)[m], m, map, indiv);
-  }
+  // Individual side: the members' (memoized) relation tables in merged
+  // clock space. Merged side: one walk, beside the member walks when those
+  // are not memoized yet.
   const ModeGraph merged_graph(graph, merged);
   const CompiledExceptions merged_exceptions(graph, merged);
-  Propagator prop(merged_graph, merged_exceptions);
-  prop.run(opts);
-  const RelationMap mrel = prop.release_relations();
+  RelationTable mrel;
+  const auto indiv = ctx.member_relations(opts, map, [&] {
+    Propagator prop(merged_graph, merged_exceptions);
+    prop.run(opts);
+    mrel = prop.release_relations();
+  });
 
   // Lost-relation keys live in the *mapped individual* clock space; a
   // candidate that dropped a clock entirely has no name for them.
@@ -70,12 +71,33 @@ EquivalenceReport check_equivalence(const RefineContext& ctx,
   };
 
   const char* side_name[2] = {"setup", "hold"};
-  for (const auto& [key, data] : mrel) {
+  join_relations(*indiv, mrel, [&](const RelationKey& key,
+                                  const RelationData* mdata,
+                                  std::span<const RelationData* const> rows) {
+    // The union of the members' states at this key, per side.
+    bool any_member = false;
+    StateSet union_states[2];
+    for (const RelationData* row : rows) {
+      if (!row) continue;
+      any_member = true;
+      union_states[0].merge(row->states);
+      union_states[1].merge(row->hold_states);
+    }
+
+    if (!mdata) {
+      // A relation the merged mode lost entirely.
+      if (!union_states[0].any_timed() && !union_states[1].any_timed()) return;
+      ++report.keys_compared;
+      ++report.optimism_violations;
+      example("OPTIMISM (lost relation)", key,
+              "individual=" + union_states[0].str());
+      return;
+    }
+
     for (int side = 0; side < 2; ++side) {
       ++report.keys_compared;
-      const StateSet& ms = side_states(data, side);
-      const auto it = indiv.find(key);
-      const StateSet* is = it == indiv.end() ? nullptr : &side_states(it->second, side);
+      const StateSet& ms = side_states(*mdata, side);
+      const StateSet* is = any_member ? &union_states[side] : nullptr;
       const bool indiv_timed = is && is->any_timed();
       const bool merged_timed = ms.any_timed();
       if (!indiv_timed && merged_timed) {
@@ -91,9 +113,9 @@ EquivalenceReport check_equivalence(const RefineContext& ctx,
       } else if (indiv_timed && merged_timed) {
         // Both timed: check the timed sub-states agree (MCP values etc.).
         StateSet a, b;
-        for (const auto& s : ms.states)
+        for (const auto& s : ms)
           if (s.is_timed()) a.insert(s);
-        for (const auto& s : is->states)
+        for (const auto& s : *is)
           if (s.is_timed()) b.insert(s);
         if (a == b) {
           ++report.matches;
@@ -106,18 +128,7 @@ EquivalenceReport check_equivalence(const RefineContext& ctx,
         ++report.matches;  // both untimed
       }
     }
-  }
-
-  // Relations the merged mode lost entirely.
-  for (const auto& [key, data] : indiv) {
-    if (!data.states.any_timed() && !data.hold_states.any_timed()) continue;
-    if (!mrel.count(key)) {
-      ++report.keys_compared;
-      ++report.optimism_violations;
-      example("OPTIMISM (lost relation)", key,
-              "individual=" + data.states.str());
-    }
-  }
+  });
 
   return report;
 }

@@ -33,9 +33,10 @@ struct EquivalenceReport {
 /// `startpoint_level` the comparison runs per (startpoint, endpoint, ...)
 /// instead — slower, finer.
 ///
-/// The members' relation maps come from `ctx.member_relations`, so after
+/// The members' relation tables come from `ctx.member_relations`, so after
 /// data refinement on the same context only the merged deck is walked, by
-/// one Propagator run.
+/// one Propagator run. Both sides are compared in one sweep over the
+/// tables in key order.
 ///
 /// Member walks fan out on `ctx.pool`. `num_threads` and `use_batched_sta`
 /// are ignored; they are kept only because the benchmark harness still

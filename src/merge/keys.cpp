@@ -4,6 +4,8 @@
 #include <sstream>
 #include <vector>
 
+#include "sdc/writer.h"
+
 namespace mm::merge {
 
 std::string clock_key(const Sdc& sdc, ClockId id) {
@@ -13,8 +15,8 @@ std::string clock_key(const Sdc& sdc, ClockId id) {
   std::sort(srcs.begin(), srcs.end());
   std::ostringstream os;
   for (uint32_t s : srcs) os << 'p' << s << ',';
-  os << "T=" << c.period;
-  for (double w : c.waveform) os << ':' << w;
+  os << "T=" << sdc::Num{c.period};
+  for (double w : c.waveform) os << ':' << sdc::Num{w};
   if (c.is_generated) {
     os << ";gen:" << c.master_source.value() << '/' << c.divide_by << 'x'
        << c.multiply_by;
@@ -34,7 +36,7 @@ std::string exception_signature(const Sdc& sdc, const sdc::Exception& ex,
                                 bool include_value) {
   std::ostringstream os;
   os << static_cast<int>(ex.kind);
-  if (include_value) os << '=' << ex.value;
+  if (include_value) os << '=' << sdc::Num{ex.value};
   os << "|sh" << ex.setup_hold.setup << ex.setup_hold.hold;
   auto point = [&](const sdc::ExceptionPoint& pt) {
     std::vector<uint32_t> pins;

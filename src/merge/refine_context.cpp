@@ -5,7 +5,7 @@ namespace mm::merge {
 using timing::CompiledExceptions;
 using timing::PropagationOptions;
 using timing::Propagator;
-using timing::RelationMap;
+using timing::RelationTable;
 
 namespace {
 
@@ -32,43 +32,44 @@ RefineContext::member_exceptions() const {
   return member_exceptions_;
 }
 
-std::shared_ptr<const std::vector<RelationMap>> RefineContext::member_relations(
-    const PropagationOptions& opts) const {
+std::shared_ptr<const std::vector<RelationTable>>
+RefineContext::member_relations(const PropagationOptions& opts,
+                                const ClockMap& map,
+                                const std::function<void()>& beside) const {
   const bool memo = memoizable(opts);
   if (memo) {
-    std::lock_guard<std::mutex> lock(memo_mutex_);
-    if (memo_.maps && memo_.compute_arrivals == opts.compute_arrivals &&
-        memo_.analyze_hold == opts.analyze_hold) {
-      return memo_.maps;
+    std::unique_lock<std::mutex> lock(memo_mutex_);
+    if (memo_.tables && memo_.compute_arrivals == opts.compute_arrivals &&
+        memo_.analyze_hold == opts.analyze_hold && memo_.map == map) {
+      auto tables = memo_.tables;
+      lock.unlock();
+      if (beside) beside();
+      return tables;
     }
   }
 
   const auto& excs = member_exceptions();
-  auto maps = std::make_shared<std::vector<RelationMap>>(modes.size());
-  pool.parallel_for(modes.size(), [&](size_t m) {
+  auto tables = std::make_shared<std::vector<RelationTable>>(modes.size());
+  const size_t tasks = modes.size() + (beside ? 1 : 0);
+  pool.parallel_for(tasks, [&](size_t m) {
+    if (m == modes.size()) {
+      beside();
+      return;
+    }
     Propagator prop(*mode_graphs[m], *excs[m]);
     prop.run(opts);
-    (*maps)[m] = prop.release_relations();
+    RelationTable& table = (*tables)[m];
+    table = prop.release_relations();
+    table.rename_clocks([&](sdc::ClockId c) {
+      return c.valid() ? map.merged_of(m, c) : c;
+    });
   });
 
   if (memo) {
     std::lock_guard<std::mutex> lock(memo_mutex_);
-    memo_ = {opts.compute_arrivals, opts.analyze_hold, maps};
+    memo_ = {opts.compute_arrivals, opts.analyze_hold, map, tables};
   }
-  return maps;
-}
-
-void accumulate_mapped(const RelationMap& member, size_t m, const ClockMap& map,
-                       RelationMap& out) {
-  for (const auto& [key, data] : member) {
-    timing::RelationKey mapped = key;
-    if (mapped.launch.valid()) mapped.launch = map.merged_of(m, mapped.launch);
-    if (mapped.capture.valid())
-      mapped.capture = map.merged_of(m, mapped.capture);
-    timing::RelationData& slot = out[mapped];
-    slot.states.merge(data.states);
-    slot.hold_states.merge(data.hold_states);
-  }
+  return tables;
 }
 
 }  // namespace mm::merge

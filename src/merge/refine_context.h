@@ -3,8 +3,10 @@
 // modes' per-mode timing views, built once (in parallel) and reused by
 // clock refinement, data refinement and the equivalence checker.
 
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "merge/context.h"
@@ -50,13 +52,19 @@ struct RefineContext {
   const std::vector<std::unique_ptr<timing::CompiledExceptions>>&
   member_exceptions() const;
 
-  /// Each member's relation map under `opts`, keys in the member's own
-  /// clock ids (not yet mapped to the merged deck). Unfiltered
-  /// endpoint-level walks are memoized, so data refinement's pass 1 and
-  /// the equivalence check propagate each member once per clique merge;
-  /// startpoint-level or filtered requests are computed fresh every call.
-  std::shared_ptr<const std::vector<timing::RelationMap>> member_relations(
-      const timing::PropagationOptions& opts) const;
+  /// Each member's relation table under `opts`, with clocks renamed into
+  /// the merged deck's clock space by `map`. Unfiltered endpoint-level
+  /// walks are memoized (for one map at a time), so data refinement's
+  /// pass 1 and the equivalence check propagate each member once per clique
+  /// merge and share one table per member; startpoint-level or filtered
+  /// requests are computed fresh every call.
+  ///
+  /// `beside`, when given, runs as one more task of the same parallel_for
+  /// as the member walks (alone when the tables come from the memo), so a
+  /// caller's own walk overlaps them.
+  std::shared_ptr<const std::vector<timing::RelationTable>> member_relations(
+      const timing::PropagationOptions& opts, const ClockMap& map,
+      const std::function<void()>& beside = {}) const;
 
  private:
   void build_mode_graphs(const timing::TimingGraph& g) {
@@ -69,7 +77,8 @@ struct RefineContext {
   struct RelationMemo {
     bool compute_arrivals = false;
     bool analyze_hold = false;
-    std::shared_ptr<const std::vector<timing::RelationMap>> maps;
+    ClockMap map;
+    std::shared_ptr<const std::vector<timing::RelationTable>> tables;
   };
 
   mutable std::mutex memo_mutex_;
@@ -78,9 +87,39 @@ struct RefineContext {
   mutable RelationMemo memo_;
 };
 
-/// Fold member `m`'s relation map (keys in its own clock ids) into `out`,
-/// with clocks renamed into the merged deck's clock space.
-void accumulate_mapped(const timing::RelationMap& member, size_t m,
-                       const ClockMap& map, timing::RelationMap& out);
+/// Visit, in key order, every key of the merged table and of the members'
+/// tables (all in merged clock space), as fn(key, merged, members): each
+/// side's row for the key, nullptr where a table has none. One sweep over
+/// tables already sorted replaces a per-key lookup in each.
+template <typename Fn>
+void join_relations(const std::vector<timing::RelationTable>& members,
+                    const timing::RelationTable& merged, Fn&& fn) {
+  const size_t num = members.size();
+  std::vector<size_t> cursor(num + 1, 0);
+  auto table = [&](size_t t) -> const timing::RelationTable& {
+    return t < num ? members[t] : merged;
+  };
+  std::vector<const timing::RelationData*> rows(num, nullptr);
+  for (;;) {
+    const timing::RelationKey* next = nullptr;
+    for (size_t t = 0; t <= num; ++t) {
+      if (cursor[t] == table(t).size()) continue;
+      const timing::RelationKey& key = table(t)[cursor[t]].key;
+      if (!next || key < *next) next = &key;
+    }
+    if (!next) return;
+    const timing::RelationKey key = *next;
+    const timing::RelationData* merged_row = nullptr;
+    for (size_t t = 0; t <= num; ++t) {
+      const timing::RelationData* row = nullptr;
+      if (cursor[t] < table(t).size() && table(t)[cursor[t]].key == key) {
+        row = &table(t)[cursor[t]++].data;
+      }
+      if (t < num) rows[t] = row;
+      else merged_row = row;
+    }
+    fn(key, merged_row, std::span<const timing::RelationData* const>(rows));
+  }
+}
 
 }  // namespace mm::merge

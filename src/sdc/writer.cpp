@@ -5,14 +5,6 @@
 #include <sstream>
 
 namespace mm::sdc {
-namespace {
-
-/// A constraint value as the shortest text that parses back to the same
-/// double, in printf %g layout (so every value %g already printed exactly
-/// keeps its bytes): write_sdc + parse_sdc round-trips each value bitwise.
-struct Num {
-  double value;
-};
 
 std::ostream& operator<<(std::ostream& os, Num n) {
   char buf[32];
@@ -20,6 +12,8 @@ std::ostream& operator<<(std::ostream& os, Num n) {
       buf, buf + sizeof buf, n.value, std::chars_format::general);
   return os.write(buf, r.ptr - buf);
 }
+
+namespace {
 
 class Writer {
  public:

@@ -111,7 +111,14 @@ void CompiledExceptions::compile(const TimingGraph& graph, const Sdc& sdc) {
 
 std::vector<uint8_t> CompiledExceptions::initial_progress(
     PinId startpoint, ClockId launch) const {
-  std::vector<uint8_t> progress(num_tracked_, kExcInactive);
+  std::vector<uint8_t> progress;
+  initial_progress(startpoint, launch, progress);
+  return progress;
+}
+
+void CompiledExceptions::initial_progress(PinId startpoint, ClockId launch,
+                                          std::vector<uint8_t>& progress) const {
+  progress.assign(num_tracked_, kExcInactive);
   for (const CompiledException& ce : exceptions_) {
     if (!ce.tracked) continue;
     bool active = !ce.has_from || ce.from_pins.count(startpoint.value()) ||
@@ -123,7 +130,6 @@ std::vector<uint8_t> CompiledExceptions::initial_progress(
     }
     progress[ce.track_slot] = p;
   }
-  return progress;
 }
 
 bool CompiledExceptions::advance(std::vector<uint8_t>& progress,

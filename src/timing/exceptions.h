@@ -100,6 +100,9 @@ class CompiledExceptions {
   /// launch clock `launch` (already advanced through sets containing the
   /// startpoint itself).
   std::vector<uint8_t> initial_progress(PinId startpoint, ClockId launch) const;
+  /// The same, written into `progress` (reusing its capacity).
+  void initial_progress(PinId startpoint, ClockId launch,
+                        std::vector<uint8_t>& progress) const;
 
   /// Advance `progress` in place for a tag entering `pin`. Returns true if
   /// anything changed.

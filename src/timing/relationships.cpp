@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "obs/obs.h"
 #include "util/logger.h"
@@ -34,112 +35,263 @@ uint32_t ProgressTable::intern(const std::vector<uint8_t>& v) {
 
 // --- StateSet ---------------------------------------------------------------
 
+StateSet& StateSet::operator=(const StateSet& o) {
+  if (this == &o) return *this;
+  size_ = o.size_;
+  inline_ = o.inline_;
+  spill_.reset();
+  if (size_ > kInline) {
+    spill_ = std::make_unique<PathState[]>(size_);
+    std::copy(o.begin(), o.end(), spill_.get());
+  }
+  return *this;
+}
+
+StateSet& StateSet::operator=(StateSet&& o) noexcept {
+  if (this == &o) return *this;
+  size_ = std::exchange(o.size_, 0);
+  inline_ = o.inline_;
+  spill_ = std::move(o.spill_);
+  return *this;
+}
+
 void StateSet::insert(const PathState& s) {
-  auto it = std::lower_bound(states.begin(), states.end(), s);
-  if (it != states.end() && *it == s) return;
-  states.insert(it, s);
+  const PathState* pos = std::lower_bound(begin(), end(), s);
+  if (pos != end() && *pos == s) return;
+  const size_t at = static_cast<size_t>(pos - begin());
+  if (size_ < kInline) {
+    std::copy_backward(inline_.begin() + at, inline_.begin() + size_,
+                       inline_.begin() + size_ + 1);
+    inline_[at] = s;
+  } else {
+    // Past the inline capacity: one exact-size array per insert (a third
+    // distinct state at one key is rare).
+    auto grown = std::make_unique<PathState[]>(size_ + 1);
+    std::copy(begin(), begin() + at, grown.get());
+    grown[at] = s;
+    std::copy(begin() + at, end(), grown.get() + at + 1);
+    spill_ = std::move(grown);
+  }
+  ++size_;
 }
 
 bool StateSet::contains(const PathState& s) const {
-  return std::binary_search(states.begin(), states.end(), s);
+  return std::binary_search(begin(), end(), s);
 }
 
 bool StateSet::contains_kind(StateKind k) const {
-  for (const PathState& s : states)
+  for (const PathState& s : *this)
     if (s.kind == k) return true;
   return false;
 }
 
 bool StateSet::all_untimed() const {
-  for (const PathState& s : states)
+  for (const PathState& s : *this)
     if (s.is_timed()) return false;
   return true;
 }
 
 bool StateSet::any_timed() const {
-  for (const PathState& s : states)
+  for (const PathState& s : *this)
     if (s.is_timed()) return true;
   return false;
 }
 
 void StateSet::merge(const StateSet& o) {
-  for (const PathState& s : o.states) insert(s);
+  for (const PathState& s : o) insert(s);
 }
 
 std::string StateSet::str() const {
   std::string out = "{";
-  for (size_t i = 0; i < states.size(); ++i) {
+  for (size_t i = 0; i < size_; ++i) {
     if (i) out += ", ";
-    out += states[i].str();
+    out += (*this)[i].str();
   }
   return out + "}";
 }
 
+// --- RelationTable ----------------------------------------------------------
+
+void RelationData::merge(const RelationData& o) {
+  states.merge(o.states);
+  hold_states.merge(o.hold_states);
+  worst_slack = std::min(worst_slack, o.worst_slack);
+  worst_hold_slack = std::min(worst_hold_slack, o.worst_hold_slack);
+  worst_arrival = std::max(worst_arrival, o.worst_arrival);
+}
+
+const RelationData* RelationTable::find(const RelationKey& key) const {
+  const auto it = std::lower_bound(
+      rows_.begin(), rows_.end(), key,
+      [](const RelationRow& row, const RelationKey& k) { return row.key < k; });
+  return it != rows_.end() && it->key == key ? &it->data : nullptr;
+}
+
+const RelationData& RelationTable::at(const RelationKey& key) const {
+  const RelationData* data = find(key);
+  if (!data) throw std::out_of_range("RelationTable::at: no such key");
+  return *data;
+}
+
+RelationData& RelationTable::append(const RelationKey& key) {
+  rows_.push_back({key, {}});
+  return rows_.back().data;
+}
+
+void RelationTable::fold_since(size_t first) {
+  const size_t out = fold(first, rows_.size(), first);
+  rows_.erase(rows_.begin() + static_cast<std::ptrdiff_t>(out), rows_.end());
+}
+
+size_t RelationTable::fold(size_t first, size_t last, size_t out) {
+  const auto b = rows_.begin() + static_cast<std::ptrdiff_t>(first);
+  const auto e = rows_.begin() + static_cast<std::ptrdiff_t>(last);
+  std::sort(b, e, [](const RelationRow& x, const RelationRow& y) {
+    return x.key < y.key;
+  });
+  const size_t run_start = out;
+  for (size_t i = first; i < last; ++i) {
+    if (out > run_start && rows_[out - 1].key == rows_[i].key) {
+      rows_[out - 1].data.merge(rows_[i].data);
+    } else {
+      if (out != i) rows_[out] = std::move(rows_[i]);
+      ++out;
+    }
+  }
+  return out;
+}
+
 // --- Propagator -------------------------------------------------------------
+
+namespace {
+
+/// splitmix64 finalizer.
+uint64_t mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+}  // namespace
+
+void Propagator::TagArena::clear() {
+  blocks_.clear();
+  first_ = 0;
+}
+
+void Propagator::TagArena::begin_slice() {
+  if (blocks_.empty()) {
+    blocks_.emplace_back().reserve(kBlockTags);
+  }
+  first_ = blocks_.back().size();
+}
+
+void Propagator::TagArena::add(const Tag& tag) {
+  std::vector<Tag>& block = blocks_.back();
+  for (size_t i = first_; i < block.size(); ++i) {
+    Tag& t = block[i];
+    if (t.launch == tag.launch && t.progress == tag.progress &&
+        t.startpoint == tag.startpoint) {
+      t.amin = std::min(t.amin, tag.amin);
+      t.amax = std::max(t.amax, tag.amax);
+      return;
+    }
+  }
+  if (block.size() == block.capacity()) {
+    // Full: move the open slice to a fresh block (large enough for a
+    // slice bigger than a block to keep doubling).
+    const size_t open = block.size() - first_;
+    std::vector<Tag> next;
+    next.reserve(std::max(kBlockTags, 2 * open));
+    next.assign(block.begin() + static_cast<std::ptrdiff_t>(first_),
+                block.end());
+    block.resize(first_);
+    blocks_.push_back(std::move(next));
+    first_ = 0;
+  }
+  blocks_.back().push_back(tag);
+}
+
+std::span<const Tag> Propagator::TagArena::end_slice() {
+  const std::vector<Tag>& block = blocks_.back();
+  return {block.data() + first_, block.size() - first_};
+}
+
+size_t Propagator::AdvanceMemo::slot_of(uint64_t key) const {
+  const size_t mask = keys_.size() - 1;
+  size_t slot = static_cast<size_t>(mix64(key)) & mask;
+  while (keys_[slot] != kEmpty && keys_[slot] != key) slot = (slot + 1) & mask;
+  return slot;
+}
+
+uint32_t Propagator::AdvanceMemo::find(uint32_t progress, PinId pin) const {
+  if (keys_.empty()) return kMiss;
+  const uint64_t key = key_of(progress, pin);
+  const size_t slot = slot_of(key);
+  return keys_[slot] == key ? values_[slot] : kMiss;
+}
+
+void Propagator::AdvanceMemo::insert(uint32_t progress, PinId pin,
+                                     uint32_t next) {
+  if (2 * (size_ + 1) > keys_.size()) {
+    // Grow (a power of two, at most half full) and re-place every entry.
+    const size_t capacity = std::max<size_t>(64, 2 * keys_.size());
+    const std::vector<uint64_t> old_keys =
+        std::exchange(keys_, std::vector<uint64_t>(capacity, kEmpty));
+    const std::vector<uint32_t> old_values =
+        std::exchange(values_, std::vector<uint32_t>(capacity));
+    for (size_t i = 0; i < old_keys.size(); ++i) {
+      if (old_keys[i] == kEmpty) continue;
+      const size_t slot = slot_of(old_keys[i]);
+      keys_[slot] = old_keys[i];
+      values_[slot] = old_values[i];
+    }
+  }
+  const uint64_t key = key_of(progress, pin);
+  const size_t slot = slot_of(key);
+  if (keys_[slot] == kEmpty) ++size_;
+  keys_[slot] = key;
+  values_[slot] = next;
+}
 
 Propagator::Propagator(const ModeGraph& mode,
                        const CompiledExceptions& exceptions)
     : mode_(&mode),
       exceptions_(&exceptions),
-      progress_(exceptions.num_tracked()) {
-  tags_.resize(mode.graph().num_nodes());
-}
+      progress_(exceptions.num_tracked()),
+      slices_(mode.graph().num_nodes()) {}
 
 void Propagator::run(const PropagationOptions& options) {
   MM_SPAN_HOT("timing/relationship_propagation");
   const TimingGraph& graph = mode_->graph();
+  arena_.clear();
+  slices_.assign(graph.num_nodes(), {});
+  num_tags_ = 0;
+  relations_ = RelationTable();
 
   seed(options);
 
-  // Forward propagation in topological order.
+  // Forward propagation in topological order: a pin's fan-in sources are
+  // final before its turn, so each pin's slice is written once.
   for (PinId pin : graph.topo_order()) {
     if (options.pin_filter && !(*options.pin_filter)[pin.index()]) continue;
-    const auto& pin_tags = tags_[pin.index()];
-    if (pin_tags.empty()) continue;
-
-    // Register CP pins carry tags only into their launch arcs (the clock
-    // becomes data at Q); every other pin propagates through net/comb arcs.
-    bool has_launch = false;
-    for (ArcId aid : graph.fanout(pin)) {
-      if (graph.arc(aid).kind == ArcKind::kLaunch) has_launch = true;
-    }
-
-    for (ArcId aid : graph.fanout(pin)) {
-      if (!mode_->arc_enabled(aid)) continue;
-      const Arc& arc = graph.arc(aid);
-      if (has_launch && arc.kind != ArcKind::kLaunch) continue;
-      if (options.pin_filter && !(*options.pin_filter)[arc.to.index()]) continue;
-      const double delay =
-          options.arc_delays
-              ? (*options.arc_delays)[aid.index()]
-              : (arc.kind == ArcKind::kNet
-                     ? arc.intrinsic
-                     : arc.intrinsic + arc.resistance * graph.load_on(arc.to));
-      const double delay_min = options.arc_delays_min
-                                   ? (*options.arc_delays_min)[aid.index()]
-                                   : delay;
-      // Snapshot size: tags_ may reallocate if pin self-loops (cannot in a
-      // DAG), but insert_tag appends to *other* pins only.
-      const size_t count = pin_tags.size();
-      for (size_t t = 0; t < count; ++t) {
-        const Tag& tag = tags_[pin.index()][t];
-        insert_tag(arc.to, tag.launch, tag.progress, tag.startpoint,
-                   tag.amin + static_cast<float>(delay_min),
-                   tag.amax + static_cast<float>(delay),
-                   /*advance=*/true);
-      }
-    }
+    pull_tags(pin, options);
   }
 
-  // Resolve relations at endpoints.
-  for (PinId ep : mode_->active_endpoints()) {
-    if (options.pin_filter && !(*options.pin_filter)[ep.index()]) continue;
-    resolve_endpoint(ep, options);
+  // Resolve relations at endpoints, in ascending pin order. A filtered-out
+  // endpoint has no tags. Each (tag, capture clock) writes at most one
+  // row, so the table is sized once, up front.
+  std::vector<PinId> endpoints = mode_->active_endpoints();
+  std::sort(endpoints.begin(), endpoints.end());
+  size_t max_rows = 0;
+  for (PinId ep : endpoints) {
+    max_rows += tags(ep).size() * mode_->capture_clocks_at(ep).size();
   }
+  relations_.reserve(max_rows);
+  for (PinId ep : endpoints) resolve_endpoint(ep, options);
 
-  size_t num_tags = 0;
-  for (const auto& pin_tags : tags_) num_tags += pin_tags.size();
-  MM_COUNT("timing/tags", num_tags);
+  MM_COUNT("timing/tags", num_tags_);
   MM_COUNT("timing/relations", relations_.size());
   MM_COUNT("timing/propagations", 1);
 }
@@ -147,7 +299,9 @@ void Propagator::run(const PropagationOptions& options) {
 void Propagator::seed(const PropagationOptions& options) {
   for (PinId sp : mode_->active_startpoints()) {
     if (options.pin_filter && !(*options.pin_filter)[sp.index()]) continue;
+    arena_.begin_slice();
     seed_startpoint(sp, options);
+    slices_[sp.index()] = arena_.end_slice();
   }
 }
 
@@ -167,10 +321,9 @@ void Propagator::seed_startpoint(PinId sp, const PropagationOptions& options) {
                                                       : c.waveform.empty() ? 0.0 : c.waveform[0];
       }
       const float arrival = static_cast<float>(edge + pd.value);
-      const uint32_t prog =
-          progress_.intern(exceptions_->initial_progress(sp, pd.clock));
-      insert_tag(sp, pd.clock, prog, tracked_sp, arrival, arrival,
-                 /*advance=*/false);
+      exceptions_->initial_progress(sp, pd.clock, progress_scratch_);
+      const uint32_t prog = progress_.intern(progress_scratch_);
+      arena_.add({pd.clock, prog, tracked_sp, arrival, arrival});
     }
     return;
   }
@@ -183,33 +336,75 @@ void Propagator::seed_startpoint(PinId sp, const PropagationOptions& options) {
         (clock.propagated ? ca.latency : mode_->ideal_network_latency(ca.clock));
     const double edge = clock.waveform.empty() ? 0.0 : clock.waveform[0];
     const float arrival = static_cast<float>(latency + edge);
-    const uint32_t prog =
-        progress_.intern(exceptions_->initial_progress(sp, ca.clock));
-    insert_tag(sp, ca.clock, prog, tracked_sp, arrival, arrival,
-               /*advance=*/false);
+    exceptions_->initial_progress(sp, ca.clock, progress_scratch_);
+    const uint32_t prog = progress_.intern(progress_scratch_);
+    arena_.add({ca.clock, prog, tracked_sp, arrival, arrival});
   }
 }
 
-void Propagator::insert_tag(PinId pin, ClockId launch, uint32_t progress_pre,
-                            PinId startpoint, float amin, float amax,
-                            bool advance) {
-  uint32_t progress = progress_pre;
-  if (advance && exceptions_->num_tracked() > 0) {
-    if (!exceptions_->throughs_at(pin).empty()) {
-      std::vector<uint8_t> vec = progress_.get(progress_pre);
-      if (exceptions_->advance(vec, pin)) progress = progress_.intern(vec);
+void Propagator::pull_tags(PinId pin, const PropagationOptions& options) {
+  const TimingGraph& graph = mode_->graph();
+  arena_.begin_slice();
+  for (const Tag& seed : slices_[pin.index()]) arena_.add(seed);
+
+  // Enabled fan-in arcs that carry tags. Register CP pins carry tags only
+  // into their launch arcs (the clock becomes data at Q). Sources are taken
+  // in topological order, so a pin's tags keep the order a forward push
+  // from each source in turn would give them.
+  fanin_scratch_.clear();
+  for (ArcId aid : graph.fanin(pin)) {
+    if (!mode_->arc_enabled(aid)) continue;
+    const Arc& arc = graph.arc(aid);
+    if (slices_[arc.from.index()].empty()) continue;
+    if (graph.has_launch_fanout(arc.from) && arc.kind != ArcKind::kLaunch) {
+      continue;
+    }
+    fanin_scratch_.push_back(aid);
+  }
+  if (fanin_scratch_.size() > 1) {
+    std::sort(fanin_scratch_.begin(), fanin_scratch_.end(),
+              [&](ArcId a, ArcId b) {
+                const uint32_t pa = graph.topo_position(graph.arc(a).from);
+                const uint32_t pb = graph.topo_position(graph.arc(b).from);
+                return pa != pb ? pa < pb : a < b;
+              });
+  }
+
+  for (ArcId aid : fanin_scratch_) {
+    const Arc& arc = graph.arc(aid);
+    const double delay =
+        options.arc_delays
+            ? (*options.arc_delays)[aid.index()]
+            : (arc.kind == ArcKind::kNet
+                   ? arc.intrinsic
+                   : arc.intrinsic + arc.resistance * graph.load_on(arc.to));
+    const double delay_min = options.arc_delays_min
+                                 ? (*options.arc_delays_min)[aid.index()]
+                                 : delay;
+    for (Tag tag : slices_[arc.from.index()]) {
+      tag.progress = advance(tag.progress, pin);
+      tag.amin += static_cast<float>(delay_min);
+      tag.amax += static_cast<float>(delay);
+      arena_.add(tag);
     }
   }
-  auto& vec = tags_[pin.index()];
-  for (Tag& t : vec) {
-    if (t.launch == launch && t.progress == progress &&
-        t.startpoint == startpoint) {
-      t.amin = std::min(t.amin, amin);
-      t.amax = std::max(t.amax, amax);
-      return;
-    }
+  slices_[pin.index()] = arena_.end_slice();
+  num_tags_ += slices_[pin.index()].size();
+}
+
+uint32_t Propagator::advance(uint32_t progress, PinId pin) {
+  if (exceptions_->num_tracked() == 0 || exceptions_->throughs_at(pin).empty()) {
+    return progress;
   }
-  vec.push_back({launch, progress, startpoint, amin, amax});
+  const uint32_t memo = advance_memo_.find(progress, pin);
+  if (memo != AdvanceMemo::kMiss) return memo;
+  const std::vector<uint8_t>& from = progress_.get(progress);
+  progress_scratch_.assign(from.begin(), from.end());
+  const uint32_t next = exceptions_->advance(progress_scratch_, pin)
+                            ? progress_.intern(progress_scratch_)
+                            : progress;
+  advance_memo_.insert(progress, pin, next);
+  return next;
 }
 
 double Propagator::hold_relation(ClockId launch, ClockId capture,
@@ -258,8 +453,9 @@ void Propagator::resolve_endpoint(PinId endpoint,
                                   const PropagationOptions& options) {
   const netlist::Design& d = mode_->graph().design();
   const Sdc& sdc = mode_->sdc();
-  const auto& pin_tags = tags_[endpoint.index()];
+  const std::span<const Tag> pin_tags = tags(endpoint);
   if (pin_tags.empty()) return;
+  const size_t first_row = relations_.size();
 
   const bool is_port = d.pin(endpoint).is_port();
 
@@ -310,7 +506,7 @@ void Propagator::resolve_endpoint(PinId endpoint,
       key.startpoint = tag.startpoint;
       key.launch = tag.launch;
       key.capture = cap.clock;
-      RelationData& data = relations_[key];
+      RelationData& data = relations_.append(key);
       data.states.insert(state);
 
       if (options.analyze_hold) {
@@ -368,6 +564,7 @@ void Propagator::resolve_endpoint(PinId endpoint,
       }
     }
   }
+  relations_.fold_since(first_row);
 }
 
 std::unordered_map<uint32_t, float> Propagator::worst_slack_by_endpoint() const {

@@ -34,7 +34,7 @@ std::vector<std::pair<PinId, double>> trace_path(
       if (!mode.arc_enabled(aid)) continue;
       const Arc& arc = graph.arc(aid);
       const double delay = arc_delay[aid.index()];
-      for (const Tag& tag : prop.tags()[arc.from.index()]) {
+      for (const Tag& tag : prop.tags(arc.from)) {
         if (tag.launch != launch) continue;
         const double src = use_max ? tag.amax : tag.amin;
         if (std::fabs(src + delay - arrival) < kEps) {
@@ -114,7 +114,7 @@ std::string report_timing(const TimingGraph& graph, const Sdc& sdc,
     // clock (false-pathed tags can carry larger arrivals but are excluded
     // from analysis and must not be traced).
     const Tag* worst_tag = nullptr;
-    for (const Tag& tag : prop.tags()[w.key.endpoint.index()]) {
+    for (const Tag& tag : prop.tags(w.key.endpoint)) {
       if (tag.launch != w.key.launch) continue;
       const PathState state = exceptions.resolve(
           prop.progress_table().get(tag.progress), tag.launch, w.key.endpoint,
@@ -216,35 +216,25 @@ std::string report_relations(const TimingGraph& graph, const Sdc& sdc,
   popts.analyze_hold = true;
   prop.run(popts);
 
-  // Deterministic order: sort keys by endpoint/launch/capture.
-  std::vector<const std::pair<const RelationKey, RelationData>*> rows;
-  for (const auto& entry : prop.relations()) rows.push_back(&entry);
-  std::sort(rows.begin(), rows.end(), [](const auto* a, const auto* b) {
-    if (a->first.endpoint != b->first.endpoint)
-      return a->first.endpoint < b->first.endpoint;
-    if (a->first.launch != b->first.launch)
-      return a->first.launch < b->first.launch;
-    return a->first.capture < b->first.capture;
-  });
-
+  // The table is in key order (endpoint, then launch, then capture).
+  const RelationTable& rows = prop.relations();
   os << "Timing relationships (" << rows.size() << " keys)\n";
   os << "  " << std::left << std::setw(24) << "endpoint" << std::setw(10)
      << "launch" << std::setw(10) << "capture" << std::setw(16) << "setup"
      << "hold\n";
   size_t shown = 0;
-  for (const auto* entry : rows) {
+  for (const auto& [key, data] : rows) {
     if (shown++ >= max_rows) {
       os << "  ... (" << rows.size() - max_rows << " more)\n";
       break;
     }
-    const RelationKey& key = entry->first;
     os << "  " << std::left << std::setw(24)
        << std::string(d.pin_name(key.endpoint)) << std::setw(10)
        << (key.launch.valid() ? sdc.clock(key.launch).name : "-")
        << std::setw(10)
        << (key.capture.valid() ? sdc.clock(key.capture).name : "-")
-       << std::setw(16) << entry->second.states.str()
-       << entry->second.hold_states.str() << "\n";
+       << std::setw(16) << data.states.str() << data.hold_states.str()
+       << "\n";
   }
   return os.str();
 }

@@ -27,6 +27,7 @@
 #include "merge/preliminary.h"
 #include "obs/obs.h"
 #include "sdc/parser.h"
+#include "sdc/writer.h"
 
 namespace mm::merge {
 namespace {
@@ -335,8 +336,8 @@ TEST_F(DataRefineTest, CliqueMergePropagatesEachMemberOnce) {
   refine_clock_network(ctx, result, options);
 
   // Data refinement: M + 1 endpoint-level walks in pass 1 (each member
-  // once, then the merged deck), M + 1 cone-filtered walks in pass 2 when
-  // it descends, and one merged ModeGraph for all four passes.
+  // once, the merged deck beside them), M + 1 cone-filtered walks in pass 2
+  // when it descends, and one merged ModeGraph for all four passes.
   const Work before_refine = Work::now();
   refine_data_network(ctx, result, options);
   const Work refine = Work::now().since(before_refine);
@@ -409,6 +410,85 @@ TEST_F(DataRefineTest, FreshContextAndStartpointLevelComputeOwnMaps) {
                     /*startpoint_level=*/true);
   EXPECT_EQ(Work::now().since(sp_before).propagations,
             2 * (members.size() + 1));
+}
+
+/// Every counter of a merge's stats (the wall-clock seconds left out).
+std::vector<size_t> counters(const MergeStats& s) {
+  return {s.clocks_union,
+          s.clocks_deduped,
+          s.clocks_renamed,
+          s.clock_constraints_merged,
+          s.clock_constraints_dropped,
+          s.port_delays_union,
+          s.case_kept,
+          s.case_dropped,
+          s.disables_kept,
+          s.disables_dropped,
+          s.drive_load_kept,
+          s.drive_load_dropped,
+          s.exclusivity_constraints,
+          s.exceptions_common,
+          s.exceptions_uniquified,
+          s.exceptions_dropped,
+          s.exceptions_kept_pessimistic,
+          s.inferred_disables,
+          s.clock_stops_added,
+          s.data_clock_fps_added,
+          s.pass0_pair_fixed,
+          s.pass1_keys,
+          s.pass1_mismatch_fixed,
+          s.pass1_ambiguous,
+          s.pass2_keys,
+          s.pass2_mismatch_fixed,
+          s.pass2_ambiguous,
+          s.pass3_pairs,
+          s.pass3_paths_enumerated,
+          s.pass3_fps_added,
+          s.unresolved_pessimism};
+}
+
+/// Merge `members` at 1 and at 4 threads; both must give the same bytes,
+/// counters, decision log and equivalence report.
+void expect_thread_count_independent(const TimingGraph& graph,
+                                     const std::vector<const Sdc*>& members) {
+  std::vector<ValidatedMergeResult> runs;
+  for (size_t threads : {1u, 4u}) {
+    MergeOptions options;
+    options.num_threads = threads;
+    runs.push_back(merge_modes(graph, members, options));
+  }
+  const ValidatedMergeResult& one = runs[0];
+  const ValidatedMergeResult& four = runs[1];
+  EXPECT_EQ(sdc::write_sdc(*one.merge.merged), sdc::write_sdc(*four.merge.merged));
+  EXPECT_EQ(counters(one.merge.stats), counters(four.merge.stats));
+  EXPECT_EQ(one.merge.notes, four.merge.notes);
+  const EquivalenceReport& a = one.equivalence;
+  const EquivalenceReport& b = four.equivalence;
+  EXPECT_GT(a.keys_compared, 0u);
+  EXPECT_EQ(a.keys_compared, b.keys_compared);
+  EXPECT_EQ(a.matches, b.matches);
+  EXPECT_EQ(a.optimism_violations, b.optimism_violations);
+  EXPECT_EQ(a.pessimism_keys, b.pessimism_keys);
+  EXPECT_EQ(a.state_mismatches, b.state_mismatches);
+  EXPECT_EQ(a.examples, b.examples);
+}
+
+TEST_F(DataRefineTest, MergedOutputIndependentOfThreadCount) {
+  {
+    SCOPED_TRACE("paper family");
+    const netlist::Design design = gen::paper_circuit(lib);
+    const TimingGraph graph(design);
+    const std::vector<Sdc> modes = paper_modes(design);
+    expect_thread_count_independent(graph, ptrs(modes));
+  }
+  {
+    SCOPED_TRACE("generated 5-mode family");
+    const gen::DesignParams dp = small_design();
+    const netlist::Design design = gen::generate_design(lib, dp);
+    const TimingGraph graph(design);
+    const std::vector<Sdc> modes = generated_modes(design, dp, 5);
+    expect_thread_count_independent(graph, ptrs(modes));
+  }
 }
 
 }  // namespace

@@ -104,7 +104,7 @@ TEST_F(DelayCalcTest, HoldUsesEarlyDelays) {
   opts.arc_delays_min = &delays.arc_delay_min;
   prop.run(opts);
   bool found = false;
-  for (const Tag& tag : prop.tags()[design.find_pin("rY/D").index()]) {
+  for (const Tag& tag : prop.tags(design.find_pin("rY/D"))) {
     EXPECT_LT(tag.amin, tag.amax);
     found = true;
   }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
 #include "gen/design_gen.h"
@@ -80,12 +81,12 @@ std::string random_constraints(const gen::DesignParams& dp, Rng& rng) {
 }
 
 /// Exhaustive per-path relationship map (states only).
-RelationMap enumerate_ground_truth(const TimingGraph& graph,
+std::map<RelationKey, RelationData> enumerate_ground_truth(const TimingGraph& graph,
                                    const ModeGraph& mode,
                                    const CompiledExceptions& exceptions,
                                    bool track_startpoints) {
   const netlist::Design& d = graph.design();
-  RelationMap truth;
+  std::map<RelationKey, RelationData> truth;
 
   for (PinId sp : mode.active_startpoints()) {
     // Launch clocks at this startpoint.
@@ -210,21 +211,21 @@ TEST_P(GroundTruthTest, PropagatorMatchesPathEnumeration) {
     opts.track_startpoints = track;
     prop.run(opts);
 
-    const RelationMap truth =
+    const std::map<RelationKey, RelationData> truth =
         enumerate_ground_truth(graph, mode, exceptions, track);
 
     EXPECT_EQ(prop.relations().size(), truth.size())
         << "track=" << track;
     for (const auto& [key, data] : truth) {
-      auto it = prop.relations().find(key);
-      ASSERT_NE(it, prop.relations().end())
+      const RelationData* found = prop.relations().find(key);
+      ASSERT_NE(found, nullptr)
           << "missing key at " << design.pin_name(key.endpoint)
           << " track=" << track;
-      EXPECT_EQ(it->second.states, data.states)
+      EXPECT_EQ(found->states, data.states)
           << design.pin_name(key.endpoint) << " setup track=" << track
-          << " prop=" << it->second.states.str()
+          << " prop=" << found->states.str()
           << " truth=" << data.states.str();
-      EXPECT_EQ(it->second.hold_states, data.hold_states)
+      EXPECT_EQ(found->hold_states, data.hold_states)
           << design.pin_name(key.endpoint) << " hold track=" << track;
     }
   }

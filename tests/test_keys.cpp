@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
@@ -29,6 +30,7 @@
 #include "merge/mergeability.h"
 #include "merge/preliminary.h"
 #include "merge/relationship_cache.h"
+#include "netlist/verilog.h"
 #include "sdc/parser.h"
 #include "sdc/writer.h"
 #include "timing/graph.h"
@@ -358,6 +360,45 @@ TEST_F(KeysFamilyTest, Parity32ModeFamilyFullMerge) {
 
 TEST_F(KeysFamilyTest, Parity64ModeFamilyGraph) {
   run_family(/*num_modes=*/64, /*target_groups=*/8, /*full_merge=*/false);
+}
+
+// ---------------------------------------------------------------------------
+// Keys and signatures keep every digit of a value.
+
+TEST_F(KeysTest, ClockKeysKeepEveryDigitOfThePeriod) {
+  const sdc::Sdc a =
+      parse("create_clock -name c -period 3.3333333 [get_ports clk1]\n");
+  const sdc::Sdc b =
+      parse("create_clock -name c -period 3.3333334 [get_ports clk1]\n");
+  EXPECT_NE(clock_key(a, ClockId{size_t{0}}), clock_key(b, ClockId{size_t{0}}));
+  const sdc::Sdc c = parse(
+      "create_clock -name c -period 10 -waveform {0 5.0000001} "
+      "[get_ports clk1]\n");
+  const sdc::Sdc d = parse(
+      "create_clock -name c -period 10 -waveform {0 5.0000002} "
+      "[get_ports clk1]\n");
+  EXPECT_NE(clock_key(c, ClockId{size_t{0}}), clock_key(d, ClockId{size_t{0}}));
+}
+
+TEST_F(KeysTest, MaxDelaysDifferingInTheSeventhDigitDoNotMerge) {
+  std::ifstream in(std::string(MM_TEST_DATA_DIR) + "/fig1.v");
+  ASSERT_TRUE(in) << "cannot read fig1.v";
+  const std::string verilog((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  const netlist::Design fig1 = netlist::read_verilog(verilog, lib);
+  const timing::TimingGraph fig1_graph(fig1);
+  const std::string clock = "create_clock -name clkA -period 10 [get_ports clk1]\n";
+  const sdc::Sdc a = sdc::parse_sdc(
+      clock + "set_max_delay 1.2345674 -through [get_pins inv3/Z]\n", fig1);
+  const sdc::Sdc b = sdc::parse_sdc(
+      clock + "set_max_delay 1.2345671 -through [get_pins inv3/Z]\n", fig1);
+
+  MergeOptions options;
+  options.value_tolerance = 0.0;
+  EXPECT_FALSE(check_mergeable(a, b, options).mergeable);
+  expect_verdict_matches_oracle(a, b);
+  const MergedModeSet set = merge_mode_set(fig1_graph, {&a, &b}, options);
+  EXPECT_EQ(set.cliques.size(), 2u);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <unordered_set>
+#include <stdexcept>
 #include <vector>
 
 #include "gen/paper_circuit.h"
@@ -26,7 +26,7 @@ class RelTest : public ::testing::Test {
     exceptions_ = std::make_unique<CompiledExceptions>(graph, *sdc_);
   }
 
-  RelationMap run(PropagationOptions opts = {}) {
+  RelationTable run(PropagationOptions opts = {}) {
     Propagator prop(*mode_, *exceptions_);
     prop.run(opts);
     return prop.relations();
@@ -35,7 +35,7 @@ class RelTest : public ::testing::Test {
   PinId pin(const char* name) { return design.find_pin(name); }
 
   /// State set at (endpoint, launch, capture) with invalid startpoint.
-  const StateSet* states(const RelationMap& rel, const char* endpoint,
+  const StateSet* states(const RelationTable& rel, const char* endpoint,
                          const char* launch, const char* capture,
                          const char* startpoint = nullptr) {
     RelationKey key;
@@ -43,8 +43,8 @@ class RelTest : public ::testing::Test {
     key.startpoint = startpoint ? pin(startpoint) : PinId();
     key.launch = sdc_->find_clock(launch);
     key.capture = sdc_->find_clock(capture);
-    auto it = rel.find(key);
-    return it == rel.end() ? nullptr : &it->second.states;
+    const RelationData* data = rel.find(key);
+    return data ? &data->states : nullptr;
   }
 
   std::unique_ptr<sdc::Sdc> sdc_;
@@ -55,22 +55,22 @@ class RelTest : public ::testing::Test {
 TEST_F(RelTest, Table1Relationships) {
   // Paper Table 1 from Constraint Set 1.
   load(gen::constraint_sets::kSet1);
-  const RelationMap rel = run();
+  const RelationTable rel = run();
 
   const StateSet* rx = states(rel, "rX/D", "clkA", "clkA");
   ASSERT_NE(rx, nullptr);
-  ASSERT_EQ(rx->states.size(), 1u);
-  EXPECT_EQ(rx->states[0], PathState::mcp(2));
+  ASSERT_EQ(rx->size(), 1u);
+  EXPECT_EQ((*rx)[0], PathState::mcp(2));
 
   const StateSet* ry = states(rel, "rY/D", "clkA", "clkA");
   ASSERT_NE(ry, nullptr);
-  ASSERT_EQ(ry->states.size(), 1u);
-  EXPECT_EQ(ry->states[0], PathState::false_path());  // FP overrides MCP
+  ASSERT_EQ(ry->size(), 1u);
+  EXPECT_EQ((*ry)[0], PathState::false_path());  // FP overrides MCP
 
   const StateSet* rz = states(rel, "rZ/D", "clkA", "clkA");
   ASSERT_NE(rz, nullptr);
-  ASSERT_EQ(rz->states.size(), 1u);
-  EXPECT_EQ(rz->states[0], PathState::valid());
+  ASSERT_EQ(rz->size(), 1u);
+  EXPECT_EQ((*rz)[0], PathState::valid());
 }
 
 TEST_F(RelTest, MixedStatesAtEndpoint) {
@@ -78,10 +78,10 @@ TEST_F(RelTest, MixedStatesAtEndpoint) {
   load(
       "create_clock -name clkA -period 10 [get_ports clk1]\n"
       "set_false_path -from [get_pins rA/CP]\n");
-  const RelationMap rel = run();
+  const RelationTable rel = run();
   const StateSet* ry = states(rel, "rY/D", "clkA", "clkA");
   ASSERT_NE(ry, nullptr);
-  EXPECT_EQ(ry->states.size(), 2u);
+  EXPECT_EQ(ry->size(), 2u);
   EXPECT_TRUE(ry->contains(PathState::false_path()));
   EXPECT_TRUE(ry->contains(PathState::valid()));
 }
@@ -92,17 +92,17 @@ TEST_F(RelTest, StartpointTracking) {
       "set_false_path -from [get_pins rA/CP]\n");
   PropagationOptions opts;
   opts.track_startpoints = true;
-  const RelationMap rel = run(opts);
+  const RelationTable rel = run(opts);
 
   const StateSet* from_a = states(rel, "rY/D", "clkA", "clkA", "rA/CP");
   ASSERT_NE(from_a, nullptr);
   ASSERT_TRUE(from_a->singleton());
-  EXPECT_EQ(from_a->states[0], PathState::false_path());
+  EXPECT_EQ((*from_a)[0], PathState::false_path());
 
   const StateSet* from_b = states(rel, "rY/D", "clkA", "clkA", "rB/CP");
   ASSERT_NE(from_b, nullptr);
   ASSERT_TRUE(from_b->singleton());
-  EXPECT_EQ(from_b->states[0], PathState::valid());
+  EXPECT_EQ((*from_b)[0], PathState::valid());
 }
 
 TEST_F(RelTest, ExclusiveClockPairsAreFalse) {
@@ -111,17 +111,17 @@ TEST_F(RelTest, ExclusiveClockPairsAreFalse) {
       "create_clock -name b -period 1 -add [get_ports clk1]\n"
       "set_clock_groups -physically_exclusive -group [get_clocks a] "
       "-group [get_clocks b]\n");
-  const RelationMap rel = run();
+  const RelationTable rel = run();
   const StateSet* cross = states(rel, "rA/D", "a", "b");
   // rA is clocked by both a and b; in1 has no delay so rA/D sees no tags —
   // use a register-to-register endpoint instead.
   (void)cross;
   const StateSet* xab = states(rel, "rX/D", "a", "b");
   ASSERT_NE(xab, nullptr);
-  EXPECT_EQ(xab->states[0], PathState::false_path());
+  EXPECT_EQ((*xab)[0], PathState::false_path());
   const StateSet* xaa = states(rel, "rX/D", "a", "a");
   ASSERT_NE(xaa, nullptr);
-  EXPECT_EQ(xaa->states[0], PathState::valid());
+  EXPECT_EQ((*xaa)[0], PathState::valid());
 }
 
 TEST_F(RelTest, AsyncGroupsNotTimed) {
@@ -130,30 +130,30 @@ TEST_F(RelTest, AsyncGroupsNotTimed) {
       "create_clock -name b -period 1 -add [get_ports clk1]\n"
       "set_clock_groups -asynchronous -group [get_clocks a] "
       "-group [get_clocks b]\n");
-  const RelationMap rel = run();
+  const RelationTable rel = run();
   const StateSet* xab = states(rel, "rX/D", "a", "b");
   ASSERT_NE(xab, nullptr);
-  EXPECT_EQ(xab->states[0], PathState::false_path());
+  EXPECT_EQ((*xab)[0], PathState::false_path());
 }
 
 TEST_F(RelTest, InputDelayCreatesPortTags) {
   load(
       "create_clock -name clkA -period 10 [get_ports clk1]\n"
       "set_input_delay 2.5 -clock clkA [get_ports in1]\n");
-  const RelationMap rel = run();
+  const RelationTable rel = run();
   const StateSet* ra = states(rel, "rA/D", "clkA", "clkA");
   ASSERT_NE(ra, nullptr);
-  EXPECT_EQ(ra->states[0], PathState::valid());
+  EXPECT_EQ((*ra)[0], PathState::valid());
 }
 
 TEST_F(RelTest, OutputPortEndpoint) {
   load(
       "create_clock -name clkA -period 10 [get_ports clk1]\n"
       "set_output_delay 1.0 -clock clkA [get_ports out1]\n");
-  const RelationMap rel = run();
+  const RelationTable rel = run();
   const StateSet* out = states(rel, "out1", "clkA", "clkA");
   ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->states[0], PathState::valid());
+  EXPECT_EQ((*out)[0], PathState::valid());
 }
 
 TEST_F(RelTest, ArrivalsAndSlacks) {
@@ -220,7 +220,7 @@ TEST_F(RelTest, ConeRestrictsPropagation) {
 
   PropagationOptions opts;
   opts.pin_filter = &cone;
-  const RelationMap rel = run(opts);
+  const RelationTable rel = run(opts);
   EXPECT_NE(states(rel, "rX/D", "c", "c"), nullptr);
   EXPECT_EQ(states(rel, "rY/D", "c", "c"), nullptr);
 }
@@ -236,44 +236,109 @@ TEST_F(RelTest, MaxDelayStateAndSlack) {
   key.launch = key.capture = sdc_->find_clock("c");
   const RelationData& data = prop.relations().at(key);
   ASSERT_TRUE(data.states.singleton());
-  EXPECT_EQ(data.states.states[0].kind, StateKind::kMaxDelay);
+  EXPECT_EQ(data.states[0].kind, StateKind::kMaxDelay);
   // Path delay > 1.0 (launch 0.6+, inv 0.2+, nets) => negative slack.
   EXPECT_LT(data.worst_slack, 0.0f);
 }
 
-TEST_F(RelTest, RelationKeyHashSpreadsDenseIdSpace) {
-  // Regression for the pre-splitmix64 hash, which mixed only the low bits
-  // and collided whole ranges of dense pin/clock ids into shared buckets.
-  // Enumerate a dense id grid (the shape real designs produce: consecutive
-  // endpoint/startpoint pins, a handful of clocks) and require (a) zero
-  // full-width collisions and (b) near-uniform low-bit bucket load, since
-  // unordered_map derives its bucket from the low bits.
-  RelationKeyHash hash;
-  std::unordered_set<size_t> values;
-  std::vector<size_t> buckets(1024, 0);
-  size_t n = 0;
-  for (uint32_t e = 0; e < 32; ++e) {
-    for (uint32_t s = 0; s < 8; ++s) {
-      for (uint32_t l = 0; l < 4; ++l) {
-        for (uint32_t c = 0; c < 4; ++c) {
-          RelationKey key;
-          key.endpoint = PinId(e);
-          key.startpoint = PinId(s);
-          key.launch = ClockId(l);
-          key.capture = ClockId(c);
-          const size_t h = hash(key);
-          values.insert(h);
-          ++buckets[h & 1023u];
-          ++n;
-        }
-      }
+class RelationTableTest : public RelTest {};
+
+TEST_F(RelationTableTest, WalkRowsAreSortedAndUnique) {
+  load(
+      "create_clock -name a -period 2 [get_ports clk1]\n"
+      "create_clock -name b -period 1 -add [get_ports clk1]\n"
+      "set_input_delay 0.5 -clock a [get_ports in1]\n"
+      "set_false_path -from [get_clocks a] -through [get_pins inv3/Z]\n");
+  for (bool track : {false, true}) {
+    PropagationOptions opts;
+    opts.track_startpoints = track;
+    opts.analyze_hold = true;
+    const RelationTable rel = run(opts);
+    ASSERT_GT(rel.size(), 4u) << "track=" << track;
+    for (size_t i = 1; i < rel.size(); ++i) {
+      EXPECT_TRUE(rel[i - 1].key < rel[i].key)
+          << "rows " << i - 1 << " and " << i << " out of order or equal"
+          << " (track=" << track << ")";
+    }
+    // Every row is found where it is.
+    for (const auto& [key, data] : rel) {
+      EXPECT_EQ(rel.find(key), &data);
     }
   }
-  EXPECT_EQ(values.size(), n);  // 4096 dense keys, no 64-bit collisions
-  // Mean bucket load is 4; a well-mixed hash stays within a small constant
-  // of it. The old hash packed hundreds of keys into a few buckets here.
-  const size_t worst = *std::max_element(buckets.begin(), buckets.end());
-  EXPECT_LE(worst, 16u);
+}
+
+TEST_F(RelationTableTest, RenamedClocksFoldIntoOneRowWithUnionStates) {
+  // Clock b is false-pathed, a is timed: at rX/D the four (launch,
+  // capture) keys over {a, b} carry both V and FP.
+  load(
+      "create_clock -name a -period 2 [get_ports clk1]\n"
+      "create_clock -name b -period 2 -add [get_ports clk1]\n"
+      "set_false_path -from [get_clocks b]\n");
+  RelationTable rel = run();
+  const ClockId a = sdc_->find_clock("a");
+  const ClockId b = sdc_->find_clock("b");
+  StateSet expected;
+  size_t rows_at_rx = 0;
+  for (const auto& [key, data] : rel) {
+    if (key.endpoint != pin("rX/D")) continue;
+    expected.merge(data.states);
+    ++rows_at_rx;
+  }
+  ASSERT_EQ(rows_at_rx, 4u);
+  ASSERT_EQ(expected.size(), 2u);
+
+  // Map both clocks onto a, as two member clocks mapped onto one merged
+  // clock do.
+  rel.rename_clocks([&](ClockId c) { return c == b ? a : c; });
+  size_t folded_at_rx = 0;
+  for (const auto& [key, data] : rel) {
+    if (key.endpoint != pin("rX/D")) continue;
+    ++folded_at_rx;
+    EXPECT_EQ(key.launch, a);
+    EXPECT_EQ(key.capture, a);
+    EXPECT_EQ(data.states, expected) << data.states.str();
+  }
+  EXPECT_EQ(folded_at_rx, 1u);
+  for (size_t i = 1; i < rel.size(); ++i) {
+    EXPECT_TRUE(rel[i - 1].key < rel[i].key);
+  }
+}
+
+TEST_F(RelationTableTest, FindOnAbsentKeyReturnsNothing) {
+  load("create_clock -name c -period 10 [get_ports clk1]\n");
+  const RelationTable rel = run();
+  RelationKey present;
+  present.endpoint = pin("rX/D");
+  present.launch = present.capture = sdc_->find_clock("c");
+  ASSERT_NE(rel.find(present), nullptr);
+
+  RelationKey absent = present;
+  absent.endpoint = pin("inv1/Z");  // not an endpoint
+  EXPECT_EQ(rel.find(absent), nullptr);
+  EXPECT_THROW(rel.at(absent), std::out_of_range);
+  absent = present;
+  absent.startpoint = pin("rA/CP");  // endpoint-level walk: no startpoints
+  EXPECT_EQ(rel.find(absent), nullptr);
+  EXPECT_EQ(RelationTable().find(present), nullptr);
+}
+
+TEST_F(RelationTableTest, StateSetSpillsPastTwoStatesAndStaysSorted) {
+  StateSet set;
+  set.insert(PathState::mcp(3));
+  set.insert(PathState::false_path());
+  set.insert(PathState::valid());
+  set.insert(PathState::mcp(2));
+  set.insert(PathState::valid());
+  ASSERT_EQ(set.size(), 4u);
+  EXPECT_TRUE(std::is_sorted(set.begin(), set.end()));
+  EXPECT_TRUE(set.contains(PathState::mcp(2)));
+  StateSet copy = set;
+  EXPECT_EQ(copy, set);
+  StateSet two;
+  two.insert(PathState::false_path());
+  two.insert(PathState::valid());
+  EXPECT_FALSE(two == set);
+  EXPECT_EQ(two.str(), "{V, FP}");
 }
 
 TEST_F(RelTest, ProgressTableInternsDeterministically) {

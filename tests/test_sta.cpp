@@ -178,7 +178,7 @@ TEST_F(StaTest, SingleNodeLevelChain) {
   opts.analyze_hold = true;
   prop.run(opts);
   ASSERT_EQ(prop.relations().size(), 1u);
-  const RelationData& rel = prop.relations().begin()->second;
+  const RelationData& rel = prop.relations().begin()->data;
   EXPECT_TRUE(rel.states.any_timed());
   EXPECT_TRUE(rel.hold_states.any_timed());
 

@@ -57,20 +57,20 @@ TEST_F(ThreePassTest, Table2IndividualStates) {
   // inv3/Z) with valid (through and2/A).
   timing::StateSet rx_a = endpoint_states(a, "rX/D");
   ASSERT_TRUE(rx_a.singleton());
-  EXPECT_EQ(rx_a.states[0], PathState::false_path());
+  EXPECT_EQ(rx_a[0], PathState::false_path());
 
   timing::StateSet rz_a = endpoint_states(a, "rZ/D");
-  EXPECT_EQ(rz_a.states.size(), 2u);
+  EXPECT_EQ(rz_a.size(), 2u);
   EXPECT_TRUE(rz_a.contains(PathState::false_path()));
   EXPECT_TRUE(rz_a.contains(PathState::valid()));
 
   // Mode B: rY/D mixes FP (paths from rA) with valid (paths from rB);
   // rZ/D is all FP.
   timing::StateSet ry_b = endpoint_states(b, "rY/D");
-  EXPECT_EQ(ry_b.states.size(), 2u);
+  EXPECT_EQ(ry_b.size(), 2u);
   timing::StateSet rz_b = endpoint_states(b, "rZ/D");
   ASSERT_TRUE(rz_b.singleton());
-  EXPECT_EQ(rz_b.states[0], PathState::false_path());
+  EXPECT_EQ(rz_b[0], PathState::false_path());
 }
 
 TEST_F(ThreePassTest, RefinementDerivesPaperConstraints) {
