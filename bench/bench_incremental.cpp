@@ -4,16 +4,22 @@
 // and re-merge only the dirty cliques, while a batch user pays the full
 // O(M^2) pair sweep plus every clique's merge/refine/validate again.
 //
-// Per row: cold commit over an M-mode generated family, then one
-// deterministic SDC-text perturbation (the fuzz harness's mutator, retried
-// until the mutant parses) applied to the middle mode via update_mode, then
-//   incremental — session.commit() after the edit
+// Per row: cold commit over an M-mode generated family, then two edits of
+// the middle mode via update_mode: a deterministic SDC-text perturbation
+// (the fuzz harness's mutator, retried until the mutant parses), then the
+// original deck back. The first edit commit keeps a member view of every
+// deck of the re-merged clique (the cold commit keeps none), so the second
+// is the steady state of an edit stream:
+//   incremental — session.commit() after the second edit
 //   scratch     — merge_mode_set over the same final decks, fresh context
 // The two outputs are asserted byte-identical (clique cover + merged SDC
-// per clique); a mismatch or a pairs_rechecked count above M-1 fails the
-// bench (exit 1). Timings and the speedup land in BENCH_incremental.json
-// (mm.bench/1). The ≥5x acceptance floor at M=128 is recorded in the JSON
-// and printed, not asserted, so a loaded CI host cannot flake the build.
+// per clique). The bench fails (exit 1) on a mismatch, on a
+// pairs_rechecked count above M-1, or unless the second edit commit builds
+// exactly one member view (obs `session/member_views_built`): member walks
+// per edit commit equal the number of edited decks. Timings and the
+// speedup land in BENCH_incremental.json (mm.bench/1). The ≥5x acceptance
+// floor at M=128 is recorded in the JSON and printed, not asserted, so a
+// loaded CI host cannot flake the build.
 
 #include <cstdio>
 #include <fstream>
@@ -33,10 +39,8 @@
 
 namespace {
 
-uint64_t pairs_rechecked_counter() {
-  return mm::obs::MetricsRegistry::global()
-      .counter("session/pairs_rechecked")
-      .value();
+uint64_t counter(const char* name) {
+  return mm::obs::MetricsRegistry::global().counter(name).value();
 }
 
 /// Deterministically mutate `text` until the mutant parses and differs
@@ -81,9 +85,9 @@ int main(int argc, char** argv) {
   std::printf("Incremental commit vs from-scratch rebuild (design %zu "
               "cells, %u hardware thread(s))\n",
               design.num_instances(), std::thread::hardware_concurrency());
-  std::printf("%8s %10s %12s %10s %12s %10s %9s %10s\n", "#modes",
-              "cold(ms)", "re-checked", "reused", "incr(ms)", "scratch",
-              "speedup", "identical");
+  std::printf("%8s %10s %10s %12s %10s %7s %12s %10s %9s %10s\n", "#modes",
+              "cold(ms)", "edit1(ms)", "re-checked", "reused", "views",
+              "incr(ms)", "scratch", "speedup", "identical");
 
   obs::JsonWriter json;
   json.begin_object();
@@ -119,17 +123,29 @@ int main(int argc, char** argv) {
     session.commit();
     const double cold_ms = timer.elapsed_ms();
 
-    // One mode edited in place: the middle one, so it sits inside an
-    // established clique rather than at the family's boundary.
+    // The middle mode is edited, so it sits inside an established clique
+    // rather than at the family's boundary: first perturbed, then back.
     const size_t victim = m / 2;
     const sdc::Sdc perturbed = sdc::parse_sdc(
         perturb_parsable(family[victim].sdc_text, design, seed), design);
-    const uint64_t rechecked_before = pairs_rechecked_counter();
     session.update_mode(ids[victim], &perturbed);
+    timer.reset();
+    session.commit();
+    const double first_edit_ms = timer.elapsed_ms();
+
+    const uint64_t rechecked_before = counter("session/pairs_rechecked");
+    const uint64_t built_before = counter("session/member_views_built");
+    const uint64_t reused_before = counter("session/member_views_reused");
+    session.update_mode(ids[victim], modes[victim].get());
     timer.reset();
     const merge::MergeSession::CommitResult& incr = session.commit();
     const double incr_ms = timer.elapsed_ms();
-    const uint64_t rechecked = pairs_rechecked_counter() - rechecked_before;
+    const uint64_t rechecked =
+        counter("session/pairs_rechecked") - rechecked_before;
+    const uint64_t views_built =
+        counter("session/member_views_built") - built_before;
+    const uint64_t views_reused =
+        counter("session/member_views_reused") - reused_before;
 
     // What a batch user pays for the same edit: full rebuild, fresh
     // context (cold caches), same final decks.
@@ -146,23 +162,35 @@ int main(int argc, char** argv) {
                   sdc::write_sdc(*scratch.merged[c].merge.merged);
     }
     const bool bounded = rechecked <= m - 1;
+    const bool one_view = views_built == 1;
     const double speedup = incr_ms > 0 ? scratch_ms / incr_ms : 0.0;
-    ok = ok && identical && bounded;
+    ok = ok && identical && bounded && one_view;
 
-    std::printf("%8zu %10.2f %12llu %10zu %12.2f %10.2f %8.1fx %10s\n", m,
-                cold_ms, static_cast<unsigned long long>(rechecked),
-                incr.cliques_reused, incr_ms, scratch_ms, speedup,
-                identical ? (bounded ? "yes" : "UNBOUNDED") : "NO!");
+    std::printf("%8zu %10.2f %10.2f %12llu %10zu %3llu/%-3llu %12.2f %10.2f "
+                "%8.1fx %10s\n",
+                m, cold_ms, first_edit_ms,
+                static_cast<unsigned long long>(rechecked),
+                incr.cliques_reused,
+                static_cast<unsigned long long>(views_built),
+                static_cast<unsigned long long>(views_reused), incr_ms,
+                scratch_ms, speedup,
+                !identical ? "NO!"
+                : !bounded ? "UNBOUNDED"
+                : !one_view ? "VIEWS"
+                            : "yes");
 
     json.begin_object();
     json.key("modes").value(m);
     json.key("pairs_total").value(m * (m - 1) / 2);
     json.key("cliques").value(incr.cliques.size());
     json.key("cold_commit_ms").value(cold_ms);
+    json.key("first_edit_commit_ms").value(first_edit_ms);
     json.key("pairs_rechecked").value(rechecked);
     json.key("pairs_rechecked_bounded").value(bounded);
     json.key("cliques_reused").value(incr.cliques_reused);
     json.key("cliques_merged").value(incr.cliques_merged);
+    json.key("member_views_built").value(views_built);
+    json.key("member_views_reused").value(views_reused);
     json.key("incremental_commit_ms").value(incr_ms);
     json.key("scratch_rebuild_ms").value(scratch_ms);
     json.key("speedup").value(speedup);
@@ -182,8 +210,9 @@ int main(int argc, char** argv) {
   std::ofstream("BENCH_incremental.json") << json.str() << '\n';
   std::fprintf(stderr, "wrote BENCH_incremental.json\n");
   if (!ok) {
-    std::fprintf(stderr, "[INCREMENTAL PARITY VIOLATION] delta commit "
-                         "diverged from the batch rebuild\n");
+    std::fprintf(stderr, "[INCREMENTAL VIOLATION] a delta commit diverged "
+                         "from the batch rebuild, re-checked more than M-1 "
+                         "pairs, or built other than one member view\n");
     return 1;
   }
   return 0;

@@ -1,8 +1,8 @@
 #include "merge/clock_refine.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
-#include <unordered_set>
 
 #include "obs/obs.h"
 #include "util/logger.h"
@@ -30,14 +30,14 @@ void infer_disables(const RefineContext& ctx, MergeResult& result) {
   if (candidates.empty()) return;
 
   // Merged constants as they stand (before any inferred disables).
-  const ModeGraph merged_view(*ctx.graph, merged);
+  const std::shared_ptr<const ModeGraph> merged_view = ctx.merged_view(merged);
 
   for (uint32_t pv : candidates) {
     const PinId pin(pv);
-    if (merged_view.is_constant(pin)) continue;  // already dead in merged
+    if (merged_view->is_constant(pin)) continue;  // already dead in merged
     bool constant_everywhere = true;
-    for (const auto& mg : ctx.mode_graphs) {
-      if (!mg->is_constant(pin)) {
+    for (size_t m = 0; m < ctx.modes.size(); ++m) {
+      if (!ctx.mode_graph(m).is_constant(pin)) {
         constant_everywhere = false;
         break;
       }
@@ -58,84 +58,109 @@ void refine_clock_propagation(const RefineContext& ctx, MergeResult& result) {
   Sdc& merged = *result.merged;
   const ClockMap& map = result.clock_map;
 
-  // allowed[pin] = merged clock ids justified by >= 1 individual mode.
-  std::vector<std::set<uint32_t>> allowed(graph.num_nodes());
+  // Clock sets are flat bit rows, as in data refinement's pass 0: row p
+  // holds `words` 64-bit words, bit c set for merged clock c.
+  const size_t words = (merged.num_clocks() + 63) / 64;
+  if (words == 0) return;
+  const size_t num_rows = graph.num_nodes();
+  auto set_bit = [&](std::vector<uint64_t>& rows, size_t pin, size_t clock) {
+    rows[pin * words + (clock >> 6)] |= uint64_t{1} << (clock & 63);
+  };
+
+  // allowed[pin] = merged clocks justified by >= 1 individual mode.
+  std::vector<uint64_t> allowed(num_rows * words, 0);
   for (size_t m = 0; m < ctx.modes.size(); ++m) {
-    const ModeGraph& mg = *ctx.mode_graphs[m];
-    for (size_t p = 0; p < graph.num_nodes(); ++p) {
+    const ModeGraph& mg = ctx.mode_graph(m);
+    for (size_t p = 0; p < num_rows; ++p) {
       for (const timing::ClockArrival& ca : mg.clocks_on(PinId(p))) {
         const ClockId mc = map.merged_of(m, ca.clock);
-        if (mc.valid()) allowed[p].insert(mc.value());
+        if (mc.valid()) set_bit(allowed, p, mc.index());
       }
+    }
+  }
+
+  // Clocks the merged deck already stops at each pin (an invalid clock
+  // stops all of them).
+  std::vector<uint64_t> stopped(num_rows * words, 0);
+  for (const sdc::ClockSenseStop& s : merged.clock_sense_stops()) {
+    if (s.clock.valid()) {
+      set_bit(stopped, s.pin.index(), s.clock.index());
+    } else {
+      std::fill_n(stopped.begin() + static_cast<std::ptrdiff_t>(
+                                        s.pin.index() * words),
+                  words, ~uint64_t{0});
     }
   }
 
   // Merged-mode view with the disables inferred so far (constants + arc
   // enables for the simulation).
-  const ModeGraph merged_view(graph, merged);
+  const std::shared_ptr<const ModeGraph> merged_view = ctx.merged_view(merged);
 
   // Simulate merged clock propagation with the allowed-check inline.
   // presence[pin] = merged clocks present; a clock reaching a pin where it
-  // is not allowed becomes a -stop_propagation constraint at that pin and
-  // does not continue (matching our ModeGraph stop semantics).
-  std::vector<std::set<uint32_t>> presence(graph.num_nodes());
-  std::set<std::pair<uint32_t, uint32_t>> stops;  // (pin, clock)
-
-  auto already_stopped = [&](PinId pin, ClockId clock) {
-    for (const sdc::ClockSenseStop& s : merged.clock_sense_stops()) {
-      if (s.pin == pin && (!s.clock.valid() || s.clock == clock)) return true;
-    }
-    return false;
+  // is not allowed becomes a -stop_propagation constraint at that pin
+  // (frontier) and does not continue (matching our ModeGraph stop
+  // semantics).
+  std::vector<uint64_t> presence(num_rows * words, 0);
+  std::vector<uint64_t> frontier(num_rows * words, 0);
+  auto arrive = [&](size_t pin, size_t w, uint64_t bits) {
+    const size_t i = pin * words + w;
+    bits &= ~stopped[i];
+    presence[i] |= bits & allowed[i];
+    frontier[i] |= bits & ~allowed[i];
   };
-
-  auto try_insert = [&](PinId pin, ClockId clock) {
-    if (already_stopped(pin, clock)) return;
-    if (!allowed[pin.index()].count(clock.value())) {
-      stops.emplace(pin.value(), clock.value());
-      return;
+  auto seed = [&](bool generated) {
+    for (size_t ci = 0; ci < merged.num_clocks(); ++ci) {
+      const sdc::Clock& clock = merged.clock(ClockId(ci));
+      if (clock.is_generated != generated) continue;
+      for (PinId src : clock.sources) {
+        arrive(src.index(), ci >> 6, uint64_t{1} << (ci & 63));
+      }
     }
-    presence[pin.index()].insert(clock.value());
   };
-
   auto run_pass = [&]() {
     for (PinId pin : graph.topo_order()) {
-      if (presence[pin.index()].empty()) continue;
-      if (merged_view.is_constant(pin)) continue;
+      const uint64_t* row = &presence[pin.index() * words];
+      if (std::all_of(row, row + words, [](uint64_t w) { return w == 0; })) {
+        continue;
+      }
+      if (merged_view->is_constant(pin)) continue;
       for (ArcId aid : graph.fanout(pin)) {
-        if (!merged_view.arc_enabled(aid)) continue;
+        if (!merged_view->arc_enabled(aid)) continue;
         const Arc& arc = graph.arc(aid);
         if (arc.kind == ArcKind::kLaunch) continue;
-        for (uint32_t c : presence[pin.index()]) {
-          try_insert(arc.to, ClockId(c));
+        for (size_t w = 0; w < words; ++w) {
+          arrive(arc.to.index(), w, presence[pin.index() * words + w]);
         }
       }
     }
   };
 
-  for (size_t ci = 0; ci < merged.num_clocks(); ++ci) {
-    const sdc::Clock& clock = merged.clock(ClockId(ci));
-    if (clock.is_generated) continue;
-    for (PinId src : clock.sources) try_insert(src, ClockId(ci));
-  }
+  seed(/*generated=*/false);
   run_pass();
   bool any_generated = false;
-  for (size_t ci = 0; ci < merged.num_clocks(); ++ci) {
-    const sdc::Clock& clock = merged.clock(ClockId(ci));
-    if (!clock.is_generated) continue;
-    any_generated = true;
-    for (PinId src : clock.sources) try_insert(src, ClockId(ci));
+  for (const sdc::Clock& clock : merged.clocks()) {
+    any_generated = any_generated || clock.is_generated;
   }
-  if (any_generated) run_pass();
+  if (any_generated) {
+    seed(/*generated=*/true);
+    run_pass();
+  }
 
-  for (const auto& [pin, clock] : stops) {
-    sdc::ClockSenseStop stop;
-    stop.pin = PinId(pin);
-    stop.clock = ClockId(clock);
-    merged.clock_sense_stops().push_back(stop);
-    ++result.stats.clock_stops_added;
-    result.note("stop propagation of clock " +
-                merged.clock(ClockId(clock)).name + " at " +
-                std::string(graph.design().pin_name(PinId(pin))));
+  // Emit in (pin, clock) order: the merged deck's bytes depend on it.
+  for (size_t i = 0; i < frontier.size(); ++i) {
+    for (uint64_t bits = frontier[i]; bits != 0; bits &= bits - 1) {
+      const PinId pin(static_cast<uint32_t>(i / words));
+      const ClockId clock(static_cast<uint32_t>(
+          (i % words) * 64 + static_cast<size_t>(__builtin_ctzll(bits))));
+      sdc::ClockSenseStop stop;
+      stop.pin = pin;
+      stop.clock = clock;
+      merged.clock_sense_stops().push_back(stop);
+      ++result.stats.clock_stops_added;
+      result.note("stop propagation of clock " + merged.clock(clock).name +
+                  " at " + std::string(graph.design().pin_name(pin)));
+    }
   }
 }
 

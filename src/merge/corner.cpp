@@ -99,11 +99,13 @@ uint64_t structural_fingerprint(const Sdc& sdc) {
   return f.h;
 }
 
-uint64_t timing_state_fingerprint(const Sdc& sdc) {
+namespace {
+
+uint64_t timing_state_hash(const Sdc& sdc, bool with_exceptions) {
   Fnv f;
   f.design(sdc.design());
   f.clocks(sdc);
-  f.exceptions(sdc);
+  if (with_exceptions) f.exceptions(sdc);
 
   f.u64(sdc.case_analysis().size());
   for (const sdc::CaseAnalysis& ca : sdc.case_analysis()) {
@@ -144,6 +146,16 @@ uint64_t timing_state_fingerprint(const Sdc& sdc) {
           (pd.minmax.max ? 16u : 0u));
   }
   return f.h;
+}
+
+}  // namespace
+
+uint64_t timing_state_fingerprint(const Sdc& sdc) {
+  return timing_state_hash(sdc, /*with_exceptions=*/true);
+}
+
+uint64_t timing_view_fingerprint(const Sdc& sdc) {
+  return timing_state_hash(sdc, /*with_exceptions=*/false);
 }
 
 }  // namespace mm::merge

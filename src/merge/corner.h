@@ -84,4 +84,11 @@ uint64_t structural_fingerprint(const Sdc& sdc);
 /// clock maps) refine to the same fix list and validate to the same report.
 uint64_t timing_state_fingerprint(const Sdc& sdc);
 
+/// timing_state_fingerprint without the exceptions: every field a
+/// timing::ModeGraph reads when it is built (case analysis, disables, the
+/// clock table and sense stops, the I/O delay anchors). Exceptions never
+/// reach a ModeGraph, so a view built before refinement appended some is
+/// still the deck's view when this fingerprint is unchanged.
+uint64_t timing_view_fingerprint(const Sdc& sdc);
+
 }  // namespace mm::merge

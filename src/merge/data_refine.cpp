@@ -170,8 +170,9 @@ class DataRefiner {
         graph_(*ctx.graph),
         analyze_hold_(options.analyze_hold),
         // Refinement only adds exceptions, which a ModeGraph never reads:
-        // one merged view serves every pass.
-        merged_view_(graph_, merged()) {}
+        // one merged view serves every pass, and the equivalence check
+        // after them.
+        merged_view_(ctx.merged_view(merged())) {}
 
   void run() {
     MM_SPAN("merge/data_refine");
@@ -266,13 +267,13 @@ class DataRefiner {
   /// mapped to merged space.
   std::vector<uint64_t> member_clock_reach(size_t m, size_t words) const {
     std::vector<uint64_t> reach(graph_.num_nodes() * words, 0);
-    for_each_launch(*ctx_.mode_graphs[m], [&](PinId sp, sdc::ClockId c) {
+    for_each_launch(ctx_.mode_graph(m), [&](PinId sp, sdc::ClockId c) {
       const sdc::ClockId mc = map().merged_of(m, c);
       if (!mc.valid()) return;
       reach[sp.index() * words + (mc.index() >> 6)] |= uint64_t{1}
                                                        << (mc.index() & 63);
     });
-    walk_data_network(*ctx_.mode_graphs[m], reach, words,
+    walk_data_network(ctx_.mode_graph(m), reach, words,
                       [&](size_t from, size_t to) {
                         for (size_t w = 0; w < words; ++w) {
                           reach[to * words + w] |= reach[from * words + w];
@@ -305,10 +306,10 @@ class DataRefiner {
       reach[i] |= bits & allowed[i];
       frontier[i] |= bits & ~allowed[i];
     };
-    for_each_launch(merged_view_, [&](PinId sp, sdc::ClockId c) {
+    for_each_launch(*merged_view_, [&](PinId sp, sdc::ClockId c) {
       arrive(sp.index(), c.index() >> 6, uint64_t{1} << (c.index() & 63));
     });
-    walk_data_network(merged_view_, reach, words, [&](size_t from, size_t to) {
+    walk_data_network(*merged_view_, reach, words, [&](size_t from, size_t to) {
       for (size_t w = 0; w < words; ++w) arrive(to, w, reach[from * words + w]);
     });
 
@@ -368,7 +369,7 @@ class DataRefiner {
       const PropagationOptions& opts, const CompiledExceptions& merged_ce,
       RelationTable& merged_table) {
     return ctx_.member_relations(opts, map(), [&] {
-      Propagator mprop(merged_view_, merged_ce);
+      Propagator mprop(*merged_view_, merged_ce);
       mprop.run(opts);
       merged_table = mprop.release_relations();
     });
@@ -690,7 +691,7 @@ class DataRefiner {
     const CompiledExceptions merged_ce(graph_, merged());
 
     const std::vector<uint8_t> cone =
-        Propagator::fanin_cone(merged_view_, pass2_endpoints_);
+        Propagator::fanin_cone(*merged_view_, pass2_endpoints_);
 
     PropagationOptions opts = base_options();
     opts.track_startpoints = true;
@@ -859,13 +860,13 @@ class DataRefiner {
       }
     } else {
       for (const timing::ClockArrival& ca :
-           merged_view_.clocks_on(startpoint)) {
+           merged_view_->clocks_on(startpoint)) {
         launches.push_back(ca.clock);
       }
     }
     std::vector<std::pair<sdc::ClockId, sdc::ClockId>> pairs;
     for (const timing::ClockArrival& cap :
-         merged_view_.capture_clocks_at(endpoint)) {
+         merged_view_->capture_clocks_at(endpoint)) {
       for (sdc::ClockId l : launches) pairs.emplace_back(l, cap.clock);
     }
     return pairs;
@@ -879,7 +880,7 @@ class DataRefiner {
 
     for (const Pass3Pair& pair : pass3_pairs_) {
       bool overflow = false;
-      const auto paths = enumerate_paths(merged_view_, pair.startpoint,
+      const auto paths = enumerate_paths(*merged_view_, pair.startpoint,
                                          pair.endpoint, &overflow);
       result_.stats.pass3_paths_enumerated += paths.size();
       if (overflow) {
@@ -955,7 +956,7 @@ class DataRefiner {
               launch.valid() ? map().mode_clock_of(launch, m) : launch;
           const sdc::ClockId cm = map().mode_clock_of(capture, m);
           if ((launch.valid() && !lm.valid()) || !cm.valid()) continue;
-          const ModeGraph& mg = *ctx_.mode_graphs[m];
+          const ModeGraph& mg = ctx_.mode_graph(m);
           if (!mode_launches(mg, pair.startpoint, lm)) continue;
           if (!mode_captures(mg, pair.endpoint, cm)) continue;
           if (!path_alive_in_mode(mg, path)) continue;
@@ -1114,10 +1115,9 @@ class DataRefiner {
   MergeResult& result_;
   const TimingGraph& graph_;
   const bool analyze_hold_;
-  const ModeGraph merged_view_;
+  const std::shared_ptr<const ModeGraph> merged_view_;
 
-  const std::vector<std::unique_ptr<CompiledExceptions>>* mode_exceptions_ =
-      nullptr;
+  const std::vector<const CompiledExceptions*>* mode_exceptions_ = nullptr;
   std::vector<const StateSet*> mode_states_;  // classify_key's scratch
   std::vector<PinId> pass2_endpoints_;
   std::vector<Pass3Pair> pass3_pairs_;

@@ -42,11 +42,12 @@ EquivalenceReport check_equivalence(const RefineContext& ctx,
   // Individual side: the members' (memoized) relation tables in merged
   // clock space. Merged side: one walk, beside the member walks when those
   // are not memoized yet.
-  const ModeGraph merged_graph(graph, merged);
+  const std::shared_ptr<const ModeGraph> merged_graph =
+      ctx.merged_view(merged);
   const CompiledExceptions merged_exceptions(graph, merged);
   RelationTable mrel;
   const auto indiv = ctx.member_relations(opts, map, [&] {
-    Propagator prop(merged_graph, merged_exceptions);
+    Propagator prop(*merged_graph, merged_exceptions);
     prop.run(opts);
     mrel = prop.release_relations();
   });

@@ -70,6 +70,14 @@ size_t McmmSession::position_of(ModeId id) const {
   throw Error("session: unknown mode id " + std::to_string(id));
 }
 
+size_t McmmSession::num_member_views() const {
+  size_t n = 0;
+  for (const Entry& e : modes_) {
+    for (const MemberView& v : e.views) n += v.empty() ? 0 : 1;
+  }
+  return n;
+}
+
 bool McmmSession::has_mode(ModeId id) const {
   for (const Entry& e : modes_) {
     if (e.id == id) return true;
@@ -100,8 +108,10 @@ McmmSession::ModeId McmmSession::add_mode(std::string name,
   e.name = std::move(name);
   e.decks = std::move(decks);
   e.rels.resize(corners_.size());
+  e.views.resize(corners_.size());
   if (!corners_.single()) e.state_fps.resize(corners_.size());
   modes_.push_back(std::move(e));
+  positions_moved_ = true;
   dirty_[modes_.back().id].assign(corners_.size(), 1);
   MM_COUNT("session/modes_added", 1);
   if (obs::Journal::enabled()) {
@@ -129,6 +139,9 @@ void McmmSession::update_mode(ModeId id, CornerId corner, const Sdc* deck) {
   }
   e.decks[corner] = deck;
   e.rels[corner].reset();
+  // The view borrows the old deck (which may be this same object, edited
+  // in place): it describes a deck the slot no longer has.
+  e.views[corner] = MemberView{};
   // A structural edit to the primary corner moves the mode's skeleton; the
   // other corners' relationship sets stay valid (each describes its own
   // deck — the delta fill verified the fingerprint match at fill time), so
@@ -159,6 +172,7 @@ void McmmSession::remove_mode(ModeId id) {
         .field("name", journal_name(modes_[pos].name, id));
   }
   modes_.erase(modes_.begin() + static_cast<long>(pos));
+  positions_moved_ = true;
   dirty_.erase(id);
   // Drop the mode's verdict row; surviving pairs stay clean — only cliques
   // that contained the mode will re-merge (their member-id key changes).
@@ -360,22 +374,37 @@ const McmmSession::CommitResult& McmmSession::commit() {
   // ONE cover over the combined verdicts of every live pair — the mode
   // partition is shared by every corner (docs/MCMM.md), and the shared
   // greedy cover makes it bit-identical to a from-scratch build.
-  std::vector<uint8_t> adj(n * n, 0);
-  std::vector<std::string> reasons(n * n);
-  size_t slots_scanned = 0;
-  for (size_t i = 0; i < n; ++i) adj[i * n + i] = 1;
-  for (size_t i = 0; i + 1 < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      const PairState& st = pairs_.at(pair_key(modes_[i].id, modes_[j].id));
-      slots_scanned += st.scanned;
-      const PairVerdict& v = st.combined;
-      adj[i * n + j] = adj[j * n + i] = v.mergeable ? 1 : 0;
-      if (!v.mergeable) {
-        reasons[i * n + j] = reasons[j * n + i] = v.reason;
+  // When no mode moved since the last commit, only pairs whose verdict was
+  // recomputed can differ from the last graph: patch those cells instead
+  // of rebuilding all n * n (and copying every conflict reason again).
+  if (positions_moved_ || graph_.num_modes() != n) {
+    std::vector<uint8_t> adj(n * n, 0);
+    std::vector<std::string> reasons(n * n);
+    for (size_t i = 0; i < n; ++i) adj[i * n + i] = 1;
+    for (size_t i = 0; i + 1 < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) {
+        const PairVerdict& v =
+            pairs_.at(pair_key(modes_[i].id, modes_[j].id)).combined;
+        adj[i * n + j] = adj[j * n + i] = v.mergeable ? 1 : 0;
+        if (!v.mergeable) {
+          reasons[i * n + j] = reasons[j * n + i] = v.reason;
+        }
       }
     }
+    graph_ = MergeabilityGraph(n, std::move(adj), std::move(reasons));
+    positions_moved_ = false;
+  } else {
+    for (size_t p = 0; p < dirty_pairs.size(); ++p) {
+      if (computed[p] == 0) continue;
+      const PairVerdict& v = dirty_pairs[p].st->combined;
+      graph_.set_pair(dirty_pairs[p].i, dirty_pairs[p].j, v.mergeable,
+                      v.mergeable ? std::string() : v.reason);
+    }
   }
-  // Every slot a scan visits is either computed or reused.
+  // Every slot a scan visits is either computed or reused; pairs_ holds
+  // exactly the live pairs.
+  size_t slots_scanned = 0;
+  for (const auto& [key, st] : pairs_) slots_scanned += st.scanned;
   out.pair_corner_reuses = slots_scanned - out.pair_corner_checks;
   MM_COUNT("merge/mergeability_pairs", out.pairs_rechecked);
   MM_COUNT("session/pairs_rechecked", out.pairs_rechecked);
@@ -383,7 +412,6 @@ const McmmSession::CommitResult& McmmSession::commit() {
   MM_COUNT("session/pair_corner_checks", out.pair_corner_checks);
   MM_COUNT("session/pair_corner_reuses", out.pair_corner_reuses);
 
-  graph_ = MergeabilityGraph(n, std::move(adj), std::move(reasons));
   out.cliques = graph_.clique_cover();
   MM_COUNT("merge/cliques", out.cliques.size());
 
@@ -399,6 +427,11 @@ const McmmSession::CommitResult& McmmSession::commit() {
   // changed. Corner-major so a corner's decks can be handed to qor() as one
   // flat report, and so corner 0's result of every clique (merged or
   // reused) is there to donate its fix list to the later corners.
+  // Slots keep their member views from the second commit on; a batch
+  // merge (one commit) keeps none.
+  const bool keep_views = commit_seq_ > 1;
+  size_t views_built = 0;
+  size_t views_reused = 0;
   out.merged.resize(num_corners);
   out.reused.resize(num_corners);
   std::vector<CliqueResults> next_results(num_corners);
@@ -431,8 +464,21 @@ const McmmSession::CommitResult& McmmSession::commit() {
           }
           if (same_state) donor = out.merged[kPrimaryCorner][clique_index].get();
         }
+        std::vector<MemberView> views;
+        if (keep_views) {
+          views.reserve(clique.size());
+          for (size_t pos : clique) views.push_back(modes_[pos].views[c]);
+        }
         result = std::make_shared<ValidatedMergeResult>(
-            merge_modes(timing_graph_, members, *ctx_, donor));
+            merge_modes(timing_graph_, members, *ctx_, donor,
+                        keep_views ? &views : nullptr));
+        if (keep_views && !result->shared && options.run_refinement) {
+          for (size_t i = 0; i < clique.size(); ++i) {
+            MemberView& slot = modes_[clique[i]].views[c];
+            ++(slot.empty() ? views_built : views_reused);
+            slot = std::move(views[i]);
+          }
+        }
         ++out.cliques_merged;
         if (c != kPrimaryCorner) {
           ++(result->shared ? out.corner_shared_merges
@@ -455,6 +501,8 @@ const McmmSession::CommitResult& McmmSession::commit() {
   MM_COUNT("session/commits", 1);
   MM_COUNT("session/cliques_dirty", out.cliques_merged);
   MM_COUNT("session/cliques_reused", out.cliques_reused);
+  MM_COUNT("session/member_views_built", views_built);
+  MM_COUNT("session/member_views_reused", views_reused);
   if (share_corners) {
     MM_COUNT("session/corner_shared_merges", out.corner_shared_merges);
     MM_COUNT("session/corner_share_fallbacks", out.corner_share_fallbacks);
@@ -593,6 +641,9 @@ std::vector<MergedModeSet> McmmSession::release_batch() {
   }
   last_ = CommitResult{};
   clique_results_.clear();
+  for (Entry& e : modes_) {
+    for (MemberView& v : e.views) v = MemberView{};
+  }
   return out;
 }
 

@@ -32,6 +32,16 @@
 // report instead of refining again (merge_modes' donor); any other corner
 // falls back to a full merge.
 //
+// From the second commit on, each (mode, corner) slot also keeps a member
+// view (merge/refine_context.h): the ModeGraph, compiled exceptions and
+// endpoint-level relation table of its deck, which depend on that deck
+// alone. A later merge of the deck, in whatever clique, takes the view
+// instead of building and walking it again, so an edit commit walks only
+// the edited decks. A view lives exactly as long as the slot's deck:
+// update_mode and remove_mode drop it, and so does release_batch. The
+// first commit keeps none, so a batch merge_mode_set (one commit) holds no
+// more memory than the merge itself.
+//
 // The session is rooted in a MergeContext (key table, relationship cache,
 // thread pool): borrow one to share those caches across sessions, or pass
 // MergeOptions to own a private one.
@@ -151,6 +161,8 @@ class McmmSession {
   QoRReport qor(CornerId corner, double slack_eps = 1e-4) const;
 
   size_t num_modes() const { return modes_.size(); }
+  /// Member views the session holds, over every (mode, corner) slot.
+  size_t num_member_views() const;
   bool has_mode(ModeId id) const;
   const std::string& mode_name(ModeId id) const;
   /// Live decks of one corner in insertion order — the mode list a flat
@@ -171,6 +183,10 @@ class McmmSession {
     /// timing_state_fingerprint of each deck, refreshed with rels; kept
     /// only at C > 1, where it decides corner sharing.
     std::vector<uint64_t> state_fps;  // [corner]
+    /// Each deck's member view, kept from the second commit on; empty
+    /// until a merge of the deck builds it and again once the deck is
+    /// replaced.
+    std::vector<MemberView> views;  // [corner]
   };
   /// Stored verdicts for one live pair. checked[c] == 0 marks a corner
   /// slot that was invalidated (dirty endpoint) or never reached (a lower
@@ -218,6 +234,9 @@ class McmmSession {
   /// [corner]; empty before the first commit and after release_batch().
   std::vector<CliqueResults> clique_results_;
   MergeabilityGraph graph_{0, {}, {}};
+  /// A mode was added or removed since graph_ was built, so positions in
+  /// it no longer match modes_.
+  bool positions_moved_ = true;
   CommitResult last_;
 };
 

@@ -124,6 +124,14 @@ class MergeabilityGraph {
   MergeabilityGraph(size_t n, std::vector<uint8_t> adj,
                     std::vector<std::string> reasons);
 
+  /// Replace one pair's verdict, both directions (the session path when a
+  /// commit re-checked some pairs and no mode moved).
+  void set_pair(size_t i, size_t j, bool mergeable, std::string reason) {
+    adj_[i * n_ + j] = adj_[j * n_ + i] = mergeable ? 1 : 0;
+    reasons_[j * n_ + i] = reason;
+    reasons_[i * n_ + j] = std::move(reason);
+  }
+
   size_t num_modes() const { return n_; }
   bool edge(size_t i, size_t j) const { return adj_[i * n_ + j] != 0; }
   const std::string& reason(size_t i, size_t j) const {

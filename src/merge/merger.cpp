@@ -1,6 +1,7 @@
 #include "merge/merger.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "merge/clock_refine.h"
@@ -109,7 +110,8 @@ ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
 ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
                                  const std::vector<const Sdc*>& modes,
                                  MergeContext& session,
-                                 const ValidatedMergeResult* donor) {
+                                 const ValidatedMergeResult* donor,
+                                 std::vector<MemberView>* views) {
   const MergeOptions& options = session.options();
   ValidatedMergeResult out{preliminary_merge(modes, session), {}};
   out.merge.fix_marks = marks_of(out.merge);
@@ -120,7 +122,13 @@ ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
     out.shared = true;
   } else if (options.run_refinement) {
     Stopwatch timer;
-    RefineContext ctx(graph, modes, session);
+    std::optional<RefineContext> refine;
+    if (views != nullptr) {
+      refine.emplace(graph, modes, session, std::move(*views));
+    } else {
+      refine.emplace(graph, modes, session);
+    }
+    const RefineContext& ctx = *refine;
     refine_clock_network(ctx, out.merge, options);
     refine_data_network(ctx, out.merge, options);
     out.merge.stats.refinement_seconds = timer.elapsed_seconds();
@@ -141,6 +149,7 @@ ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
       MM_COUNT("merge/optimism_violations",
                out.equivalence.optimism_violations);
     }
+    if (views != nullptr) *views = ctx.views();
   }
   MM_COUNT("merge/modes_merged", modes.size());
   MM_COUNT("merge/pass1_ambiguous_endpoints", out.merge.stats.pass1_ambiguous);

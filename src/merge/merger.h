@@ -11,6 +11,7 @@
 #include "merge/context.h"
 #include "merge/equivalence.h"
 #include "merge/mergeability.h"
+#include "merge/refine_context.h"
 #include "merge/types.h"
 
 namespace mm::merge {
@@ -42,10 +43,18 @@ ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
 /// order), with the donor's refinement counters and equivalence report,
 /// zero refinement/validation seconds, and `shared` set. Otherwise — no
 /// donor, a mismatch, or a debug mutation to catch — the full merge runs.
+///
+/// `views`, when given, holds one MemberView per mode (refine_context.h;
+/// an empty one where the caller has none). Refinement starts from them,
+/// builds only what is missing, and writes every member's complete view
+/// back, relation table included, for the caller to hand to a later merge
+/// of the same decks. Without `views` nothing outlives the merge. A merge
+/// that runs no refinement leaves `views` as it was.
 ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
                                  const std::vector<const Sdc*>& modes,
                                  MergeContext& ctx,
-                                 const ValidatedMergeResult* donor = nullptr);
+                                 const ValidatedMergeResult* donor = nullptr,
+                                 std::vector<MemberView>* views = nullptr);
 
 struct MergedModeSet {
   /// One merged mode per clique (cliques of size 1 reuse the original mode's

@@ -92,6 +92,8 @@ class MergeSession {
   const CommitResult& commit();
 
   size_t num_modes() const { return engine_.num_modes(); }
+  /// Member views the session holds (McmmSession::num_member_views).
+  size_t num_member_views() const { return engine_.num_member_views(); }
   bool has_mode(ModeId id) const { return engine_.has_mode(id); }
   /// Live modes in insertion order — the order a from-scratch
   /// merge_mode_set over the same set must use for output parity.

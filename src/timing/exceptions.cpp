@@ -57,7 +57,6 @@ void canonical_to(const Design& d, const TimingGraph& g, PinId pin,
 }  // namespace
 
 CompiledExceptions::CompiledExceptions(const TimingGraph& graph, const Sdc& sdc) {
-  throughs_at_.resize(graph.num_nodes());
   compile(graph, sdc);
 }
 
@@ -98,15 +97,31 @@ void CompiledExceptions::compile(const TimingGraph& graph, const Sdc& sdc) {
     exceptions_.push_back(std::move(ce));
   }
 
-  // Per-pin through index.
+  // Per-pin through index: (pin, exception, through set) in exception
+  // order, stably grouped by pin.
+  struct Ref {
+    uint32_t pin;
+    std::pair<uint32_t, uint8_t> at;
+  };
+  std::vector<Ref> refs;
   for (uint32_t e = 0; e < exceptions_.size(); ++e) {
     const CompiledException& ce = exceptions_[e];
     for (uint8_t k = 0; k < ce.throughs.size(); ++k) {
-      for (uint32_t pin : ce.throughs[k]) {
-        throughs_at_[pin].push_back({e, k});
-      }
+      for (uint32_t pin : ce.throughs[k]) refs.push_back({pin, {e, k}});
     }
   }
+  if (refs.empty()) return;
+  std::stable_sort(refs.begin(), refs.end(),
+                   [](const Ref& a, const Ref& b) { return a.pin < b.pin; });
+  throughs_ = PinRuns<std::pair<uint32_t, uint8_t>>(graph.num_nodes());
+  std::vector<std::pair<uint32_t, uint8_t>> run;
+  for (size_t i = 0; i < refs.size();) {
+    run.clear();
+    const uint32_t pin = refs[i].pin;
+    for (; i < refs.size() && refs[i].pin == pin; ++i) run.push_back(refs[i].at);
+    throughs_.append(pin, run);
+  }
+  throughs_.finish();
 }
 
 std::vector<uint8_t> CompiledExceptions::initial_progress(
@@ -135,7 +150,7 @@ void CompiledExceptions::initial_progress(PinId startpoint, ClockId launch,
 bool CompiledExceptions::advance(std::vector<uint8_t>& progress,
                                  PinId pin) const {
   bool changed = false;
-  for (const auto& [e, k] : throughs_at_[pin.index()]) {
+  for (const auto& [e, k] : throughs_at(pin)) {
     const CompiledException& ce = exceptions_[e];
     MM_ASSERT(ce.tracked);
     uint8_t& p = progress[ce.track_slot];

@@ -15,12 +15,15 @@
 // each propagated tag; exceptions resolvable from (launch clock, endpoint,
 // capture clock) alone are evaluated directly at the endpoint.
 
+#include <span>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sdc/sdc.h"
 #include "timing/graph.h"
 #include "timing/path_state.h"
+#include "timing/pin_runs.h"
 
 namespace mm::timing {
 
@@ -91,9 +94,9 @@ class CompiledExceptions {
   uint32_t num_tracked() const { return num_tracked_; }
 
   /// (exception index, through-set index) pairs to check when a tag enters
-  /// `pin`.
-  const std::vector<std::pair<uint32_t, uint8_t>>& throughs_at(PinId pin) const {
-    return throughs_at_[pin.index()];
+  /// `pin`, in exception order; the span lives as long as this object.
+  std::span<const std::pair<uint32_t, uint8_t>> throughs_at(PinId pin) const {
+    return throughs_.at(pin.value());
   }
 
   /// Initial progress vector for a path starting at `startpoint` with
@@ -119,7 +122,8 @@ class CompiledExceptions {
   void compile(const TimingGraph& graph, const Sdc& sdc);
 
   std::vector<CompiledException> exceptions_;
-  std::vector<std::vector<std::pair<uint32_t, uint8_t>>> throughs_at_;
+  /// throughs_at; holds nothing when no exception has a -through.
+  PinRuns<std::pair<uint32_t, uint8_t>> throughs_;
   uint32_t num_tracked_ = 0;
 };
 

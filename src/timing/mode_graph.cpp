@@ -14,7 +14,6 @@ ModeGraph::ModeGraph(const TimingGraph& graph, const Sdc& sdc)
     : graph_(&graph), sdc_(&sdc) {
   constants_.assign(graph.num_nodes(), Logic::kUnknown);
   arc_enabled_.assign(graph.num_arcs(), 1);
-  clocks_on_.resize(graph.num_nodes());
 
   {
     MM_SPAN_HOT("timing/case_analysis");
@@ -131,13 +130,17 @@ void ModeGraph::kill_blocked_arcs() {
 }
 
 bool ModeGraph::clock_on(PinId pin, ClockId clock) const {
-  for (const ClockArrival& ca : clocks_on_[pin.index()]) {
+  for (const ClockArrival& ca : clocks_on(pin)) {
     if (ca.clock == clock) return true;
   }
   return false;
 }
 
 void ModeGraph::propagate_clocks() {
+  // Per-pin sets while propagating; appended to clocks_ in pin order at the
+  // end.
+  std::vector<std::vector<ClockArrival>> on(graph_->num_nodes());
+
   // Stop table: pin -> clocks stopped there (invalid clock id = all).
   auto stopped = [&](PinId pin, ClockId clock) {
     for (const sdc::ClockSenseStop& s : sdc_->clock_sense_stops()) {
@@ -152,7 +155,7 @@ void ModeGraph::propagate_clocks() {
     // (this makes a refined merged mode match the individual modes
     // exactly at every clock-network pin).
     if (stopped(pin, clock)) return;
-    auto& vec = clocks_on_[pin.index()];
+    auto& vec = on[pin.index()];
     for (ClockArrival& ca : vec) {
       if (ca.clock == clock) {
         ca.latency = std::max(ca.latency, latency);
@@ -164,8 +167,8 @@ void ModeGraph::propagate_clocks() {
 
   auto run_topo_pass = [&]() {
     for (PinId pin : graph_->topo_order()) {
-      for (const ClockArrival& ca : clocks_on_[pin.index()]) {
-        if (is_constant(pin)) continue;
+      if (is_constant(pin)) continue;
+      for (const ClockArrival& ca : on[pin.index()]) {
         for (ArcId aid : graph_->fanout(pin)) {
           if (!arc_enabled_[aid.index()]) continue;
           const Arc& arc = graph_->arc(aid);
@@ -202,8 +205,7 @@ void ModeGraph::propagate_clocks() {
       double base = 0.0;
       const ClockId master = sdc_->find_clock(clock.master_clock);
       if (master.valid() && clock.master_source.valid()) {
-        for (const ClockArrival& ca :
-             clocks_on_[clock.master_source.index()]) {
+        for (const ClockArrival& ca : on[clock.master_source.index()]) {
           if (ca.clock == master) base = ca.latency;
         }
       }
@@ -212,12 +214,16 @@ void ModeGraph::propagate_clocks() {
     run_topo_pass();
   }
 
-  for (auto& vec : clocks_on_) {
+  clocks_ = PinRuns<ClockArrival>(on.size());
+  for (size_t p = 0; p < on.size(); ++p) {
+    std::vector<ClockArrival>& vec = on[p];
     std::sort(vec.begin(), vec.end(),
               [](const ClockArrival& a, const ClockArrival& b) {
                 return a.clock < b.clock;
               });
+    clocks_.append(static_cast<uint32_t>(p), vec);
   }
+  clocks_.finish();
 }
 
 void ModeGraph::find_active_points() {
@@ -248,37 +254,40 @@ void ModeGraph::find_active_points() {
       active_endpoints_.push_back(ep);
     }
   }
+  // A view can outlive its merge (a session's member view): give back
+  // what growth left over.
+  active_startpoints_.shrink_to_fit();
+  active_endpoints_.shrink_to_fit();
 }
 
 void ModeGraph::collect_capture_clocks() {
   const Design& d = graph_->design();
-  capture_begin_.resize(graph_->num_nodes() + 1);
+  captures_ = PinRuns<ClockArrival>(graph_->num_nodes());
+  std::vector<ClockArrival> run;
+  auto add_once = [&](const ClockArrival& ca) {
+    for (const ClockArrival& have : run) {
+      if (have.clock == ca.clock) return;
+    }
+    run.push_back(ca);
+  };
   for (size_t p = 0; p < graph_->num_nodes(); ++p) {
     const PinId pin(p);
-    const size_t begin = capture_clocks_.size();
-    capture_begin_[p] = static_cast<uint32_t>(begin);
-    auto add_once = [&](const ClockArrival& ca) {
-      for (size_t i = begin; i < capture_clocks_.size(); ++i) {
-        if (capture_clocks_[i].clock == ca.clock) return;
-      }
-      capture_clocks_.push_back(ca);
-    };
+    run.clear();
     if (d.pin(pin).is_port()) {
       // Output port: capture clocks come from set_output_delay -clock.
       for (const sdc::PortDelay& pd : sdc_->port_delays()) {
         if (pd.is_input || pd.port_pin != pin || !pd.clock.valid()) continue;
         add_once({pd.clock, 0.0});
       }
-      continue;
-    }
-    for (uint32_t ci : graph_->checks_at(pin)) {
-      const Check& check = graph_->checks()[ci];
-      for (const ClockArrival& ca : clocks_on_[check.clock.index()]) {
-        add_once(ca);
+    } else {
+      for (uint32_t ci : graph_->checks_at(pin)) {
+        const Check& check = graph_->checks()[ci];
+        for (const ClockArrival& ca : clocks_on(check.clock)) add_once(ca);
       }
     }
+    captures_.append(static_cast<uint32_t>(p), run);
   }
-  capture_begin_.back() = static_cast<uint32_t>(capture_clocks_.size());
+  captures_.finish();
 }
 
 double ModeGraph::source_latency(ClockId clock) const {

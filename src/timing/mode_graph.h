@@ -13,6 +13,7 @@
 #include "netlist/libcell.h"
 #include "sdc/sdc.h"
 #include "timing/graph.h"
+#include "timing/pin_runs.h"
 
 namespace mm::timing {
 
@@ -50,13 +51,14 @@ class ModeGraph {
 
   // --- clock network -------------------------------------------------------
 
-  /// Clocks present on a pin (clock-network propagation). Sorted by clock id.
-  const std::vector<ClockArrival>& clocks_on(PinId pin) const {
-    return clocks_on_[pin.index()];
+  /// Clocks present on a pin (clock-network propagation). Sorted by clock
+  /// id; the span lives as long as this view.
+  std::span<const ClockArrival> clocks_on(PinId pin) const {
+    return clocks_.at(pin.value());
   }
   bool clock_on(PinId pin, ClockId clock) const;
   /// Pin is part of the clock network (some clock reaches it).
-  bool in_clock_network(PinId pin) const { return !clocks_on_[pin.index()].empty(); }
+  bool in_clock_network(PinId pin) const { return !clocks_.empty(pin.value()); }
 
   // --- mode-level startpoints/endpoints -------------------------------------
 
@@ -71,9 +73,7 @@ class ModeGraph {
   /// For an output port: the -clock of its set_output_delay entries.
   /// Collected once per mode; the span lives as long as this view.
   std::span<const ClockArrival> capture_clocks_at(PinId endpoint) const {
-    const uint32_t begin = capture_begin_[endpoint.index()];
-    return {capture_clocks_.data() + begin,
-            capture_begin_[endpoint.index() + 1] - begin};
+    return captures_.at(endpoint.value());
   }
 
   /// Source latency (set_clock_latency -source) of a clock, max flavour.
@@ -99,11 +99,8 @@ class ModeGraph {
 
   std::vector<Logic> constants_;
   std::vector<uint8_t> arc_enabled_;
-  std::vector<std::vector<ClockArrival>> clocks_on_;
-  /// capture_clocks_at(p) is capture_clocks_[capture_begin_[p] ..
-  /// capture_begin_[p + 1]).
-  std::vector<uint32_t> capture_begin_;
-  std::vector<ClockArrival> capture_clocks_;
+  PinRuns<ClockArrival> clocks_;    // clocks_on
+  PinRuns<ClockArrival> captures_;  // capture_clocks_at
   std::vector<PinId> active_startpoints_;
   std::vector<PinId> active_endpoints_;
 };

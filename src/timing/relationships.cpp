@@ -120,6 +120,45 @@ void RelationData::merge(const RelationData& o) {
   worst_arrival = std::max(worst_arrival, o.worst_arrival);
 }
 
+PackedRelationTable::PackedRelationTable(const RelationTable& table) {
+  const RelationData unset;
+  rows_.reserve(table.size());
+  for (const RelationRow& r : table) {
+    const RelationData& d = r.data;
+    Row row;
+    row.key = r.key;
+    if (d.states.size() <= 1 && d.hold_states.size() <= 1 &&
+        d.worst_slack == unset.worst_slack &&
+        d.worst_hold_slack == unset.worst_hold_slack &&
+        d.worst_arrival == unset.worst_arrival) {
+      row.num_setup = static_cast<uint8_t>(d.states.size());
+      row.num_hold = static_cast<uint8_t>(d.hold_states.size());
+      if (row.num_setup) row.setup = d.states[0];
+      if (row.num_hold) row.hold = d.hold_states[0];
+    } else {
+      row.full = static_cast<uint32_t>(full_.size());
+      full_.push_back(d);
+    }
+    rows_.push_back(row);
+  }
+}
+
+RelationTable PackedRelationTable::unpack() const {
+  RelationTable out;
+  out.reserve(rows_.size());
+  // Rows are already in key order with unique keys: nothing to fold.
+  for (const Row& row : rows_) {
+    RelationData& d = out.append(row.key);
+    if (row.full != kNarrow) {
+      d = full_[row.full];
+      continue;
+    }
+    if (row.num_setup) d.states.insert(row.setup);
+    if (row.num_hold) d.hold_states.insert(row.hold);
+  }
+  return out;
+}
+
 const RelationData* RelationTable::find(const RelationKey& key) const {
   const auto it = std::lower_bound(
       rows_.begin(), rows_.end(), key,

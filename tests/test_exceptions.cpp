@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "gen/design_gen.h"
+#include "gen/mode_gen.h"
 #include "gen/paper_circuit.h"
 #include "sdc/parser.h"
 #include "timing/exceptions.h"
@@ -208,6 +214,75 @@ TEST_F(ExceptionsTest, StartpointSatisfiesFirstThrough) {
                       "rY/D"})
                 .kind,
             StateKind::kValid);
+}
+
+// --- the CSR through index against a per-pin oracle --------------------------
+
+/// Each pin's (exception, through set) pairs as the index was built before
+/// its CSR layout: one vector per pin, pushed in exception order.
+void expect_throughs_match_oracle(const TimingGraph& graph,
+                                  const CompiledExceptions& ce,
+                                  size_t min_entries) {
+  std::vector<std::vector<std::pair<uint32_t, uint8_t>>> oracle(
+      graph.num_nodes());
+  for (uint32_t e = 0; e < ce.size(); ++e) {
+    const CompiledException& ex = ce.at(e);
+    for (uint8_t k = 0; k < ex.throughs.size(); ++k) {
+      for (uint32_t pin : ex.throughs[k]) oracle[pin].push_back({e, k});
+    }
+  }
+  size_t entries = 0;
+  for (size_t p = 0; p < oracle.size(); ++p) {
+    const auto got = ce.throughs_at(PinId(p));
+    ASSERT_TRUE(
+        std::equal(got.begin(), got.end(), oracle[p].begin(), oracle[p].end()))
+        << "throughs_at pin " << p;
+    entries += got.size();
+  }
+  EXPECT_GE(entries, min_entries);
+}
+
+TEST_F(ExceptionsTest, ThroughIndexMatchesPerPinOracleOnPaperCircuit) {
+  // No -through at all: every pin's run is empty.
+  expect_throughs_match_oracle(
+      graph, compile("set_false_path -from [get_pins rA/CP]\n"), 0);
+  // Several exceptions share through pins, one has two through sets.
+  expect_throughs_match_oracle(
+      graph,
+      compile("set_false_path -through [get_pins inv1/Z]\n"
+              "set_multicycle_path 2 -through [get_pins {inv1/Z and1/Z}] "
+              "-through [get_pins inv2/Z]\n"
+              "set_max_delay 3 -through [get_pins and1/Z] -to rY/D\n"),
+      5);
+}
+
+TEST(ExceptionsCsrTest, ThroughIndexMatchesPerPinOracleOnGeneratedDesign) {
+  const netlist::Library lib = netlist::Library::builtin();
+  gen::DesignParams dp;
+  dp.seed = 9;
+  dp.num_regs = 120;
+  const netlist::Design design = gen::generate_design(lib, dp);
+  const TimingGraph graph(design);
+  gen::ModeFamilyParams mp;
+  mp.seed = 9;
+  mp.num_modes = 6;
+  mp.target_groups = 2;
+  mp.group_mcps = 4;
+  mp.mode_fps = 6;
+  size_t with_throughs = 0;
+  for (const gen::GeneratedMode& gm : gen::generate_mode_family(dp, mp)) {
+    SCOPED_TRACE(gm.name);
+    const sdc::Sdc sdc = sdc::parse_sdc(gm.sdc_text, design);
+    const CompiledExceptions ce(graph, sdc);
+    expect_throughs_match_oracle(graph, ce, 0);
+    for (PinId p(0u); p.index() < graph.num_nodes(); p = PinId(p.value() + 1)) {
+      if (!ce.throughs_at(p).empty()) {
+        ++with_throughs;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(with_throughs, 0u);  // the family does exercise -through
 }
 
 }  // namespace

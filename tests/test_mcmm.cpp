@@ -528,6 +528,71 @@ TEST_F(McmmTest, CaseAnalysisEditFallsBackInItsCornerOnly) {
   expect_flat_parity(*graph_, session, options);
 }
 
+// Member views are per (mode, corner) slot: a corner that falls back to a
+// full merge builds and keeps views of its own decks, and its next
+// re-merge walks only the deck that changed.
+TEST_F(McmmTest, FallbackCornerKeepsItsOwnMemberViews) {
+  const CornerMatrix mx =
+      make_corner_matrix(*design_, dp_, /*num_modes=*/6, /*groups=*/2,
+                         /*num_corners=*/4);
+  MergeOptions options;
+  McmmSession session(*graph_, CornerSet(mx.corner_names), options);
+  std::vector<McmmSession::ModeId> ids;
+  for (size_t m = 0; m < mx.decks.size(); ++m) {
+    ids.push_back(add_row(session, mx, m));
+  }
+  const McmmSession::CommitResult& cold = session.commit();
+  EXPECT_EQ(session.num_member_views(), 0u);  // the first commit keeps none
+  size_t k0 = 0;
+  while (std::find(cold.clique_ids[k0].begin(), cold.clique_ids[k0].end(),
+                   ids[0]) == cold.clique_ids[k0].end()) {
+    ++k0;
+  }
+  const std::vector<McmmSession::ModeId> clique = cold.clique_ids[k0];
+  ASSERT_GE(clique.size(), 2u);
+  const McmmSession::ModeId other = clique[0] == ids[0] ? clique[1] : clique[0];
+  const size_t other_m = static_cast<size_t>(
+      std::find(ids.begin(), ids.end(), other) - ids.begin());
+
+  // Mode 0 gains a case analysis in corner 2 only: corner 2 falls back to
+  // a full merge, corners 1 and 3 share corner 0's result.
+  auto broken = [&](size_t m) {
+    gen::CornerSpec spec = mx.fam.corners[2];
+    spec.timing_state_break = gen::TimingStateBreak::kCaseAnalysis;
+    return std::make_unique<sdc::Sdc>(sdc::parse_sdc(
+        gen::apply_corner(mx.fam.modes[m].sdc_text, spec), *design_));
+  };
+  const std::unique_ptr<sdc::Sdc> edited = broken(0);
+  session.update_mode(ids[0], 2, edited.get());
+  const uint64_t built = counter("session/member_views_built");
+  const McmmSession::CommitResult& r = session.commit();
+  EXPECT_EQ(r.corner_share_fallbacks, 1u);
+  EXPECT_FALSE(r.merged[2][k0]->shared);
+  // Only corner 2's clique re-merged, with a full merge: one view per
+  // member, all of corner-2 decks.
+  EXPECT_EQ(counter("session/member_views_built") - built, clique.size());
+  EXPECT_EQ(session.num_member_views(), clique.size());
+  expect_flat_parity(*graph_, session, options);
+
+  // Another member's corner-2 deck changes too: the corner falls back
+  // again, walking only that deck.
+  const std::unique_ptr<sdc::Sdc> edited_other = broken(other_m);
+  session.update_mode(other, 2, edited_other.get());
+  const uint64_t built2 = counter("session/member_views_built");
+  const uint64_t reused2 = counter("session/member_views_reused");
+  const McmmSession::CommitResult& again = session.commit();
+  EXPECT_EQ(again.cliques_merged, 1u);
+  EXPECT_EQ(again.corner_share_fallbacks, 1u);
+  EXPECT_EQ(counter("session/member_views_built") - built2, 1u);
+  EXPECT_EQ(counter("session/member_views_reused") - reused2,
+            clique.size() - 1);
+  expect_flat_parity(*graph_, session, options);
+
+  // release_batch drops every view.
+  session.release_batch();
+  EXPECT_EQ(session.num_member_views(), 0u);
+}
+
 TEST_F(McmmTest, DebugMutationNeverShares) {
   const CornerMatrix mx =
       make_corner_matrix(*design_, dp_, /*num_modes=*/4, /*groups=*/1,

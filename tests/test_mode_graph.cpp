@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "gen/design_gen.h"
+#include "gen/mode_gen.h"
 #include "gen/paper_circuit.h"
 #include "sdc/parser.h"
 #include "timing/mode_graph.h"
@@ -191,6 +197,170 @@ TEST_F(ModeGraphTest, LatencyAndUncertaintyAccessors) {
   EXPECT_DOUBLE_EQ(mg.source_latency(a), 0.5);
   EXPECT_DOUBLE_EQ(mg.ideal_network_latency(a), 0.3);
   EXPECT_DOUBLE_EQ(mg.uncertainty(a), 0.15);
+}
+
+// --- CSR layouts against per-pin oracles ------------------------------------
+
+/// Clock arrivals per pin as ModeGraph computed them before its CSR layout:
+/// one vector per pin, filled by a forward push in topological order over
+/// the view's own constants and enabled arcs, then sorted by clock id.
+std::vector<std::vector<ClockArrival>> per_pin_clocks(const ModeGraph& mg) {
+  const TimingGraph& g = mg.graph();
+  const sdc::Sdc& sdc = mg.sdc();
+  std::vector<std::vector<ClockArrival>> on(g.num_nodes());
+  auto insert = [&](PinId pin, ClockId clock, double latency) {
+    for (const sdc::ClockSenseStop& s : sdc.clock_sense_stops()) {
+      if (s.pin == pin && (!s.clock.valid() || s.clock == clock)) return;
+    }
+    for (ClockArrival& ca : on[pin.index()]) {
+      if (ca.clock == clock) {
+        ca.latency = std::max(ca.latency, latency);
+        return;
+      }
+    }
+    on[pin.index()].push_back({clock, latency});
+  };
+  auto pass = [&] {
+    for (PinId pin : g.topo_order()) {
+      for (const ClockArrival& ca : on[pin.index()]) {
+        if (mg.is_constant(pin)) continue;
+        for (ArcId aid : g.fanout(pin)) {
+          if (!mg.arc_enabled(aid)) continue;
+          const Arc& arc = g.arc(aid);
+          if (arc.kind == ArcKind::kLaunch) continue;
+          const double delay =
+              arc.kind == ArcKind::kNet
+                  ? arc.intrinsic
+                  : arc.intrinsic + arc.resistance * g.load_on(arc.to);
+          insert(arc.to, ca.clock, ca.latency + delay);
+        }
+      }
+    }
+  };
+  size_t num_generated = 0;
+  for (size_t ci = 0; ci < sdc.num_clocks(); ++ci) {
+    const sdc::Clock& clock = sdc.clock(ClockId(ci));
+    if (clock.is_generated) {
+      ++num_generated;
+      continue;
+    }
+    for (PinId src : clock.sources) insert(src, ClockId(ci), 0.0);
+  }
+  pass();
+  for (size_t round = 0; round < num_generated; ++round) {
+    for (size_t ci = 0; ci < sdc.num_clocks(); ++ci) {
+      const sdc::Clock& clock = sdc.clock(ClockId(ci));
+      if (!clock.is_generated) continue;
+      double base = 0.0;
+      const ClockId master = sdc.find_clock(clock.master_clock);
+      if (master.valid() && clock.master_source.valid()) {
+        for (const ClockArrival& ca : on[clock.master_source.index()]) {
+          if (ca.clock == master) base = ca.latency;
+        }
+      }
+      for (PinId src : clock.sources) insert(src, ClockId(ci), base);
+    }
+    pass();
+  }
+  for (auto& v : on) {
+    std::sort(v.begin(), v.end(), [](const ClockArrival& a,
+                                     const ClockArrival& b) {
+      return a.clock < b.clock;
+    });
+  }
+  return on;
+}
+
+/// Capture clocks per pin from per-pin clock sets, the old way.
+std::vector<std::vector<ClockArrival>> per_pin_captures(
+    const ModeGraph& mg, const std::vector<std::vector<ClockArrival>>& on) {
+  const TimingGraph& g = mg.graph();
+  std::vector<std::vector<ClockArrival>> out(g.num_nodes());
+  for (size_t p = 0; p < g.num_nodes(); ++p) {
+    auto add_once = [&](const ClockArrival& ca) {
+      for (const ClockArrival& have : out[p]) {
+        if (have.clock == ca.clock) return;
+      }
+      out[p].push_back(ca);
+    };
+    if (g.design().pin(PinId(p)).is_port()) {
+      for (const sdc::PortDelay& pd : mg.sdc().port_delays()) {
+        if (pd.is_input || pd.port_pin != PinId(p) || !pd.clock.valid()) {
+          continue;
+        }
+        add_once({pd.clock, 0.0});
+      }
+      continue;
+    }
+    for (uint32_t ci : g.checks_at(PinId(p))) {
+      for (const ClockArrival& ca : on[g.checks()[ci].clock.index()]) {
+        add_once(ca);
+      }
+    }
+  }
+  return out;
+}
+
+void expect_layouts_match_oracle(const ModeGraph& mg) {
+  const auto on = per_pin_clocks(mg);
+  const auto captures = per_pin_captures(mg, on);
+  size_t arrivals = 0;
+  for (size_t p = 0; p < on.size(); ++p) {
+    const PinId pin(p);
+    const std::span<const ClockArrival> got = mg.clocks_on(pin);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), on[p].begin(), on[p].end()))
+        << "clocks_on at pin " << p;
+    EXPECT_EQ(mg.in_clock_network(pin), !on[p].empty());
+    const std::span<const ClockArrival> caps = mg.capture_clocks_at(pin);
+    ASSERT_TRUE(std::equal(caps.begin(), caps.end(), captures[p].begin(),
+                           captures[p].end()))
+        << "capture_clocks_at pin " << p;
+    arrivals += on[p].size();
+  }
+  EXPECT_GT(arrivals, 0u);
+}
+
+TEST_F(ModeGraphTest, CsrLayoutsMatchPerPinOracleOnPaperCircuit) {
+  for (const char* text : {
+           "create_clock -name a -period 10 [get_ports clk1]\n"
+           "create_clock -name b -period 20 [get_ports clk2]\n",
+           "create_clock -name a -period 10 [get_ports clk1]\n"
+           "create_clock -name b -period 20 [get_ports clk2]\n"
+           "set_case_analysis 0 sel1\n"
+           "set_case_analysis 1 sel2\n"
+           "set_clock_sense -stop_propagation -clock [get_clocks a] "
+           "[get_pins mux1/Z]\n"
+           "set_output_delay 1 -clock [get_clocks b] [get_ports out1]\n",
+           "create_clock -name root -period 8 [get_ports clk1]\n"
+           "create_generated_clock -name g1 -source [get_ports clk1] "
+           "-master_clock root -divide_by 2 [get_pins mux1/A]\n"
+           "create_generated_clock -name g2 -source [get_pins mux1/A] "
+           "-master_clock g1 -divide_by 2 [get_pins mux1/Z]\n"
+           "set_disable_timing [get_pins inv1/Z]\n",
+       }) {
+    SCOPED_TRACE(text);
+    expect_layouts_match_oracle(make(text));
+  }
+}
+
+TEST(ModeGraphCsrTest, CsrLayoutsMatchPerPinOracleOnGeneratedDesign) {
+  const netlist::Library lib = netlist::Library::builtin();
+  gen::DesignParams dp;
+  dp.seed = 5;
+  dp.num_regs = 120;
+  const netlist::Design design = gen::generate_design(lib, dp);
+  const TimingGraph graph(design);
+  gen::ModeFamilyParams mp;
+  mp.seed = 5;
+  mp.num_modes = 6;
+  mp.target_groups = 2;
+  mp.gen_clocks = 2;
+  mp.disabled_arcs = 2;
+  for (const gen::GeneratedMode& gm : gen::generate_mode_family(dp, mp)) {
+    SCOPED_TRACE(gm.name);
+    const sdc::Sdc sdc = sdc::parse_sdc(gm.sdc_text, design);
+    expect_layouts_match_oracle(ModeGraph(graph, sdc));
+  }
 }
 
 }  // namespace

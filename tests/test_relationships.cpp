@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gen/paper_circuit.h"
@@ -339,6 +340,54 @@ TEST_F(RelationTableTest, StateSetSpillsPastTwoStatesAndStaysSorted) {
   two.insert(PathState::valid());
   EXPECT_FALSE(two == set);
   EXPECT_EQ(two.str(), "{V, FP}");
+}
+
+/// Row-for-row equality of two tables, slacks and arrivals compared bitwise.
+void expect_same_table(const RelationTable& got, const RelationTable& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].key, want[i].key) << "row " << i;
+    EXPECT_EQ(got[i].data.states, want[i].data.states) << "row " << i;
+    EXPECT_EQ(got[i].data.hold_states, want[i].data.hold_states);
+    EXPECT_EQ(got[i].data.worst_slack, want[i].data.worst_slack);
+    EXPECT_EQ(got[i].data.worst_hold_slack, want[i].data.worst_hold_slack);
+    EXPECT_EQ(got[i].data.worst_arrival, want[i].data.worst_arrival);
+  }
+}
+
+TEST_F(RelationTableTest, PackedTableUnpacksToTheSameRows) {
+  // Rows with one state per side (packed narrow), rows with two states
+  // after a rename (kept whole), and rows with arrivals (kept whole).
+  load(
+      "create_clock -name a -period 2 [get_ports clk1]\n"
+      "create_clock -name b -period 1 -add [get_ports clk1]\n"
+      "set_input_delay 0.5 -clock a [get_ports in1]\n"
+      "set_false_path -from [get_clocks b] -to [get_pins rX/D]\n"
+      "set_multicycle_path 2 -through [get_pins inv3/Z]\n");
+  for (bool hold : {false, true}) {
+    for (bool arrivals : {false, true}) {
+      SCOPED_TRACE(std::string("hold=") + (hold ? "1" : "0") +
+                   " arrivals=" + (arrivals ? "1" : "0"));
+      PropagationOptions opts;
+      opts.analyze_hold = hold;
+      opts.compute_arrivals = arrivals;
+      RelationTable rel = run(opts);
+      ASSERT_GT(rel.size(), 4u);
+      expect_same_table(PackedRelationTable(rel).unpack(), rel);
+
+      const ClockId a = sdc_->find_clock("a");
+      const ClockId b = sdc_->find_clock("b");
+      rel.rename_clocks([&](ClockId c) { return c == b ? a : c; });
+      bool multi = false;
+      for (const auto& [key, data] : rel) multi = multi || data.states.size() > 1;
+      EXPECT_TRUE(multi);
+      const PackedRelationTable packed(rel);
+      EXPECT_EQ(packed.size(), rel.size());
+      expect_same_table(packed.unpack(), rel);
+    }
+  }
+  expect_same_table(PackedRelationTable(RelationTable()).unpack(),
+                    RelationTable());
 }
 
 TEST_F(RelTest, ProgressTableInternsDeterministically) {

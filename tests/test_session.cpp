@@ -238,6 +238,118 @@ TEST_F(SessionTest, UpdateInvalidatesOldCacheEntry) {
   EXPECT_EQ(session.context().cache().size(), 1u);
 }
 
+// Member views (merge/refine_context.h) live exactly as long as a slot's
+// deck. Two clocks reach the mux of Figure 1; `sel1`/`sel2` pick which one
+// clocks rX/rY/rZ. Mode a first lets only c2 through (so clock refinement
+// stops c1 at the mux output), then is edited IN PLACE, at the same
+// address, to let only c1 through. A view kept past update_mode would
+// still say c1 never reaches the mux output in a, and the re-merge would
+// keep the stale stop.
+TEST_F(SessionTest, UpdateModeDropsTheViewOfADeckEditedInPlace) {
+  const std::string clocks =
+      "create_clock -name c1 -period 10 [get_ports clk1]\n"
+      "create_clock -name c2 -period 20 [get_ports clk2]\n";
+  sdc::Sdc a = parse(clocks + "set_case_analysis 1 [get_ports sel1]\n");
+  sdc::Sdc b = parse(clocks + "set_case_analysis 1 [get_ports sel2]\n");
+
+  MergeSession session(graph);
+  const MergeSession::ModeId id_a = session.add_mode("a", &a);
+  const MergeSession::ModeId id_b = session.add_mode("b", &b);
+  ASSERT_EQ(session.commit().cliques.size(), 1u);
+  // The first commit keeps no views.
+  EXPECT_EQ(session.num_member_views(), 0u);
+
+  // The second commit re-merges the clique and keeps both members' views.
+  const uint64_t built_before = counter("session/member_views_built");
+  session.update_mode(id_b, &b);
+  session.commit();
+  EXPECT_EQ(session.num_member_views(), 2u);
+  EXPECT_EQ(counter("session/member_views_built") - built_before, 2u);
+  expect_matches_scratch(session);
+  const std::string stopped =
+      sdc::write_sdc(*session.last_commit().merged[0]->merge.merged);
+
+  // Same pointer, new content: a now selects clk1.
+  a = parse(clocks +
+            "set_case_analysis 0 [get_ports sel1]\n"
+            "set_case_analysis 0 [get_ports sel2]\n");
+  const uint64_t built = counter("session/member_views_built");
+  const uint64_t reused = counter("session/member_views_reused");
+  session.update_mode(id_a, &a);
+  EXPECT_EQ(session.num_member_views(), 1u);  // b's
+  session.commit();
+  EXPECT_EQ(counter("session/member_views_built") - built, 1u);
+  EXPECT_EQ(counter("session/member_views_reused") - reused, 1u);
+  expect_matches_scratch(session);
+  // The edit changed the merged deck: the test would not see a stale view
+  // otherwise.
+  EXPECT_NE(sdc::write_sdc(*session.last_commit().merged[0]->merge.merged),
+            stopped);
+}
+
+// A removed mode takes its view along; a deck re-added at the same address
+// with new content starts without one.
+TEST_F(SessionTest, RemoveThenAddModeBuildsAFreshView) {
+  const std::string clocks =
+      "create_clock -name c1 -period 10 [get_ports clk1]\n"
+      "create_clock -name c2 -period 20 [get_ports clk2]\n";
+  sdc::Sdc a = parse(clocks + "set_case_analysis 1 [get_ports sel1]\n");
+  sdc::Sdc b = parse(clocks + "set_case_analysis 1 [get_ports sel2]\n");
+  sdc::Sdc c = parse(clocks + "set_false_path -to [get_pins rZ/D]\n");
+
+  MergeSession session(graph);
+  const MergeSession::ModeId id_a = session.add_mode("a", &a);
+  const MergeSession::ModeId id_b = session.add_mode("b", &b);
+  session.add_mode("c", &c);
+  session.commit();
+  session.update_mode(id_b, &b);
+  session.commit();
+  ASSERT_EQ(session.last_commit().cliques.size(), 1u);
+  EXPECT_EQ(session.num_member_views(), 3u);
+
+  session.remove_mode(id_a);
+  EXPECT_EQ(session.num_member_views(), 2u);
+  a = parse(clocks +
+            "set_case_analysis 0 [get_ports sel1]\n"
+            "set_case_analysis 0 [get_ports sel2]\n");
+  session.add_mode("a", &a);
+  const uint64_t built = counter("session/member_views_built");
+  const uint64_t reused = counter("session/member_views_reused");
+  session.commit();
+  EXPECT_EQ(counter("session/member_views_built") - built, 1u);
+  EXPECT_EQ(counter("session/member_views_reused") - reused, 2u);
+  EXPECT_EQ(session.num_member_views(), 3u);
+  expect_matches_scratch(session);
+}
+
+// A batch merge is one commit, and keeps no view; release_batch drops the
+// views a longer session kept.
+TEST_F(SessionTest, BatchMergeAndReleaseBatchLeaveNoViews) {
+  sdc::Sdc a = parse(
+      "create_clock -name c1 -period 10 [get_ports clk1]\n"
+      "set_case_analysis 1 [get_ports sel1]\n");
+  sdc::Sdc b = parse("create_clock -name c1 -period 10 [get_ports clk1]\n");
+
+  const uint64_t built = counter("session/member_views_built");
+  const uint64_t reused = counter("session/member_views_reused");
+  const MergedModeSet batch = merge_mode_set(graph, {&a, &b});
+  ASSERT_EQ(batch.cliques.size(), 1u);
+  EXPECT_EQ(counter("session/member_views_built") - built, 0u);
+  EXPECT_EQ(counter("session/member_views_reused") - reused, 0u);
+
+  MergeSession session(graph);
+  const MergeSession::ModeId id_a = session.add_mode("a", &a);
+  session.add_mode("b", &b);
+  session.commit();
+  session.update_mode(id_a, &a);
+  session.commit();
+  EXPECT_EQ(session.num_member_views(), 2u);
+  const MergedModeSet released = session.release_batch();
+  EXPECT_EQ(session.num_member_views(), 0u);
+  EXPECT_EQ(sdc::write_sdc(*released.merged[0].merge.merged),
+            sdc::write_sdc(*batch.merged[0].merge.merged));
+}
+
 // Randomized differential soak: any interleaving of add / remove / update /
 // commit must end byte-identical to a from-scratch run on the final set.
 // (The heavy version of this property — generated designs, mutated decks,
