@@ -22,6 +22,10 @@ void MergeContext::export_stats() const {
   const RelationshipCache::Stats s = cache_.stats();
   MM_GAUGE_SET("merge/relationship_cache_hit_total", s.hits);
   MM_GAUGE_SET("merge/relationship_cache_miss_total", s.misses);
+  if (pool_) {
+    MM_GAUGE_SET("pool/tasks", pool_->chunks_run());
+    MM_GAUGE_SET("pool/busy_us", pool_->busy_seconds() * 1e6);
+  }
 }
 
 }  // namespace mm::merge

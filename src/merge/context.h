@@ -55,8 +55,9 @@ class MergeContext {
     return cache_.get(sdc);
   }
 
-  /// Export key-table and relationship-cache health as mm.stats/1 gauges
-  /// (merge/key_table_*, merge/relationship_cache_*).
+  /// Export key-table and relationship-cache health and the pool's
+  /// lifetime utilisation as mm.stats/1 gauges (merge/key_table_*,
+  /// merge/relationship_cache_*, pool/tasks, pool/busy_us).
   void export_stats() const;
 
  private:

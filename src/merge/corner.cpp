@@ -101,17 +101,17 @@ uint64_t structural_fingerprint(const Sdc& sdc) {
 
 namespace {
 
-uint64_t timing_state_hash(const Sdc& sdc, bool with_exceptions) {
-  Fnv f;
-  f.design(sdc.design());
-  f.clocks(sdc);
-  if (with_exceptions) f.exceptions(sdc);
-
+/// The fields of timing_state_fingerprint, grouped by the ModeGraph build
+/// stage that first reads them.
+void hash_case_analysis(Fnv& f, const Sdc& sdc) {
   f.u64(sdc.case_analysis().size());
   for (const sdc::CaseAnalysis& ca : sdc.case_analysis()) {
     f.u64(ca.pin.value());
     f.u64(static_cast<uint64_t>(ca.value));
   }
+}
+
+void hash_disables(Fnv& f, const Sdc& sdc) {
   f.u64(sdc.disables().size());
   for (const sdc::DisableTiming& dt : sdc.disables()) {
     f.u64(dt.pin.value());
@@ -119,6 +119,12 @@ uint64_t timing_state_hash(const Sdc& sdc, bool with_exceptions) {
     f.u64(dt.from_lib_pin);
     f.u64(dt.to_lib_pin);
   }
+}
+
+/// Clock sense stops, clock groups and the external-delay anchors (which
+/// port, which clock edge, which flags — the delay value is a per-corner
+/// number).
+void hash_clock_state(Fnv& f, const Sdc& sdc) {
   f.u64(sdc.clock_sense_stops().size());
   for (const sdc::ClockSenseStop& s : sdc.clock_sense_stops()) {
     f.u64(s.clock.value());
@@ -134,9 +140,6 @@ uint64_t timing_state_hash(const Sdc& sdc, bool with_exceptions) {
       for (sdc::ClockId c : g) f.u64(c.value());
     }
   }
-
-  // External-delay anchors: which port, which clock edge, which flags —
-  // the delay value is a per-corner number.
   f.u64(sdc.port_delays().size());
   for (const sdc::PortDelay& pd : sdc.port_delays()) {
     f.u64(pd.port_pin.value());
@@ -145,17 +148,31 @@ uint64_t timing_state_hash(const Sdc& sdc, bool with_exceptions) {
           (pd.add_delay ? 4u : 0u) | (pd.minmax.min ? 8u : 0u) |
           (pd.minmax.max ? 16u : 0u));
   }
-  return f.h;
 }
 
 }  // namespace
 
 uint64_t timing_state_fingerprint(const Sdc& sdc) {
-  return timing_state_hash(sdc, /*with_exceptions=*/true);
+  Fnv f;
+  f.design(sdc.design());
+  f.clocks(sdc);
+  f.exceptions(sdc);
+  hash_case_analysis(f, sdc);
+  hash_disables(f, sdc);
+  hash_clock_state(f, sdc);
+  return f.h;
 }
 
-uint64_t timing_view_fingerprint(const Sdc& sdc) {
-  return timing_state_hash(sdc, /*with_exceptions=*/false);
+TimingViewKey timing_view_key(const Sdc& sdc) {
+  Fnv constants;
+  constants.design(sdc.design());
+  hash_case_analysis(constants, sdc);
+  Fnv arcs;
+  hash_disables(arcs, sdc);
+  Fnv clocks;
+  clocks.clocks(sdc);
+  hash_clock_state(clocks, sdc);
+  return {constants.h, arcs.h, clocks.h};
 }
 
 }  // namespace mm::merge

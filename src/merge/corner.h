@@ -84,11 +84,24 @@ uint64_t structural_fingerprint(const Sdc& sdc);
 /// clock maps) refine to the same fix list and validate to the same report.
 uint64_t timing_state_fingerprint(const Sdc& sdc);
 
-/// timing_state_fingerprint without the exceptions: every field a
-/// timing::ModeGraph reads when it is built (case analysis, disables, the
-/// clock table and sense stops, the I/O delay anchors). Exceptions never
-/// reach a ModeGraph, so a view built before refinement appended some is
-/// still the deck's view when this fingerprint is unchanged.
-uint64_t timing_view_fingerprint(const Sdc& sdc);
+/// timing_state_fingerprint without the exceptions, split by the
+/// timing::ModeGraph build stage that reads each field: `constants` covers
+/// the design and case analysis (constant propagation), `arcs` the
+/// set_disable_timing list (arc enables), `clocks` the clock table, sense
+/// stops, clock groups and I/O delay anchors (clock propagation, capture
+/// clocks, active points). Exceptions never reach a ModeGraph, so a view
+/// built before refinement appended some is still the deck's view when
+/// the key is unchanged; a view whose `constants` part is unchanged can
+/// keep its constants, and one whose `arcs` part is unchanged too can keep
+/// its arc enables.
+struct TimingViewKey {
+  uint64_t constants = 0;
+  uint64_t arcs = 0;
+  uint64_t clocks = 0;
+
+  friend bool operator==(const TimingViewKey&,
+                         const TimingViewKey&) = default;
+};
+TimingViewKey timing_view_key(const Sdc& sdc);
 
 }  // namespace mm::merge

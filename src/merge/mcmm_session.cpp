@@ -190,6 +190,7 @@ void McmmSession::remove_mode(ModeId id) {
 const McmmSession::CommitResult& McmmSession::commit() {
   MM_SPAN("session/commit");
   Stopwatch timer;
+  const double busy_at_start = ctx_->pool().busy_seconds();
   const MergeOptions& options = ctx_->options();
   const size_t n = modes_.size();
   const size_t num_corners = corners_.size();
@@ -424,75 +425,116 @@ const McmmSession::CommitResult& McmmSession::commit() {
 
   // Merge each clique once per corner from that corner's member decks,
   // reusing the previous commit's result when no member deck of that corner
-  // changed. Corner-major so a corner's decks can be handed to qor() as one
-  // flat report, and so corner 0's result of every clique (merged or
-  // reused) is there to donate its fix list to the later corners.
+  // changed. The cliques are independent (each becomes its own merged
+  // mode), so the dirty merges fan out over the pool in two rounds: every
+  // dirty corner-0 clique, then every dirty (clique, corner c > 0) slot,
+  // whose corner-0 result (merged or reused) is by then there to donate its
+  // fix list. A merge touches only its own slot; all bookkeeping — reuse,
+  // member views, counters, journal events — runs after both rounds in one
+  // serial loop in (corner, cover) order, so results and journals are the
+  // same at any thread count.
   // Slots keep their member views from the second commit on; a batch
   // merge (one commit) keeps none.
   const bool keep_views = commit_seq_ > 1;
+  const size_t num_cliques = out.cliques.size();
+  clique_results_.resize(num_corners);  // empty before the first commit
+  struct Slot {
+    std::shared_ptr<ValidatedMergeResult> result;
+    bool had_prev = false;
+    bool reuse = false;
+    /// The members' views, handed to the merge and written back by it.
+    std::vector<MemberView> views;
+  };
+  // slots[c * num_cliques + clique_index]
+  std::vector<Slot> slots(num_corners * num_cliques);
+  std::vector<size_t> dirty_primary;  // slot indices, corner 0
+  std::vector<size_t> dirty_rest;     // slot indices, corners c > 0
+  for (CornerId c = 0; c < num_corners; ++c) {
+    for (size_t k = 0; k < num_cliques; ++k) {
+      Slot& slot = slots[c * num_cliques + k];
+      bool any_dirty = false;
+      for (size_t pos : out.cliques[k]) {
+        any_dirty = any_dirty || slot_dirty(pos, c);
+      }
+      auto prev = clique_results_[c].find(out.clique_ids[k]);
+      slot.had_prev = prev != clique_results_[c].end();
+      slot.reuse = !any_dirty && slot.had_prev;
+      if (slot.reuse) {
+        slot.result = prev->second;
+        continue;
+      }
+      if (keep_views) {
+        slot.views.reserve(out.cliques[k].size());
+        for (size_t pos : out.cliques[k]) {
+          slot.views.push_back(modes_[pos].views[c]);
+        }
+      }
+      (c == kPrimaryCorner ? dirty_primary : dirty_rest)
+          .push_back(c * num_cliques + k);
+    }
+  }
+  auto merge_slot = [&](size_t s) {
+    const CornerId c = static_cast<CornerId>(s / num_cliques);
+    const size_t k = s % num_cliques;
+    const std::vector<size_t>& clique = out.cliques[k];
+    std::vector<const Sdc*> members;
+    members.reserve(clique.size());
+    for (size_t pos : clique) members.push_back(modes_[pos].decks[c]);
+    const ValidatedMergeResult* donor = nullptr;
+    if (c != kPrimaryCorner) {
+      bool same_state = true;
+      for (size_t pos : clique) {
+        const std::vector<uint64_t>& fps = modes_[pos].state_fps;
+        same_state = same_state && fps[c] == fps[kPrimaryCorner];
+      }
+      if (same_state) donor = slots[k].result.get();
+    }
+    Slot& slot = slots[s];
+    slot.result = std::make_shared<ValidatedMergeResult>(
+        merge_modes(timing_graph_, members, *ctx_, donor,
+                    keep_views ? &slot.views : nullptr));
+  };
+  ctx_->pool().parallel_for(dirty_primary.size(),
+                            [&](size_t i) { merge_slot(dirty_primary[i]); });
+  ctx_->pool().parallel_for(dirty_rest.size(),
+                            [&](size_t i) { merge_slot(dirty_rest[i]); });
+
   size_t views_built = 0;
   size_t views_reused = 0;
   out.merged.resize(num_corners);
   out.reused.resize(num_corners);
   std::vector<CliqueResults> next_results(num_corners);
-  clique_results_.resize(num_corners);  // empty before the first commit
   for (CornerId c = 0; c < num_corners; ++c) {
-    const CliqueResults& prev_results = clique_results_[c];
-    for (size_t clique_index = 0; clique_index < out.cliques.size();
+    for (size_t clique_index = 0; clique_index < num_cliques;
          ++clique_index) {
+      Slot& slot = slots[c * num_cliques + clique_index];
       const std::vector<size_t>& clique = out.cliques[clique_index];
-      const std::vector<ModeId>& ids = out.clique_ids[clique_index];
-      bool any_dirty = false;
-      for (size_t pos : clique) any_dirty = any_dirty || slot_dirty(pos, c);
-      std::shared_ptr<ValidatedMergeResult> result;
-      auto prev = prev_results.find(ids);
-      const bool had_prev = prev != prev_results.end();
-      const bool reuse = !any_dirty && had_prev;
-      if (reuse) {
-        result = prev->second;
+      const ValidatedMergeResult& result = *slot.result;
+      if (slot.reuse) {
         ++out.cliques_reused;
       } else {
-        std::vector<const Sdc*> members;
-        members.reserve(clique.size());
-        for (size_t pos : clique) members.push_back(modes_[pos].decks[c]);
-        const ValidatedMergeResult* donor = nullptr;
-        if (c != kPrimaryCorner) {
-          bool same_state = true;
-          for (size_t pos : clique) {
-            const std::vector<uint64_t>& fps = modes_[pos].state_fps;
-            same_state = same_state && fps[c] == fps[kPrimaryCorner];
-          }
-          if (same_state) donor = out.merged[kPrimaryCorner][clique_index].get();
-        }
-        std::vector<MemberView> views;
-        if (keep_views) {
-          views.reserve(clique.size());
-          for (size_t pos : clique) views.push_back(modes_[pos].views[c]);
-        }
-        result = std::make_shared<ValidatedMergeResult>(
-            merge_modes(timing_graph_, members, *ctx_, donor,
-                        keep_views ? &views : nullptr));
-        if (keep_views && !result->shared && options.run_refinement) {
+        if (keep_views && !result.shared && options.run_refinement) {
           for (size_t i = 0; i < clique.size(); ++i) {
-            MemberView& slot = modes_[clique[i]].views[c];
-            ++(slot.empty() ? views_built : views_reused);
-            slot = std::move(views[i]);
+            MemberView& view = modes_[clique[i]].views[c];
+            ++(view.empty() ? views_built : views_reused);
+            view = std::move(slot.views[i]);
           }
         }
         ++out.cliques_merged;
         if (c != kPrimaryCorner) {
-          ++(result->shared ? out.corner_shared_merges
-                            : out.corner_share_fallbacks);
+          ++(result.shared ? out.corner_shared_merges
+                           : out.corner_share_fallbacks);
         }
       }
       if (obs::Journal::enabled()) {
-        journal_clique(c, clique_index, out, reuse,
-                       reuse ? "reused" : (had_prev ? "remerged" : "formed"),
-                       *result);
+        journal_clique(
+            c, clique_index, out, slot.reuse,
+            slot.reuse ? "reused" : (slot.had_prev ? "remerged" : "formed"),
+            result);
       }
-      next_results[c].emplace(ids, result);
-      out.merged[c].push_back(result);
-      out.reused[c].push_back(reuse);
+      next_results[c].emplace(out.clique_ids[clique_index], slot.result);
+      out.merged[c].push_back(slot.result);
+      out.reused[c].push_back(slot.reuse);
     }
   }
   clique_results_ = std::move(next_results);
@@ -509,6 +551,13 @@ const McmmSession::CommitResult& McmmSession::commit() {
   }
   MM_GAUGE_SET("session/modes", n);
   MM_GAUGE_SET("session/corners", num_corners);
+  // Pool threads busy per second of commit wall time, in percent: 100 is
+  // one core's worth of merge work.
+  const double wall = timer.elapsed_seconds();
+  MM_GAUGE_SET("session/cpu_per_wall_pct",
+               wall > 0.0 ? 100.0 * (ctx_->pool().busy_seconds() -
+                                     busy_at_start) / wall
+                          : 0.0);
   ctx_->export_stats();
 
   out.total_seconds = timer.elapsed_seconds();

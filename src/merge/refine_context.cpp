@@ -90,7 +90,9 @@ RefineContext::member_relations(const PropagationOptions& opts,
     });
   };
   // A fresh walk the views keep is packed before it is renamed, after the
-  // parallel_for, so what outlives this merge is allocated by this thread.
+  // parallel_for, so what outlives this merge is allocated by the thread
+  // that runs the clique merge (a pool worker when a session commit fans
+  // its cliques out), not by whichever thread ran the walk.
   const bool keep = memo && keep_views_;
   const size_t tasks = modes.size() + (beside ? 1 : 0);
   pool.parallel_for(tasks, [&](size_t m) {
@@ -126,14 +128,22 @@ RefineContext::member_relations(const PropagationOptions& opts,
 
 std::shared_ptr<const ModeGraph> RefineContext::merged_view(
     const Sdc& merged) const {
-  const uint64_t fingerprint = timing_view_fingerprint(merged);
+  const TimingViewKey key = timing_view_key(merged);
   std::lock_guard<std::mutex> lock(memo_mutex_);
-  if (!merged_view_ || merged_deck_ != &merged ||
-      merged_fingerprint_ != fingerprint) {
+  const bool same_deck = merged_view_ && merged_deck_ == &merged;
+  if (same_deck && merged_key_ == key) return merged_view_;
+  // The same deck with more fields: rebuild from the first stage that
+  // reads a changed one (clock refinement adds disables, then stops).
+  if (same_deck && merged_key_.constants == key.constants) {
+    merged_view_ = std::make_shared<ModeGraph>(
+        *merged_view_, merged,
+        merged_key_.arcs == key.arcs ? ModeGraph::Stage::kClocks
+                                     : ModeGraph::Stage::kArcs);
+  } else {
     merged_view_ = std::make_shared<ModeGraph>(*graph, merged);
-    merged_deck_ = &merged;
-    merged_fingerprint_ = fingerprint;
   }
+  merged_deck_ = &merged;
+  merged_key_ = key;
   return merged_view_;
 }
 

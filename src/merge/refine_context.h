@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "merge/context.h"
+#include "merge/corner.h"
 #include "merge/types.h"
 #include "timing/exceptions.h"
 #include "timing/mode_graph.h"
@@ -114,9 +115,11 @@ struct RefineContext {
 
   /// The merged deck's ModeGraph as `merged` stands now. The view is
   /// built on first use and rebuilt only when `merged` is another deck or
-  /// a field a ModeGraph reads changed since (timing_view_fingerprint):
-  /// disables and clock stops that clock refinement adds do, exceptions
-  /// that data refinement adds do not.
+  /// a field a ModeGraph reads changed since (timing_view_key): disables
+  /// and clock stops that clock refinement adds do, exceptions that data
+  /// refinement adds do not. A rebuild of the same deck keeps the
+  /// constants when the case analysis is unchanged, and the arc enables
+  /// too when the disables are, re-running only the later stages.
   std::shared_ptr<const timing::ModeGraph> merged_view(const Sdc& merged) const;
 
  private:
@@ -136,7 +139,7 @@ struct RefineContext {
   mutable std::vector<const timing::CompiledExceptions*> member_exceptions_;
   mutable RelationMemo memo_;
   mutable const Sdc* merged_deck_ = nullptr;
-  mutable uint64_t merged_fingerprint_ = 0;
+  mutable TimingViewKey merged_key_;
   mutable std::shared_ptr<const timing::ModeGraph> merged_view_;
 };
 

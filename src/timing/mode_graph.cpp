@@ -21,12 +21,27 @@ ModeGraph::ModeGraph(const TimingGraph& graph, const Sdc& sdc)
     apply_disables();
     kill_blocked_arcs();
   }
-  {
-    MM_SPAN_HOT("timing/clock_propagation");
-    propagate_clocks();
-    collect_capture_clocks();
-    find_active_points();
+  build_clock_stage();
+}
+
+ModeGraph::ModeGraph(const ModeGraph& base, const Sdc& sdc, Stage from)
+    : graph_(base.graph_), sdc_(&sdc), constants_(base.constants_) {
+  if (from == Stage::kArcs) {
+    MM_SPAN_HOT("timing/arc_enables");
+    arc_enabled_.assign(graph_->num_arcs(), 1);
+    apply_disables();
+    kill_blocked_arcs();
+  } else {
+    arc_enabled_ = base.arc_enabled_;
   }
+  build_clock_stage();
+}
+
+void ModeGraph::build_clock_stage() {
+  MM_SPAN_HOT("timing/clock_propagation");
+  propagate_clocks();
+  collect_capture_clocks();
+  find_active_points();
 }
 
 void ModeGraph::propagate_constants() {

@@ -34,6 +34,15 @@ class ModeGraph {
   /// Build the per-mode view. Both graph and sdc must outlive this object.
   ModeGraph(const TimingGraph& graph, const Sdc& sdc);
 
+  /// The build stages after constant propagation.
+  enum class Stage { kArcs, kClocks };
+
+  /// The view of `sdc`, a deck that differs from `base`'s only in fields
+  /// that stage `from` or a later one reads. The view keeps `base`'s
+  /// constants (equal case analysis) and, from kClocks, its arc enables
+  /// too (equal disables), and re-runs the remaining stages.
+  ModeGraph(const ModeGraph& base, const Sdc& sdc, Stage from);
+
   const TimingGraph& graph() const { return *graph_; }
   const Sdc& sdc() const { return *sdc_; }
 
@@ -90,6 +99,8 @@ class ModeGraph {
   void propagate_constants();
   void apply_disables();
   void kill_blocked_arcs();
+  /// Clock propagation, capture clocks and active points.
+  void build_clock_stage();
   void propagate_clocks();
   void collect_capture_clocks();
   void find_active_points();

@@ -308,15 +308,24 @@ uint64_t span_count(const std::string& phase) {
 
 struct Work {
   uint64_t propagations = 0;
+  /// ModeGraphs built from scratch (constant propagation included).
   uint64_t mode_graphs = 0;
+  /// ModeGraph stages re-run over a kept view: arc enables, and clock
+  /// propagation (run once by every build, full or kept).
+  uint64_t arc_stages = 0;
+  uint64_t clock_stages = 0;
 
   static Work now() {
     return {counter("timing/propagations"),
-            span_count("timing/case_analysis")};
+            span_count("timing/case_analysis"),
+            span_count("timing/arc_enables"),
+            span_count("timing/clock_propagation")};
   }
   Work since(const Work& before) const {
     return {propagations - before.propagations,
-            mode_graphs - before.mode_graphs};
+            mode_graphs - before.mode_graphs,
+            arc_stages - before.arc_stages,
+            clock_stages - before.clock_stages};
   }
 };
 
@@ -338,13 +347,17 @@ TEST_F(DataRefineTest, CliqueMergePropagatesEachMemberOnce) {
   // Data refinement: M + 1 endpoint-level walks in pass 1 (each member
   // once, the merged deck beside them), M + 1 cone-filtered walks in pass 2
   // when it descends, and one merged ModeGraph for all four passes: clock
-  // refinement's own view when it added no clock stop, else one new view.
+  // refinement's own view when it added no clock stop, else that view with
+  // its clock stage re-run.
   const Work before_refine = Work::now();
   refine_data_network(ctx, result, options);
   const Work refine = Work::now().since(before_refine);
   const uint64_t pass2_walks = result.stats.pass1_ambiguous > 0 ? m + 1 : 0;
   EXPECT_EQ(refine.propagations, m + 1 + pass2_walks);
-  EXPECT_EQ(refine.mode_graphs, result.stats.clock_stops_added > 0 ? 1u : 0u);
+  EXPECT_EQ(refine.mode_graphs, 0u);
+  EXPECT_EQ(refine.arc_stages, 0u);
+  EXPECT_EQ(refine.clock_stages,
+            result.stats.clock_stops_added > 0 ? 1u : 0u);
 
   // Validation reads the members from pass 1's memo and walks only the
   // merged deck: one propagation, over data refinement's merged view
@@ -356,6 +369,7 @@ TEST_F(DataRefineTest, CliqueMergePropagatesEachMemberOnce) {
   const Work validate = Work::now().since(before_validate);
   EXPECT_EQ(validate.propagations, 1u);
   EXPECT_EQ(validate.mode_graphs, 0u);
+  EXPECT_EQ(validate.clock_stages, 0u);
   EXPECT_TRUE(report.signoff_safe());
 }
 
@@ -376,14 +390,16 @@ TEST_F(DataRefineTest, ValidatedMergeModesAddsOnePropagation) {
   const uint64_t walks = members.size() + 1;
   EXPECT_EQ(work.propagations,
             (out.merge.stats.pass1_ambiguous > 0 ? 2 * walks : walks) + 1);
-  // Member views once; one merged view per merged timing state: the first
-  // stage's, one more when disable inference added a disable, one more
-  // when clock refinement added a clock stop. Data refinement and
-  // validation share the last one.
+  // Member views once and the merged view once, from scratch. Disable
+  // inference keeps the merged constants and re-runs the arc-enable and
+  // clock stages; added clock stops re-run the clock stage only. Data
+  // refinement and validation share the last view.
   const MergeStats& s = out.merge.stats;
-  EXPECT_EQ(work.mode_graphs, members.size() + 1 +
-                                  (s.inferred_disables > 0 ? 1 : 0) +
-                                  (s.clock_stops_added > 0 ? 1 : 0));
+  EXPECT_EQ(work.mode_graphs, members.size() + 1);
+  EXPECT_EQ(work.arc_stages, s.inferred_disables > 0 ? 1u : 0u);
+  EXPECT_EQ(work.clock_stages, members.size() + 1 +
+                                   (s.inferred_disables > 0 ? 1 : 0) +
+                                   (s.clock_stops_added > 0 ? 1 : 0));
   EXPECT_TRUE(out.equivalence.signoff_safe());
 }
 

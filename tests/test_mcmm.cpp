@@ -10,12 +10,17 @@
 //   - corners with corner 0's timing state take corner 0's fix list and
 //     equivalence report (one full merge per clique on a value-only
 //     family), a corner with its own case analysis falls back to a full
-//     merge, and every result is byte-equal to a flat merge of its corner.
+//     merge, and every result is byte-equal to a flat merge of its corner;
+//   - a batch merge, a session's view-keeping commits and a corner-sharing
+//     session give the same bytes, journal and counters at 1 and 4 pool
+//     threads, though dirty cliques merge in parallel.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <memory>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -606,6 +611,160 @@ TEST_F(McmmTest, DebugMutationNeverShares) {
   EXPECT_EQ(r.corner_share_fallbacks, r.cliques.size());
 }
 
+// --- thread-count independence ----------------------------------------------
+
+/// What a run produces that must not depend on the pool size: every
+/// commit's merged SDC bytes, its CommitResult counters and member-view
+/// counter deltas, and the journal. Journal fields that legitimately vary
+/// are stripped: wall-clock `*_ms`, the process-wide `seq` and `session`
+/// numbers, and `key_id`, which depends on interning order.
+struct RunRecord {
+  std::vector<std::string> sdc;
+  std::vector<std::vector<size_t>> counts;
+  std::vector<std::string> journal;
+};
+
+/// Where record_commit puts the member-view deltas in a commit's counts.
+constexpr size_t kViewsBuilt = 9;
+constexpr size_t kViewsReused = 10;
+
+void record_commit(RunRecord& rec, const McmmSession::CommitResult& r,
+                   uint64_t views_built, uint64_t views_reused) {
+  for (const auto& corner : r.merged) {
+    for (const auto& result : corner) {
+      rec.sdc.push_back(sdc::write_sdc(*result->merge.merged));
+    }
+  }
+  std::vector<size_t> counts = {
+      r.cliques.size(),         r.pairs_rechecked,
+      r.pairs_skipped_clean,    r.pair_corner_checks,
+      r.pair_corner_reuses,     r.cliques_merged,
+      r.cliques_reused,         r.corner_shared_merges,
+      r.corner_share_fallbacks, static_cast<size_t>(views_built),
+      static_cast<size_t>(views_reused)};
+  for (const auto& corner : r.reused) {
+    for (bool reused : corner) counts.push_back(reused ? 1 : 0);
+  }
+  for (const auto& clique : r.cliques) {
+    counts.insert(counts.end(), clique.begin(), clique.end());
+  }
+  rec.counts.push_back(std::move(counts));
+}
+
+std::vector<std::string> stable_journal(const std::string& path) {
+  static const std::regex varying(R"re(,"(seq|session|key_id|\w+_ms)":\d+)re");
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(std::regex_replace(line, varying, ""));
+  }
+  return lines;
+}
+
+/// Run `body(options)` at `threads` pool threads with the journal on.
+template <typename Body>
+RunRecord run_at(size_t threads, const std::string& name, Body&& body) {
+  const std::string path = ::testing::TempDir() + "/threads_" + name + "_" +
+                           std::to_string(threads) + ".jsonl";
+  EXPECT_TRUE(obs::Journal::open(path));
+  MergeOptions options;
+  options.num_threads = threads;
+  RunRecord rec;
+  body(options, rec);
+  obs::Journal::close();
+  rec.journal = stable_journal(path);
+  return rec;
+}
+
+/// Commit `session` and record the result with its member-view deltas.
+void commit_and_record(McmmSession& session, RunRecord& rec) {
+  const uint64_t built = counter("session/member_views_built");
+  const uint64_t reused = counter("session/member_views_reused");
+  const McmmSession::CommitResult& r = session.commit();
+  record_commit(rec, r, counter("session/member_views_built") - built,
+                counter("session/member_views_reused") - reused);
+}
+
+void expect_same_run(const RunRecord& one, const RunRecord& four) {
+  ASSERT_EQ(one.sdc.size(), four.sdc.size());
+  for (size_t i = 0; i < one.sdc.size(); ++i) {
+    EXPECT_EQ(one.sdc[i], four.sdc[i]) << "merged deck " << i;
+  }
+  EXPECT_EQ(one.counts, four.counts);
+  ASSERT_GT(one.journal.size(), 1u);  // more than the header
+  ASSERT_EQ(one.journal.size(), four.journal.size());
+  for (size_t i = 0; i < one.journal.size(); ++i) {
+    EXPECT_EQ(one.journal[i], four.journal[i]) << "journal line " << i;
+  }
+}
+
+TEST_F(McmmTest, BatchMergeIsThreadCountIndependent) {
+  auto batch = [&](const MergeOptions& options, RunRecord& rec) {
+    const MergedModeSet out = merge_mode_set(*graph_, family_ptrs(), options);
+    ASSERT_GE(out.cliques.size(), 2u);  // cliques to merge in parallel
+    for (const ValidatedMergeResult& r : out.merged) {
+      rec.sdc.push_back(sdc::write_sdc(*r.merge.merged));
+      rec.counts.push_back({r.equivalence.keys_compared, r.equivalence.matches,
+                            r.equivalence.pessimism_keys,
+                            r.equivalence.optimism_violations});
+    }
+  };
+  expect_same_run(run_at(1, "batch", batch), run_at(4, "batch", batch));
+}
+
+TEST_F(McmmTest, ViewKeepingCommitsAreThreadCountIndependent) {
+  auto session_run = [&](const MergeOptions& options, RunRecord& rec) {
+    McmmSession session(*graph_, CornerSet(), options);
+    const std::vector<const Sdc*> ptrs = family_ptrs();
+    std::vector<McmmSession::ModeId> ids;
+    for (size_t m = 0; m < ptrs.size(); ++m) {
+      ids.push_back(session.add_mode(family_[m].name, {ptrs[m]}));
+    }
+    commit_and_record(session, rec);
+    ASSERT_GE(session.last_commit().cliques.size(), 2u);
+    // Re-merge every clique: the second commit builds and keeps views.
+    for (size_t m = 0; m < ids.size(); m += 2) {
+      session.update_mode(ids[m], kPrimaryCorner, ptrs[m]);
+    }
+    commit_and_record(session, rec);
+    // One more edit: its clique reuses the other members' views.
+    session.update_mode(ids[1], kPrimaryCorner, ptrs[1]);
+    session.update_mode(ids[ids.size() - 1], kPrimaryCorner,
+                        ptrs[ids.size() - 1]);
+    commit_and_record(session, rec);
+  };
+  const RunRecord one = run_at(1, "session", session_run);
+  expect_same_run(one, run_at(4, "session", session_run));
+  // The runs kept views in commit 2 and reused some in commit 3.
+  ASSERT_EQ(one.counts.size(), 3u);
+  EXPECT_GT(one.counts[1][kViewsBuilt], 0u);
+  EXPECT_GT(one.counts[2][kViewsReused], 0u);
+}
+
+TEST_F(McmmTest, CornerSharingCommitsAreThreadCountIndependent) {
+  const CornerMatrix mx =
+      make_corner_matrix(*design_, dp_, /*num_modes=*/8, /*groups=*/2,
+                         /*num_corners=*/2);
+  auto corners_run = [&](const MergeOptions& options, RunRecord& rec) {
+    McmmSession session(*graph_, CornerSet(mx.corner_names), options);
+    std::vector<McmmSession::ModeId> ids;
+    for (size_t m = 0; m < mx.decks.size(); ++m) {
+      ids.push_back(add_row(session, mx, m));
+    }
+    commit_and_record(session, rec);
+    ASSERT_GE(session.last_commit().cliques.size(), 2u);
+    EXPECT_GT(session.last_commit().corner_shared_merges, 0u);
+    for (size_t m = 0; m < ids.size(); m += 3) {
+      for (CornerId c = 0; c < mx.corner_names.size(); ++c) {
+        session.update_mode(ids[m], c, mx.decks[m][c].get());
+      }
+    }
+    commit_and_record(session, rec);
+  };
+  expect_same_run(run_at(1, "corners", corners_run),
+                  run_at(4, "corners", corners_run));
+}
+
 TEST(TimingStateFingerprintTest, CoversStateAndOmitsValues) {
   const netlist::Library lib = netlist::Library::builtin();
   const netlist::Design paper = gen::paper_circuit(lib);
@@ -633,6 +792,35 @@ TEST(TimingStateFingerprintTest, CoversStateAndOmitsValues) {
             structural_fingerprint(with_case));
   EXPECT_NE(ref, fp("set_disable_timing [get_ports sel1]\n"));
   EXPECT_NE(ref, fp("set_input_delay 1.0 -clock c [get_ports sel1]\n"));
+}
+
+// The view key splits the timing state by the ModeGraph stage that reads
+// it, and leaves out exceptions, which no ModeGraph reads.
+TEST(TimingStateFingerprintTest, ViewKeyPartsFollowModeGraphStages) {
+  const netlist::Library lib = netlist::Library::builtin();
+  const netlist::Design paper = gen::paper_circuit(lib);
+  const std::string base =
+      "create_clock -name c -period 10 [get_ports clk1]\n"
+      "set_input_delay 1.0 -clock c [get_ports in1]\n";
+  auto key = [&](const std::string& extra) {
+    return timing_view_key(sdc::parse_sdc(base + extra, paper));
+  };
+  const TimingViewKey ref = key("");
+  EXPECT_EQ(ref, key("set_false_path -to [get_pins rZ/D]\n"));
+  const TimingViewKey with_case = key("set_case_analysis 0 [get_ports sel1]\n");
+  EXPECT_NE(with_case.constants, ref.constants);
+  EXPECT_EQ(with_case.arcs, ref.arcs);
+  EXPECT_EQ(with_case.clocks, ref.clocks);
+  const TimingViewKey with_disable = key("set_disable_timing [get_pins and1/A]\n");
+  EXPECT_EQ(with_disable.constants, ref.constants);
+  EXPECT_NE(with_disable.arcs, ref.arcs);
+  EXPECT_EQ(with_disable.clocks, ref.clocks);
+  const TimingViewKey with_stop = key(
+      "set_clock_sense -stop_propagation -clock [get_clocks c] "
+      "[get_pins mux1/Z]\n");
+  EXPECT_EQ(with_stop.constants, ref.constants);
+  EXPECT_EQ(with_stop.arcs, ref.arcs);
+  EXPECT_NE(with_stop.clocks, ref.clocks);
 }
 
 }  // namespace

@@ -343,6 +343,59 @@ TEST_F(ModeGraphTest, CsrLayoutsMatchPerPinOracleOnPaperCircuit) {
   }
 }
 
+// --- views rebuilt from a kept stage ---------------------------------------
+
+void expect_same_view(const ModeGraph& got, const ModeGraph& want) {
+  const TimingGraph& g = want.graph();
+  for (size_t p = 0; p < g.num_nodes(); ++p) {
+    const PinId pin(p);
+    ASSERT_EQ(got.constant(pin), want.constant(pin)) << "pin " << p;
+    const auto a = got.clocks_on(pin);
+    const auto b = want.clocks_on(pin);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "clocks_on at pin " << p;
+    const auto ca = got.capture_clocks_at(pin);
+    const auto cb = want.capture_clocks_at(pin);
+    ASSERT_TRUE(std::equal(ca.begin(), ca.end(), cb.begin(), cb.end()))
+        << "capture_clocks_at pin " << p;
+  }
+  for (size_t a = 0; a < g.num_arcs(); ++a) {
+    ASSERT_EQ(got.arc_enabled(ArcId(a)), want.arc_enabled(ArcId(a)))
+        << "arc " << a;
+  }
+  EXPECT_EQ(got.active_startpoints(), want.active_startpoints());
+  EXPECT_EQ(got.active_endpoints(), want.active_endpoints());
+}
+
+// Clock refinement appends disables, then clock stops, to the merged deck;
+// its view keeps the constants (and then the arc enables) and re-runs only
+// the later stages. Each kept-stage view equals a from-scratch build.
+TEST_F(ModeGraphTest, KeptStageViewsMatchFullBuilds) {
+  const ModeGraph base = make(
+      "create_clock -name a -period 10 [get_ports clk1]\n"
+      "create_clock -name b -period 20 [get_ports clk2]\n"
+      "set_case_analysis 0 sel1\n"
+      "set_output_delay 1 -clock [get_clocks b] [get_ports out1]\n");
+  ASSERT_TRUE(base.clock_on(pin("rX/CP"), sdc_->find_clock("a")));
+
+  sdc::DisableTiming dt;
+  dt.pin = pin("and1/A");
+  sdc_->disables().push_back(dt);
+  const ModeGraph arcs(base, *sdc_, ModeGraph::Stage::kArcs);
+  expect_same_view(arcs, ModeGraph(graph, *sdc_));
+  for (ArcId aid : graph.fanout(pin("and1/A"))) {
+    EXPECT_FALSE(arcs.arc_enabled(aid));
+  }
+
+  sdc::ClockSenseStop stop;
+  stop.pin = pin("mux1/Z");
+  stop.clock = sdc_->find_clock("a");
+  sdc_->clock_sense_stops().push_back(stop);
+  const ModeGraph clocks(arcs, *sdc_, ModeGraph::Stage::kClocks);
+  expect_same_view(clocks, ModeGraph(graph, *sdc_));
+  EXPECT_FALSE(clocks.clock_on(pin("rX/CP"), sdc_->find_clock("a")));
+}
+
 TEST(ModeGraphCsrTest, CsrLayoutsMatchPerPinOracleOnGeneratedDesign) {
   const netlist::Library lib = netlist::Library::builtin();
   gen::DesignParams dp;

@@ -4,9 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <numeric>
+#include <thread>
 
 #include "util/bitset.h"
+#include "util/error.h"
 #include "util/glob.h"
 #include "util/intern.h"
 #include "util/thread_pool.h"
@@ -232,6 +238,90 @@ TEST(ThreadPool, GrainAtLeastCountRunsInline) {
   pool.parallel_for(7, /*min_grain=*/16,
                     [&](size_t i) { order.push_back(static_cast<int>(i)); });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+// --- nested parallel_for -------------------------------------------------------
+
+/// Run `body` on a thread of its own and wait for it at most `limit`. A
+/// body still running then is taken for a deadlocked pool: the test binary
+/// exits with a failure, since a deadlocked thread can be neither joined
+/// nor safely abandoned. An exception from `body` is rethrown here.
+void run_within(std::chrono::seconds limit, const std::function<void()>& body) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread runner([&] {
+    try {
+      body();
+      done.set_value();
+    } catch (...) {
+      done.set_exception(std::current_exception());
+    }
+  });
+  if (finished.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "nested parallel_for did not finish in %lld s\n",
+                 static_cast<long long>(limit.count()));
+    std::_Exit(1);
+  }
+  runner.join();
+  finished.get();
+}
+
+// Every outer task runs an inner parallel_for on the same 2-thread pool, so
+// both workers wait inside outer tasks while the inner chunks are queued:
+// the waiting callers must run their own chunks.
+TEST(ThreadPool, NestedParallelForCompletes) {
+  constexpr size_t kOuter = 8;
+  constexpr size_t kInner = 50;
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  run_within(std::chrono::seconds(30), [&] {
+    pool.parallel_for(kOuter, [&](size_t o) {
+      pool.parallel_for(kInner, [&](size_t i) { hits[o * kInner + i]++; });
+    });
+  });
+  for (size_t k = 0; k < hits.size(); ++k) {
+    EXPECT_EQ(hits[k].load(), 1) << "index " << k;
+  }
+}
+
+TEST(ThreadPool, NestedParallelForPropagatesInnerException) {
+  ThreadPool pool(2);
+  EXPECT_THROW(run_within(std::chrono::seconds(30),
+                          [&] {
+                            pool.parallel_for(6, [&](size_t o) {
+                              pool.parallel_for(40, [&](size_t i) {
+                                if (o == 3 && i == 17) throw Error("inner");
+                              });
+                            });
+                          }),
+               Error);
+  // The pool is still usable.
+  std::atomic<int> count{0};
+  pool.parallel_for(20, [&](size_t) { count++; });
+  EXPECT_EQ(count.load(), 20);
+}
+
+// Utilisation: every chunk counts, and a nested chunk's time lies inside
+// its outer chunk's, so busy time never exceeds threads x wall time.
+TEST(ThreadPool, CountsChunksAndBusyTimeOnce) {
+  ThreadPool inline_pool(1);
+  inline_pool.parallel_for(5, [](size_t) {});
+  EXPECT_EQ(inline_pool.chunks_run(), 1u);  // one inline loop
+
+  ThreadPool pool(2);
+  const auto start = std::chrono::steady_clock::now();
+  pool.parallel_for(1, [&](size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    pool.parallel_for(1, [](size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    });
+  });
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  EXPECT_EQ(pool.chunks_run(), 2u);
+  EXPECT_GE(pool.busy_seconds(), 0.04);
+  EXPECT_LE(pool.busy_seconds(), wall);
 }
 
 }  // namespace
