@@ -3,7 +3,7 @@
 // {8,16,32,64,128} and times the production path through its own
 // MergeContext session:
 //
-//   cold — fresh context (empty relationship cache and key table)
+//   cold — fresh context (empty relationship cache)
 //   warm — rerun on the same context (every extraction is a cache hit)
 //
 // plus, for M ≤ 64, the Sdc-level oracle (1 thread, check_mergeable on raw

@@ -4,7 +4,7 @@
 // The paper's central claim (§2) is that a merged superset mode is
 // *equivalent* to each source mode. The engine additionally promises that a
 // threaded run matches a one-thread run byte for byte, and that its
-// cached, interned pair check matches the Sdc-level oracle. This harness
+// cached relationship-set pair check matches the Sdc-level oracle. This harness
 // industrializes those promises into a randomized, self-checking oracle:
 //
 //   1. generate a random design + mode family (gen::design_gen /

@@ -5,7 +5,7 @@
 namespace mm::merge {
 
 MergeContext::MergeContext(MergeOptions options)
-    : options_(options), cache_(keys_) {}
+    : options_(options) {}
 
 ThreadPool& MergeContext::pool() {
   if (!pool_) {
@@ -16,8 +16,6 @@ ThreadPool& MergeContext::pool() {
 }
 
 void MergeContext::export_stats() const {
-  MM_GAUGE_SET("merge/key_table_keys", keys_.num_keys());
-  MM_GAUGE_SET("merge/key_table_bytes", keys_.bytes());
   MM_GAUGE_SET("merge/relationship_cache_entries", cache_.size());
   const RelationshipCache::Stats s = cache_.stats();
   MM_GAUGE_SET("merge/relationship_cache_hit_total", s.hits);

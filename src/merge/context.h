@@ -6,15 +6,12 @@
 // one merge_mode_set run (or any sequence of related merges):
 //
 //   - the MergeOptions every pass reads,
-//   - a CanonicalKeyTable (merge/keys.h) defining the session's KeyId
-//     space,
-//   - a RelationshipCache bound to that table, so the per-mode extraction
-//     the mergeability pass pays for is reused verbatim by preliminary
-//     merge,
+//   - a RelationshipCache, so the per-mode extraction the mergeability pass
+//     pays for is reused verbatim by preliminary merge,
 //   - the ThreadPool all passes fan out on (sized by options.num_threads,
 //     created lazily on first use),
 //
-// and exports the key-layer health gauges into the mm.stats/1 snapshot.
+// and exports the cache and pool gauges into the mm.stats/1 snapshot.
 //
 // The options-only overloads of merge_modes / merge_mode_set /
 // preliminary_merge construct a transient context, so existing callers keep
@@ -23,7 +20,6 @@
 
 #include <memory>
 
-#include "merge/keys.h"
 #include "merge/relationship_cache.h"
 #include "merge/types.h"
 #include "util/thread_pool.h"
@@ -38,11 +34,7 @@ class MergeContext {
 
   const MergeOptions& options() const { return options_; }
 
-  /// The session's canonical-key interner.
-  CanonicalKeyTable& keys() { return keys_; }
-  const CanonicalKeyTable& keys() const { return keys_; }
-
-  /// The session's relationship cache, bound to keys().
+  /// The session's relationship cache.
   RelationshipCache& cache() { return cache_; }
 
   /// The session's thread pool, created on first use with
@@ -55,14 +47,13 @@ class MergeContext {
     return cache_.get(sdc);
   }
 
-  /// Export key-table and relationship-cache health and the pool's
-  /// lifetime utilisation as mm.stats/1 gauges (merge/key_table_*,
-  /// merge/relationship_cache_*, pool/tasks, pool/busy_us).
+  /// Export relationship-cache health and the pool's lifetime utilisation
+  /// as mm.stats/1 gauges (merge/relationship_cache_*, pool/tasks,
+  /// pool/busy_us).
   void export_stats() const;
 
  private:
   MergeOptions options_;
-  CanonicalKeyTable keys_;
   RelationshipCache cache_;
   std::unique_ptr<ThreadPool> pool_;
 };

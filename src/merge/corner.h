@@ -6,21 +6,21 @@
 // engine therefore splits one mode's relationship data into
 //
 //   the skeleton  — the value-independent structure of the primary corner's
-//                   relationship set, interned once per mode into the shared
-//                   CanonicalKeyTable (clock keys, exception signatures,
+//                   relationship set, derived once per mode (clock keys,
+//                   exception signatures and their sorted indexes,
 //                   drive/load channel shape), and
 //   corner values — the per-corner values riding on that structure
 //                   (relationship_cache.h fills them by a cheap value-only
 //                   re-scan of the corner deck),
 //
 // turning modes x corners relationship extraction into modes skeleton
-// interns + modes x corners delta fills. structural_fingerprint() is the
+// extractions + modes x corners delta fills. structural_fingerprint() is the
 // hash that decides whether a corner deck really shares its mode's
 // skeleton: it covers exactly the inputs relationship extraction reads,
 // with the value fields of the per-corner constraint lists excluded.
 // Equal fingerprints (same design) imply equal clock keys, equal exception
 // signatures, and an equal drive/load channel shape — so a skeleton's
-// interned view can be reused for the corner verbatim.
+// keys and indexes can be reused for the corner verbatim.
 
 #include <cstdint>
 #include <string>

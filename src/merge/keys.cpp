@@ -67,56 +67,4 @@ std::set<std::string> effective_from_keys(const Sdc& sdc,
   return keys;
 }
 
-bool keys_disjoint(const std::set<std::string>& a,
-                   const std::set<std::string>& b) {
-  for (const std::string& k : a) {
-    if (b.count(k)) return false;
-  }
-  return true;
-}
-
-bool keys_disjoint(const KeySet& a, const KeySet& b) {
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia == *ib) return false;
-    if (*ia < *ib)
-      ++ia;
-    else
-      ++ib;
-  }
-  return true;
-}
-
-DynamicBitset keyset_bits(const KeySet& keys) {
-  if (keys.empty()) return DynamicBitset();
-  // keys is sorted, so the universe is the last id + 1.
-  DynamicBitset bits(keys.back().id() + 1);
-  for (KeyId k : keys) bits.set(k.id());
-  return bits;
-}
-
-KeyId CanonicalKeyTable::intern(std::string_view key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const size_t before = pool_.size();
-  const Symbol sym = pool_.intern(key);
-  if (pool_.size() > before) bytes_ += key.size();
-  return sym;
-}
-
-std::string CanonicalKeyTable::str(KeyId id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return std::string(pool_.str(id));
-}
-
-size_t CanonicalKeyTable::num_keys() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pool_.size();
-}
-
-size_t CanonicalKeyTable::bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_;
-}
-
 }  // namespace mm::merge

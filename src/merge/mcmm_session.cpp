@@ -305,14 +305,8 @@ const McmmSession::CommitResult& McmmSession::commit() {
         if (computed[p] == 0) return;
         const bool conflict = c < num_corners;
         st.scanned = conflict ? c + 1 : static_cast<uint32_t>(num_corners);
-        st.combined = st.verdicts[conflict ? c : kPrimaryCorner];
-        if (!corners_.single()) {
-          st.combined.corners_checked = st.scanned;
-          if (conflict) {
-            st.combined.corner = corners_.name(c);
-            st.combined.corner_id = c;
-          }
-        }
+        st.combined = with_corner_provenance(
+            st.verdicts[conflict ? c : kPrimaryCorner], c, corners_);
       });
   for (uint32_t k : computed) {
     out.pair_corner_checks += k;
@@ -346,9 +340,6 @@ const McmmSession::CommitResult& McmmSession::commit() {
         ev.field("category", v.category)
             .field("subject", v.subject)
             .field("reason", v.reason);
-        // Interned-path provenance only: the id depends on interning order
-        // across threads, so readers must not render it in stable output.
-        if (v.subject_key_id != 0) ev.field("key_id", v.subject_key_id);
       }
       if (!corners_.single()) {
         ev.field("corners_checked", static_cast<uint64_t>(v.corners_checked));

@@ -6,8 +6,6 @@
 #include <optional>
 #include <set>
 #include <sstream>
-#include <string_view>
-#include <unordered_map>
 
 #include "merge/context.h"
 #include "merge/keys.h"
@@ -75,7 +73,6 @@ std::optional<PairVerdict> clock_window_conflict(
     v.reason = std::move(reason);
     v.category = category;
     v.subject = ca.key;
-    v.subject_key_id = ca.key_id.id();
     return v;
   };
   for (size_t source = 0; source < 2; ++source) {
@@ -200,17 +197,16 @@ std::optional<PairVerdict> drive_load_conflict_screen(
   return std::nullopt;
 }
 
-PairVerdict exception_conflict(std::string anchor_sig, uint32_t anchor_key) {
+PairVerdict exception_conflict(std::string anchor_sig) {
   PairVerdict v;
   v.mergeable = false;
   v.reason = "conflicting exception values on identical anchors";
   v.category = "exception_conflict";
   v.subject = std::move(anchor_sig);
-  v.subject_key_id = anchor_key;
   return v;
 }
 
-PairVerdict one_sided_conflict(std::string full_sig, uint32_t full_key) {
+PairVerdict one_sided_conflict(std::string full_sig) {
   PairVerdict v;
   v.mergeable = false;
   v.reason =
@@ -218,26 +214,36 @@ PairVerdict one_sided_conflict(std::string full_sig, uint32_t full_key) {
       "uniquified by clock restriction";
   v.category = "exception_one_sided";
   v.subject = std::move(full_sig);
-  v.subject_key_id = full_key;
   return v;
 }
 
 // Clock-conflict pre-screen over pre-extracted per-clock windows. Returns
 // the verdict as soon as a matched clock's windows conflict, letting the
 // caller skip the exception-signature work entirely for such pairs.
-// Matched clocks are visited in canonical-key string order (a.clock_order),
-// so the first conflict found — and therefore the reason text — is the
-// same as the Sdc-level check's; the probe into b is an integer lookup.
+// Matched clocks come from a merge-join over the two key-sorted clock
+// orders, so they are visited in a's canonical-key order: the first
+// conflict found — and therefore the reason text — is the same as the
+// Sdc-level check's.
 std::optional<PairVerdict> clock_conflict_screen(
     const ModeRelationships& a, const ModeRelationships& b,
     const MergeOptions& options, WindowUse& use) {
-  for (uint32_t ia : a.clock_order) {
-    const ModeRelationships::ClockInfo& ca = a.clocks[ia];
-    auto it = b.by_key_id.find(ca.key_id.id());
-    if (it == b.by_key_id.end()) continue;
-    if (std::optional<PairVerdict> v =
-            clock_window_conflict(ca, b.clocks[it->second], options, use)) {
-      return v;
+  auto ia = a.clock_order.begin();
+  auto ib = b.clock_order.begin();
+  while (ia != a.clock_order.end() && ib != b.clock_order.end()) {
+    const ModeRelationships::ClockInfo& ca = a.clocks[*ia];
+    const ModeRelationships::ClockInfo& cb = b.clocks[*ib];
+    const int c = ca.key.compare(cb.key);
+    if (c < 0) {
+      ++ia;
+    } else if (c > 0) {
+      ++ib;
+    } else {
+      if (std::optional<PairVerdict> v =
+              clock_window_conflict(ca, cb, options, use)) {
+        return v;
+      }
+      ++ia;
+      ++ib;
     }
   }
   return std::nullopt;
@@ -264,27 +270,21 @@ PairVerdict check_mergeable(const ModeRelationships& a,
 
   // --- exceptions ------------------------------------------------------------
   // Same anchors, different kind/value: conflicting unless uniquifiable.
-  std::unordered_map<uint32_t, const ModeRelationships::ExceptionInfo*>
-      by_anchor;
-  by_anchor.reserve(a.exceptions.size());
-  for (const ModeRelationships::ExceptionInfo& ex : a.exceptions) {
-    by_anchor.emplace(ex.anchor_id.id(), &ex);
-  }
   for (const ModeRelationships::ExceptionInfo& ex : b.exceptions) {
-    auto it = by_anchor.find(ex.anchor_id.id());
-    if (it == by_anchor.end()) continue;
-    const ModeRelationships::ExceptionInfo& other = *it->second;
-    if (other.kind == ex.kind && other.value == ex.value) continue;
-    if (!other.from_key_bits.intersects(ex.from_key_bits)) continue;
+    const ModeRelationships::ExceptionInfo* other = a.find_anchor(ex.sig_anchor);
+    if (other == nullptr) continue;
+    if (other->kind == ex.kind && other->value == ex.value) continue;
+    if (keys_disjoint(a.keys_of(a.launch_clocks(*other)),
+                      b.keys_of(b.launch_clocks(ex)))) {
+      continue;
+    }
     // Waive when both modes already carry the identical ambiguous pair:
     // each resolves it with the same precedence, so the merge introduces
     // no conflict that was not present in every source.
-    if (a.full_sig_ids.count(ex.full_id.id()) &&
-        b.full_sig_ids.count(other.full_id.id())) {
+    if (a.has_full_sig(ex.sig_full) && b.has_full_sig(other->sig_full)) {
       continue;
     }
-    return finish_verdict(exception_conflict(ex.sig_anchor, ex.anchor_id.id()),
-                          options, use);
+    return finish_verdict(exception_conflict(ex.sig_anchor), options, use);
   }
 
   // Non-false-path exception present in one mode only and not uniquifiable.
@@ -292,9 +292,10 @@ PairVerdict check_mergeable(const ModeRelationships& a,
                             const ModeRelationships& other) -> PairVerdict {
     for (const ModeRelationships::ExceptionInfo& ex : holder.exceptions) {
       if (ex.kind == sdc::ExceptionKind::kFalsePath) continue;  // droppable
-      if (other.full_sig_ids.count(ex.full_id.id())) continue;  // common
-      if (ex.from_key_bits.intersects(other.clock_key_bits)) {
-        return one_sided_conflict(ex.sig_full, ex.full_id.id());
+      if (other.has_full_sig(ex.sig_full)) continue;            // common
+      if (!keys_disjoint(holder.keys_of(holder.launch_clocks(ex)),
+                         other.keys_of(other.clock_order))) {
+        return one_sided_conflict(ex.sig_full);
       }
     }
     return PairVerdict{};
@@ -315,22 +316,26 @@ PairVerdict check_mergeable_corners(
   PairVerdict primary;
   for (CornerId c = 0; c < corners.size(); ++c) {
     PairVerdict v = check_mergeable(*a[c], *b[c], options);
-    if (!v.mergeable) {
-      // At C == 1 the corner fields stay at their flat defaults, so the
-      // returned verdict is the flat verdict member for member.
-      if (!corners.single()) {
-        v.corner = corners.name(c);
-        v.corner_id = c;
-        v.corners_checked = c + 1;
-      }
-      return v;
-    }
+    if (!v.mergeable) return with_corner_provenance(std::move(v), c, corners);
     if (c == kPrimaryCorner) primary = std::move(v);
   }
-  if (!corners.single()) {
-    primary.corners_checked = static_cast<uint32_t>(corners.size());
+  return with_corner_provenance(std::move(primary),
+                                static_cast<CornerId>(corners.size()), corners);
+}
+
+PairVerdict with_corner_provenance(PairVerdict v, CornerId stop,
+                                   const CornerSet& corners) {
+  // At C == 1 the corner fields stay at their flat defaults, so the
+  // combined verdict is the flat verdict member for member.
+  if (corners.single()) return v;
+  if (stop < corners.size()) {
+    v.corner = corners.name(stop);
+    v.corner_id = stop;
+    v.corners_checked = stop + 1;
+  } else {
+    v.corners_checked = static_cast<uint32_t>(corners.size());
   }
-  return primary;
+  return v;
 }
 
 PairVerdict check_mergeable(const Sdc& a, const Sdc& b,
@@ -483,7 +488,7 @@ PairVerdict check_mergeable(const Sdc& a, const Sdc& b,
         b_sigs.count(exception_signature(a, other, /*include_value=*/true))) {
       continue;
     }
-    return finish_verdict(exception_conflict(sig, 0), options, use);
+    return finish_verdict(exception_conflict(sig), options, use);
   }
 
   // Non-false-path exception present in one mode only and not uniquifiable:
@@ -499,7 +504,7 @@ PairVerdict check_mergeable(const Sdc& a, const Sdc& b,
           exception_signature(holder, ex, /*include_value=*/true);
       if (holder_sigs_other.count(sig)) continue;  // common exception
       if (!keys_disjoint(effective_from_keys(holder, ex), other_keys)) {
-        return one_sided_conflict(sig, 0);
+        return one_sided_conflict(sig);
       }
     }
     return PairVerdict{};

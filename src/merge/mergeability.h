@@ -23,9 +23,7 @@ class MergeContext;
 /// exception_conflict, exception_one_sided) and the canonical subject it
 /// fired on (clock key, "pin#N", or exception anchor signature). Like
 /// `reason`, both are byte-identical between the relationship check and
-/// the Sdc-level oracle. `subject_key_id` is the interned id of the subject
-/// when the relationship check produced the verdict (0 from the oracle) —
-/// extra provenance only, NOT part of the determinism contract.
+/// the Sdc-level oracle.
 ///
 /// Policy provenance (merge/policy.h): `policy` names the policy the
 /// verdict was computed under. When a windowed policy accepted one or more
@@ -42,14 +40,13 @@ struct PairVerdict {
   std::string reason;
   std::string category;
   std::string subject;
-  uint64_t subject_key_id = 0;
   std::string policy = "exact";
   std::string window_field;
   double window_used = 0.0;
   double window_budget = 0.0;
 
-  /// Corner provenance (merge/corner.h), filled only by
-  /// check_mergeable_corners and the session's combined verdict: the corner
+  /// Corner provenance (merge/corner.h), stamped only by
+  /// with_corner_provenance onto a corner scan's combined verdict: the corner
   /// the first conflict fired in (name + id; empty/0 on a single-corner run
   /// or a flat check), and how many corners were checked before the
   /// verdict settled — C on a mergeable verdict (every corner agreed), the
@@ -76,11 +73,12 @@ PairVerdict check_mergeable(const Sdc& a, const Sdc& b,
                             const MergeOptions& options);
 
 /// The production check: same verdicts (bit-identical, including reason
-/// text) from relationship sets extracted into the same CanonicalKeyTable.
-/// The per-pair cost drops to KeyId lookups and key-bitset intersections,
-/// and a clock-conflict pre-screen short-circuits pairs whose per-clock
-/// windows already conflict before any exception-signature work (counted
-/// in merge/mergeability_prescreen_conflicts).
+/// text) from relationship sets extracted once per mode. Clocks match by a
+/// merge-join over the key-sorted clock orders, exceptions by binary search
+/// in the sorted signature indexes, and a clock-conflict pre-screen
+/// short-circuits pairs whose per-clock windows already conflict before any
+/// exception-signature work (counted in
+/// merge/mergeability_prescreen_conflicts).
 PairVerdict check_mergeable(const ModeRelationships& a,
                             const ModeRelationships& b,
                             const MergeOptions& options);
@@ -97,6 +95,14 @@ PairVerdict check_mergeable_corners(
     const std::vector<const ModeRelationships*>& b, const CornerSet& corners,
     const MergeOptions& options);
 
+/// The combined verdict of a corner scan that stopped at corner `stop`: `v`
+/// is the verdict of the conflicting corner `stop`, or the primary corner's
+/// when every corner agreed (`stop` == corners.size()). Stamps `corner`,
+/// `corner_id` and `corners_checked`; at C == 1 returns `v` unchanged.
+/// check_mergeable_corners and the session's resume scan both call it.
+PairVerdict with_corner_provenance(PairVerdict v, CornerId stop,
+                                   const CornerSet& corners);
+
 /// The greedy clique cover over an n-by-n adjacency matrix (row-major,
 /// nonzero = edge, diagonal set): seeds cliques in descending-degree order
 /// (stable-sorted, so ties break by index) and grows each with every
@@ -111,7 +117,7 @@ std::vector<std::vector<size_t>> greedy_clique_cover(
 class MergeabilityGraph {
  public:
   /// Build the graph over `modes`. Per-mode relationship sets come from
-  /// ctx.cache() (interned into ctx.keys()) and the pairwise checks fan out
+  /// ctx.cache() and the pairwise checks fan out
   /// over a flattened pair index on ctx.pool(). Each pair writes only its
   /// own verdict slot and the adjacency fill consumes the slots in index
   /// order, so the graph — and therefore the clique cover — is

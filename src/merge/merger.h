@@ -83,7 +83,7 @@ MergedModeSet merge_mode_set(const timing::TimingGraph& graph,
 
 /// Session entry: mergeability analysis, every clique's preliminary merge,
 /// refinement, and validation all flow through ctx — each mode's
-/// relationship set is extracted (and its keys interned) exactly once.
+/// relationship set is extracted exactly once.
 MergedModeSet merge_mode_set(const timing::TimingGraph& graph,
                              const std::vector<const Sdc*>& modes,
                              MergeContext& ctx);

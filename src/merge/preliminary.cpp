@@ -6,11 +6,11 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
 #include "merge/context.h"
-#include "merge/keys.h"
 #include "merge/relationship_cache.h"
 #include "obs/obs.h"
 #include "util/timer.h"
@@ -47,7 +47,7 @@ class PreliminaryMerger {
     result_.merged = std::make_unique<Sdc>(design_);
     // Reuse the per-mode extraction the mergeability pass cached (or pay
     // for it exactly once now); clock identity and exception grouping
-    // consume the KeyIds these entries carry.
+    // consume the canonical keys these entries carry.
     rels_.reserve(modes_.size());
     for (const Sdc* m : modes_) rels_.push_back(ctx_.relationships(*m));
   }
@@ -72,16 +72,16 @@ class PreliminaryMerger {
   // --- §3.1.1 union of clocks ---------------------------------------------
 
   void merge_clocks() {
-    // Clock identity lookups by interned canonical key. Lookup-only:
-    // merged-clock order is insertion order.
-    std::unordered_map<uint32_t, ClockId> merged_by_id;
+    // Clock identity lookups by canonical key. Lookup-only: merged-clock
+    // order is insertion order.
+    std::unordered_map<std::string_view, ClockId> merged_by_key;
     for (size_t m = 0; m < modes_.size(); ++m) {
       const Sdc& sdc = *modes_[m];
       for (size_t ci = 0; ci < sdc.num_clocks(); ++ci) {
         const ClockId mode_clock(ci);
-        const KeyId key_id = rels_[m]->clocks[ci].key_id;
-        auto existing = merged_by_id.find(key_id.id());
-        if (existing != merged_by_id.end()) {
+        const std::string_view key = rels_[m]->clocks[ci].key;
+        auto existing = merged_by_key.find(key);
+        if (existing != merged_by_key.end()) {
           // Duplicate clock (same sources + waveform): reuse.
           result_.clock_map.register_clock(m, mode_clock, existing->second,
                                            modes_.size());
@@ -103,7 +103,7 @@ class PreliminaryMerger {
           ++result_.stats.clocks_renamed;
         }
         const ClockId merged_id = merged().add_clock(std::move(clock));
-        merged_by_id.emplace(key_id.id(), merged_id);
+        merged_by_key.emplace(key, merged_id);
         result_.clock_map.register_clock(m, mode_clock, merged_id,
                                          modes_.size());
         ++result_.stats.clocks_union;
@@ -564,14 +564,14 @@ class PreliminaryMerger {
   };
 
   void merge_exceptions() {
-    // Group by interned full signature; the ids come from the same table
-    // for every mode in the session, so equal id <=> equal signature.
-    std::unordered_map<uint32_t, ExceptionGroup> groups;
+    // Group by full signature. The map emits groups in signature order,
+    // which fixes the order of the merged deck's exceptions.
+    std::map<std::string_view, ExceptionGroup> groups;
     for (size_t m = 0; m < modes_.size(); ++m) {
       const auto& infos = rels_[m]->exceptions;
       const auto& exceptions = modes_[m]->exceptions();
       for (size_t e = 0; e < exceptions.size(); ++e) {
-        auto [it, inserted] = groups.emplace(infos[e].full_id.id(),
+        auto [it, inserted] = groups.emplace(infos[e].sig_full,
                                              ExceptionGroup{});
         if (inserted) {
           it->second.sample = exceptions[e];
@@ -582,16 +582,7 @@ class PreliminaryMerger {
         }
       }
     }
-    // Emit in signature-string order, so the merged SDC does not depend on
-    // the order ids were interned in.
-    std::vector<std::pair<std::string, ExceptionGroup*>> ordered;
-    ordered.reserve(groups.size());
-    for (auto& [id, group] : groups) {
-      ordered.emplace_back(ctx_.keys().str(KeyId(id)), &group);
-    }
-    std::sort(ordered.begin(), ordered.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [sig, group] : ordered) emit_exception_group(*group);
+    for (auto& [sig, group] : groups) emit_exception_group(group);
   }
 
   /// §3.1.9 / §3.1.10 disposition of one exception group: common -> add,

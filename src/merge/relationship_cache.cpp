@@ -1,7 +1,7 @@
 #include "merge/relationship_cache.h"
 
 #include <algorithm>
-#include <map>
+#include <ranges>
 
 #include "merge/corner.h"
 #include "merge/keys.h"
@@ -79,10 +79,26 @@ void fill_clock_values(ModeRelationships& out, const Sdc& sdc) {
   }
 }
 
+/// Indices 0..n-1 ordered by `key(i)`, keeping the first index of each run
+/// of equal keys.
+template <typename Key>
+std::vector<uint32_t> sorted_unique_index(size_t n, Key key) {
+  std::vector<uint32_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+    return key(x) < key(y);
+  });
+  order.erase(std::unique(order.begin(), order.end(),
+                          [&](uint32_t x, uint32_t y) {
+                            return key(x) == key(y);
+                          }),
+              order.end());
+  return order;
+}
+
 }  // namespace
 
-ModeRelationships extract_relationships(const Sdc& sdc,
-                                        CanonicalKeyTable& table) {
+ModeRelationships extract_relationships(const Sdc& sdc) {
   MM_SPAN_HOT("merge/relationship_extract");
   ModeRelationships out;
 
@@ -91,24 +107,27 @@ ModeRelationships extract_relationships(const Sdc& sdc,
   // Clocks: canonical keys plus constraint windows. The shared value fill
   // reproduces check_mergeable's last-matching-entry-wins scans.
   out.clocks.resize(sdc.num_clocks());
-  std::map<std::string, uint32_t> by_key;  // first clock per key
-  KeySet clock_keyset;
   for (size_t i = 0; i < sdc.num_clocks(); ++i) {
-    ModeRelationships::ClockInfo& c = out.clocks[i];
-    c.key = clock_key(sdc, ClockId(i));
-    c.key_id = table.intern(c.key);
-    by_key.emplace(c.key, static_cast<uint32_t>(i));
-    // First-wins per key id == first-wins per key string (same bijection).
-    out.by_key_id.emplace(c.key_id.id(), static_cast<uint32_t>(i));
-    clock_keyset.push_back(c.key_id);
+    out.clocks[i].key = clock_key(sdc, ClockId(i));
   }
-  out.clock_order.reserve(by_key.size());
-  for (const auto& [key, index] : by_key) out.clock_order.push_back(index);
-  std::sort(clock_keyset.begin(), clock_keyset.end());
-  out.clock_key_bits = keyset_bits(clock_keyset);
+  out.clock_order = sorted_unique_index(
+      out.clocks.size(), [&](uint32_t i) -> const std::string& {
+        return out.clocks[i].key;
+      });
   fill_clock_values(out, sdc);
 
-  // Exceptions: both signature flavors + effective launch-clock keys.
+  // Exceptions: both signature flavors + effective launch clocks. A -from
+  // clock stands as its key's position in clock_order, so clocks sharing a
+  // key collapse to one launch clock.
+  auto clock_rank = [&](ClockId c) {
+    return static_cast<uint32_t>(
+        std::ranges::lower_bound(out.clock_order, out.clocks[c.index()].key,
+                                 {},
+                                 [&](uint32_t i) -> const std::string& {
+                                   return out.clocks[i].key;
+                                 }) -
+        out.clock_order.begin());
+  };
   out.exceptions.reserve(sdc.exceptions().size());
   for (const sdc::Exception& ex : sdc.exceptions()) {
     ModeRelationships::ExceptionInfo info;
@@ -116,26 +135,46 @@ ModeRelationships extract_relationships(const Sdc& sdc,
     info.value = ex.value;
     info.sig_anchor = exception_signature(sdc, ex, /*include_value=*/false);
     info.sig_full = exception_signature(sdc, ex, /*include_value=*/true);
-    info.anchor_id = table.intern(info.sig_anchor);
-    info.full_id = table.intern(info.sig_full);
-    KeySet from_key_ids;
-    for (const std::string& k : effective_from_keys(sdc, ex)) {
-      from_key_ids.push_back(table.intern(k));
-    }
-    std::sort(from_key_ids.begin(), from_key_ids.end());
-    info.from_key_bits = keyset_bits(from_key_ids);
-    out.full_sig_ids.insert(info.full_id.id());
+    std::vector<uint32_t>& from = info.from_clocks;
+    for (ClockId c : ex.from.clocks) from.push_back(clock_rank(c));
+    std::sort(from.begin(), from.end());
+    from.erase(std::unique(from.begin(), from.end()), from.end());
+    for (uint32_t& rank : from) rank = out.clock_order[rank];
     out.exceptions.push_back(std::move(info));
   }
+  out.anchor_order = sorted_unique_index(
+      out.exceptions.size(), [&](uint32_t i) -> const std::string& {
+        return out.exceptions[i].sig_anchor;
+      });
+  out.full_order = sorted_unique_index(
+      out.exceptions.size(), [&](uint32_t i) -> const std::string& {
+        return out.exceptions[i].sig_full;
+      });
 
   out.drives = sdc.drives();
   out.loads = sdc.loads();
   return out;
 }
 
-RelationshipCache::RelationshipCache(CanonicalKeyTable& table,
-                                     size_t max_entries)
-    : max_entries_(max_entries == 0 ? 1 : max_entries), table_(table) {}
+const ModeRelationships::ExceptionInfo* ModeRelationships::find_anchor(
+    const std::string& sig_anchor) const {
+  auto proj = [this](uint32_t i) -> const std::string& {
+    return exceptions[i].sig_anchor;
+  };
+  auto it = std::ranges::lower_bound(anchor_order, sig_anchor, {}, proj);
+  if (it == anchor_order.end() || proj(*it) != sig_anchor) return nullptr;
+  return &exceptions[*it];
+}
+
+bool ModeRelationships::has_full_sig(const std::string& sig_full) const {
+  return std::ranges::binary_search(
+      full_order, sig_full, {}, [this](uint32_t i) -> const std::string& {
+        return exceptions[i].sig_full;
+      });
+}
+
+RelationshipCache::RelationshipCache(size_t max_entries)
+    : max_entries_(max_entries == 0 ? 1 : max_entries) {}
 
 uint64_t RelationshipCache::content_key(const Sdc& sdc) {
   uint64_t h = 14695981039346656037ull;
@@ -193,7 +232,7 @@ std::shared_ptr<const ModeRelationships> RelationshipCache::get(
     const Sdc& sdc) {
   return lookup_or_insert(content_key(sdc), [&] {
     return std::make_shared<const ModeRelationships>(
-        extract_relationships(sdc, table_));
+        extract_relationships(sdc));
   });
 }
 
@@ -202,10 +241,9 @@ std::shared_ptr<const ModeRelationships> RelationshipCache::get_corner(
   return lookup_or_insert(content_key(corner_sdc), [&]() -> Entry {
     if (structural_fingerprint(corner_sdc) == skeleton.structure_fp) {
       // Value-only delta fill: the skeleton's canonical keys, signatures
-      // and interned view are valid verbatim for this corner (equal
-      // fingerprints on the same design imply equal key derivations), so
-      // only the value tables are re-scanned — no string building, no
-      // interning.
+      // and indexes are valid verbatim for this corner (equal fingerprints
+      // on the same design imply equal key derivations), so only the value
+      // tables are re-scanned — no string building.
       MM_SPAN_HOT("merge/relationship_delta_fill");
       auto filled = std::make_shared<ModeRelationships>(skeleton);
       fill_clock_values(*filled, corner_sdc);
@@ -219,7 +257,7 @@ std::shared_ptr<const ModeRelationships> RelationshipCache::get_corner(
     // The corner deck's structure diverged from its mode's skeleton (extra
     // clock, edited exception, reshaped drive list): full extraction.
     Entry rels = std::make_shared<const ModeRelationships>(
-        extract_relationships(corner_sdc, table_));
+        extract_relationships(corner_sdc));
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.skeleton_mismatches;
     MM_COUNT("merge/relationship_cache_skeleton_mismatches", 1);

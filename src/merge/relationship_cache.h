@@ -16,24 +16,22 @@
 // entirely, and any textual change to the constraints or a different
 // netlist invalidates naturally.
 //
-// Extraction interns every key string into a CanonicalKeyTable, so each
-// entry carries KeyIds, dense key bitsets, and a clock iteration order
-// matching canonical-key string order; check_mergeable compares those
-// integers instead of strings. All entries in one cache share one table, so
-// their ids are mutually comparable.
+// Each entry carries its canonical key strings plus sorted indexes over them
+// (clocks by key, exceptions by anchor and by full signature), built once at
+// extraction. check_mergeable matches two entries by merge-joins and binary
+// searches over those indexes. The strings mean the same in every entry, so
+// entries from any cache, context or thread compare directly.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <ranges>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "merge/keys.h"
 #include "merge/types.h"
-#include "util/bitset.h"
 
 namespace mm::merge {
 
@@ -45,7 +43,6 @@ struct ModeRelationships {
   /// uncertainty[setup], transition[max_side].
   struct ClockInfo {
     std::string key;  // canonical clock key (merge/keys.h)
-    KeyId key_id;     // interned key
     double latency[2][2] = {{0.0, 0.0}, {0.0, 0.0}};
     bool latency_present[2][2] = {{false, false}, {false, false}};
     double uncertainty[2] = {0.0, 0.0};
@@ -59,9 +56,11 @@ struct ModeRelationships {
     double value = 0.0;
     std::string sig_anchor;  // exception_signature(include_value=false)
     std::string sig_full;    // exception_signature(include_value=true)
-    KeyId anchor_id;         // interned sig_anchor
-    KeyId full_id;           // interned sig_full
-    DynamicBitset from_key_bits;  // interned effective_from_keys
+    /// The -from clocks as indices into `clocks`, one per key in key order
+    /// (effective_from_keys). Empty when the -from names no clock, which
+    /// means every clock of the mode: launch_clocks() then reads
+    /// clock_order.
+    std::vector<uint32_t> from_clocks;
   };
 
   std::vector<ClockInfo> clocks;          // index = ClockId.index()
@@ -71,24 +70,43 @@ struct ModeRelationships {
 
   /// Structural fingerprint of the deck this set was extracted from
   /// (merge/corner.h): the skeleton identity corner decks are matched
-  /// against before a value-only delta fill may reuse this entry's interned
-  /// structure.
+  /// against before a value-only delta fill may reuse this entry's keys and
+  /// indexes.
   uint64_t structure_fp = 0;
 
-  /// Clock indices in canonical-key string order (first clock per key), so
-  /// the clock pre-screen visits matched clocks in the order the Sdc-level
+  /// Clock indices in canonical-key order, first clock per key, so the
+  /// clock pre-screen visits matched clocks in the order the Sdc-level
   /// check does and returns the same first conflict.
   std::vector<uint32_t> clock_order;
-  std::unordered_map<uint32_t, uint32_t> by_key_id;  // key id -> clock index
-  DynamicBitset clock_key_bits;                      // mode clock keys
-  std::unordered_set<uint32_t> full_sig_ids;         // all full_id values
+  /// Exception indices in sig_anchor order, first exception (Sdc order) per
+  /// anchor, as the Sdc-level check's anchor map keeps them.
+  std::vector<uint32_t> anchor_order;
+  /// Exception indices in sig_full order, one per full signature.
+  std::vector<uint32_t> full_order;
+
+  /// An exception's effective launch clocks, one per key in key order.
+  const std::vector<uint32_t>& launch_clocks(const ExceptionInfo& ex) const {
+    return ex.from_clocks.empty() ? clock_order : ex.from_clocks;
+  }
+
+  /// The keys of `indices` (clock_order or launch_clocks), as an ascending
+  /// view for keys_disjoint.
+  auto keys_of(const std::vector<uint32_t>& indices) const {
+    return indices | std::views::transform(
+                         [this](uint32_t i) -> const std::string& {
+                           return clocks[i].key;
+                         });
+  }
+
+  /// The first exception (Sdc order) with this anchor signature, or null.
+  const ExceptionInfo* find_anchor(const std::string& sig_anchor) const;
+
+  /// Whether some exception of this mode has this full signature.
+  bool has_full_sig(const std::string& sig_full) const;
 };
 
-/// Extract a mode's relationship set (one linear scan over the Sdc),
-/// interning every key into `table`. Ids are only comparable against
-/// entries interned in the same table.
-ModeRelationships extract_relationships(const Sdc& sdc,
-                                        CanonicalKeyTable& table);
+/// Extract a mode's relationship set (one linear scan over the Sdc).
+ModeRelationships extract_relationships(const Sdc& sdc);
 
 /// Content-addressed, thread-safe memoization of extract_relationships.
 class RelationshipCache {
@@ -104,12 +122,10 @@ class RelationshipCache {
     uint64_t skeleton_mismatches = 0;
   };
 
-  /// Every extracted entry draws its ids from `table`, which must outlive
-  /// the cache. `max_entries` bounds memory; exceeding it evicts the whole
-  /// table (entries are cheap to rebuild and eviction is rare at real mode
+  /// `max_entries` bounds memory; exceeding it evicts the whole table
+  /// (entries are cheap to rebuild and eviction is rare at real mode
   /// counts).
-  explicit RelationshipCache(CanonicalKeyTable& table,
-                             size_t max_entries = 4096);
+  explicit RelationshipCache(size_t max_entries = 4096);
 
   /// Extract-or-reuse. Thread-safe: concurrent misses on the same key both
   /// extract and the first insert wins. Increments the
@@ -119,10 +135,10 @@ class RelationshipCache {
   /// Corner entry: extract-or-delta-fill. `skeleton` is the mode's primary
   /// corner entry (from get()). When `corner_sdc`'s structural fingerprint
   /// (merge/corner.h) matches the skeleton's, the entry is built by copying
-  /// the skeleton — canonical keys, signatures, interned ids, bitsets — and
+  /// the skeleton — canonical keys, signatures and their indexes — and
   /// re-scanning only the corner deck's value tables (clock
   /// latency/uncertainty/transition, drives, loads): a value-only fill that
-  /// skips every key derivation and intern. The result is value-identical
+  /// skips every key derivation. The result is value-identical
   /// to extract_relationships(corner_sdc) — asserted by fuzz P8 — so
   /// skeleton sharing can never change a verdict. Structure mismatches
   /// (counted merge/relationship_cache_skeleton_mismatches) fall back to
@@ -156,7 +172,6 @@ class RelationshipCache {
   Entry lookup_or_insert(uint64_t key, const std::function<Entry()>& make);
 
   const size_t max_entries_;
-  CanonicalKeyTable& table_;
   mutable std::mutex mutex_;
   std::unordered_map<uint64_t, Entry> map_;
   Stats stats_;

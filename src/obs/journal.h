@@ -14,7 +14,7 @@
 //   commit_end    matching commit_end is that commit's journal *segment*
 //   pair_verdict  one per re-checked pair: mergeable or the first-conflict
 //                 provenance (reason category, conflicting constraint
-//                 subject, reason text, interned key id, whether each
+//                 subject, reason text, whether each
 //                 endpoint's relationship set was recomputed this commit)
 //   clique        one per cover clique: member ids/names and whether the
 //                 result was formed fresh, re-merged, or reused

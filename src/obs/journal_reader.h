@@ -16,9 +16,9 @@
 //                    trace_event file (--trace-out output)
 //
 // All renderers are deterministic functions of the journal/trace contents
-// and never print event seq numbers or interned key ids (the two fields
-// whose values depend on thread scheduling), so their output is
-// byte-identical across --threads values of the producing run.
+// and never print event seq numbers (the one field whose value depends on
+// thread scheduling), so their output is byte-identical across --threads
+// values of the producing run.
 
 #include <cstddef>
 #include <string>

@@ -28,7 +28,9 @@ TEST(DesignGen, StructureAndDeterminism) {
 
   // Every register exists and is clocked.
   for (size_t i = 0; i < p.num_regs; ++i) {
-    const auto inst = d1.find_instance("r" + std::to_string(i));
+    std::string name = "r";
+    name += std::to_string(i);
+    const auto inst = d1.find_instance(name);
     ASSERT_TRUE(inst.valid()) << i;
   }
   // Clock muxes and gates per domain.

@@ -312,8 +312,8 @@ TEST_F(JournalTest, ExplainAndTimelineByteStableAcrossThreads) {
   EXPECT_NE(text.find("clique"), std::string::npos) << text;
   EXPECT_NE(text.find(family_[0].name), std::string::npos) << text;
   EXPECT_NE(text.find(family_[other].name), std::string::npos) << text;
-  // The interned key id and seq depend on thread scheduling; renderers
-  // must never print them.
+  // seq depends on thread scheduling; renderers must never print it, nor
+  // a key id (verdicts name their subject by its canonical key string).
   EXPECT_EQ(text.find("key_id"), std::string::npos) << text;
   EXPECT_EQ(text.find("seq"), std::string::npos) << text;
 }

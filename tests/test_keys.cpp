@@ -1,16 +1,13 @@
-// merge/keys: the interned KeyId layer against its string-keyed reference.
+// merge/keys: canonical clock keys and exception signatures, and the
+// production engine against the Sdc-level oracle.
 //
-// The CanonicalKeyTable interns exactly the strings clock_key /
-// exception_signature build, so every comparison the engine makes on
-// KeyIds must agree with the same comparison on strings. The string-keyed
-// side is the Sdc-level check_mergeable oracle plus the string key helpers;
-// the interned side is the production engine (cached relationship sets,
-// KeyId compares). This file asserts both levels: key-layer unit semantics
-// (generated clocks, duplicate-waveform dedup, name-collision rename) and
-// whole-engine parity with the oracle — same mergeability graph, reason
-// strings and clique cover — on the paper example plus 32/64-mode
-// generated families, with merged SDC text that does not depend on the
-// order the key table assigned ids in.
+// Both sides compare the same key strings: the oracle re-derives them from
+// the Sdc for every pair, the production engine reads them from cached
+// relationship sets through sorted indexes. This file asserts both levels:
+// key-layer unit semantics (generated clocks, duplicate-waveform dedup,
+// name-collision rename) and whole-engine parity with the oracle — same
+// mergeability graph, reason strings and clique cover — on the paper
+// example plus 32/64-mode generated families.
 
 #include <gtest/gtest.h>
 
@@ -50,8 +47,8 @@ class KeysTest : public ::testing::Test {
 
 };
 
-/// The production pair verdict (relationship sets interned into one
-/// table) must equal the Sdc-level oracle's, member for member.
+/// The production pair verdict (cached relationship sets) must equal the
+/// Sdc-level oracle's, member for member.
 void expect_verdict_matches_oracle(const sdc::Sdc& a, const sdc::Sdc& b) {
   MergeContext ctx;
   const PairVerdict prod =
@@ -76,75 +73,53 @@ size_t distinct_string_clock_keys(const std::vector<const sdc::Sdc*>& modes) {
 }
 
 // ---------------------------------------------------------------------------
-// CanonicalKeyTable semantics.
+// Relationship-set key indexes.
 
-TEST_F(KeysTest, TableInternsBijectively) {
-  CanonicalKeyTable table;
-  const KeyId a = table.intern("alpha");
-  const KeyId b = table.intern("beta");
-  EXPECT_NE(a, b);
-  EXPECT_EQ(table.intern("alpha"), a);
-  EXPECT_EQ(table.str(a), "alpha");
-  EXPECT_EQ(table.str(b), "beta");
-  EXPECT_EQ(table.num_keys(), 2u);
-  EXPECT_GE(table.bytes(), std::string("alpha").size());
-}
-
-TEST_F(KeysTest, ClockKeyIdMatchesStringKey) {
+TEST_F(KeysTest, ClockOrderKeysMatchModeClockKeys) {
   sdc::Sdc mode = parse(
       "create_clock -name c1 -period 10 [get_ports clk1]\n"
       "create_clock -name c2 -period 20 [get_ports clk2]\n");
-  CanonicalKeyTable table;
-  const ModeRelationships rels = extract_relationships(mode, table);
+  const ModeRelationships rels = extract_relationships(mode);
   ASSERT_EQ(rels.clocks.size(), mode.num_clocks());
-  for (size_t i = 0; i < mode.num_clocks(); ++i) {
-    const ClockId id{i};
-    EXPECT_EQ(table.str(rels.clocks[i].key_id), clock_key(mode, id));
-  }
-  // clock_key_bits is the interned image of mode_clock_keys.
+  std::vector<std::string> order_keys;
+  for (uint32_t i : rels.clock_order) order_keys.push_back(rels.clocks[i].key);
   const std::set<std::string> keys = mode_clock_keys(mode);
-  for (const std::string& k : keys) {
-    EXPECT_TRUE(rels.clock_key_bits.test(table.intern(k).id())) << k;
-  }
-  EXPECT_EQ(rels.clock_key_bits.count(), keys.size());
+  EXPECT_EQ(order_keys, std::vector<std::string>(keys.begin(), keys.end()));
 }
 
-/// mode_clock_keys interned into `table`, sorted by id.
-KeySet interned_clock_keys(CanonicalKeyTable& table, const sdc::Sdc& mode) {
-  KeySet ids;
-  for (const std::string& k : mode_clock_keys(mode)) {
-    ids.push_back(table.intern(k));
+TEST_F(KeysTest, ExceptionIndexesMatchStringKeys) {
+  // c3 duplicates c1's identity under another name.
+  sdc::Sdc mode = parse(
+      "create_clock -name c1 -period 10 [get_ports clk1]\n"
+      "create_clock -name c2 -period 20 [get_ports clk2]\n"
+      "create_clock -name c3 -period 10 -add [get_ports clk1]\n"
+      "set_multicycle_path 2 -from [get_clocks {c3 c2 c1}] "
+      "-to [get_pins rX/D]\n"
+      "set_false_path -to [get_pins rY/D]\n"
+      "set_multicycle_path 3 -from [get_clocks {c1 c2 c3}] "
+      "-to [get_pins rX/D]\n");
+  const ModeRelationships rels = extract_relationships(mode);
+  ASSERT_EQ(rels.exceptions.size(), mode.exceptions().size());
+  for (size_t e = 0; e < rels.exceptions.size(); ++e) {
+    const sdc::Exception& ex = mode.exceptions()[e];
+    const ModeRelationships::ExceptionInfo& info = rels.exceptions[e];
+    // Launch clocks, in key order, are the effective -from keys.
+    std::vector<std::string> launch;
+    for (const std::string& k : rels.keys_of(rels.launch_clocks(info))) {
+      launch.push_back(k);
+    }
+    const std::set<std::string> from = effective_from_keys(mode, ex);
+    EXPECT_EQ(launch, std::vector<std::string>(from.begin(), from.end()));
+    EXPECT_TRUE(rels.has_full_sig(info.sig_full));
+    // The anchor index returns the first exception with the anchor: the
+    // two MCPs share theirs.
+    const ModeRelationships::ExceptionInfo* first =
+        rels.find_anchor(info.sig_anchor);
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(first, &rels.exceptions[e == 2 ? 0 : e]) << e;
   }
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
-TEST_F(KeysTest, KeySetDisjointAgreesWithStringPath) {
-  sdc::Sdc a = parse(
-      "create_clock -name x -period 10 [get_ports clk1]\n"
-      "create_clock -name y -period 20 [get_ports clk2]\n");
-  sdc::Sdc b = parse("create_clock -name z -period 20 [get_ports clk2]\n");
-  sdc::Sdc c = parse("create_clock -name w -period 5 [get_ports clk1]\n");
-
-  CanonicalKeyTable table;
-  const KeySet ka = interned_clock_keys(table, a);
-  const KeySet kb = interned_clock_keys(table, b);
-  const KeySet kc = interned_clock_keys(table, c);
-
-  // a shares clk2@20 with b; c's clk1@5 matches neither.
-  EXPECT_FALSE(keys_disjoint(ka, kb));
-  EXPECT_TRUE(keys_disjoint(kb, kc));
-  EXPECT_TRUE(keys_disjoint(ka, kc));
-  EXPECT_EQ(keys_disjoint(ka, kb),
-            keys_disjoint(mode_clock_keys(a), mode_clock_keys(b)));
-  EXPECT_EQ(keys_disjoint(kb, kc),
-            keys_disjoint(mode_clock_keys(b), mode_clock_keys(c)));
-
-  // The dense-bitset fast path agrees with the two-pointer scan even when
-  // the bitsets have different sizes.
-  EXPECT_EQ(keyset_bits(ka).intersects(keyset_bits(kb)), !keys_disjoint(ka, kb));
-  EXPECT_EQ(keyset_bits(kb).intersects(keyset_bits(kc)), !keys_disjoint(kb, kc));
-  EXPECT_FALSE(keyset_bits(KeySet{}).intersects(keyset_bits(ka)));
+  EXPECT_FALSE(rels.has_full_sig("no such signature"));
+  EXPECT_EQ(rels.find_anchor("no such anchor"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -229,8 +204,7 @@ TEST_F(KeysTest, NameCollisionRenameBothPaths) {
 
 // ---------------------------------------------------------------------------
 // Whole-engine parity: the production engine must reproduce the Sdc-level
-// oracle's mergeability graph, reason strings and clique cover, and its
-// merged SDC must not depend on the order KeyIds were assigned in.
+// oracle's mergeability graph, reason strings and clique cover.
 
 struct EngineOutput {
   std::vector<uint8_t> edges;
@@ -239,19 +213,11 @@ struct EngineOutput {
   std::vector<std::string> merged_sdc;  // empty when only the graph is built
 };
 
-/// The production engine on a fresh context. With `reverse_interning`, the
-/// context first extracts the modes in reverse order, so every KeyId is
-/// assigned in a different order than a plain run assigns it.
+/// The production engine on a fresh context.
 EngineOutput run_engine(const timing::TimingGraph& graph,
                         const std::vector<const sdc::Sdc*>& modes,
-                        MergeOptions options, bool full_merge,
-                        bool reverse_interning = false) {
+                        MergeOptions options, bool full_merge) {
   MergeContext ctx(options);
-  if (reverse_interning) {
-    for (auto it = modes.rbegin(); it != modes.rend(); ++it) {
-      ctx.relationships(**it);
-    }
-  }
   EngineOutput out;
   const MergeabilityGraph mgraph(modes, ctx);
   for (size_t i = 0; i < mgraph.num_modes(); ++i) {
@@ -304,13 +270,10 @@ void expect_engine_matches_oracle(const timing::TimingGraph& graph,
   EXPECT_EQ(prod.cliques, oracle.cliques);
   if (full_merge) {
     EXPECT_EQ(prod.merged_sdc.size(), oracle.cliques.size());
-    const EngineOutput reversed = run_engine(graph, modes, options, full_merge,
-                                             /*reverse_interning=*/true);
-    EXPECT_EQ(reversed.merged_sdc, prod.merged_sdc);
   }
 }
 
-TEST_F(KeysTest, PaperExampleParityStringVsInterned) {
+TEST_F(KeysTest, PaperExampleParityEngineVsOracle) {
   namespace cs = gen::constraint_sets;
   std::vector<sdc::Sdc> modes;
   for (const char* text :

@@ -616,8 +616,8 @@ TEST_F(McmmTest, DebugMutationNeverShares) {
 /// What a run produces that must not depend on the pool size: every
 /// commit's merged SDC bytes, its CommitResult counters and member-view
 /// counter deltas, and the journal. Journal fields that legitimately vary
-/// are stripped: wall-clock `*_ms`, the process-wide `seq` and `session`
-/// numbers, and `key_id`, which depends on interning order.
+/// are stripped: wall-clock `*_ms` and the process-wide `seq` and `session`
+/// numbers.
 struct RunRecord {
   std::vector<std::string> sdc;
   std::vector<std::vector<size_t>> counts;
@@ -652,7 +652,7 @@ void record_commit(RunRecord& rec, const McmmSession::CommitResult& r,
 }
 
 std::vector<std::string> stable_journal(const std::string& path) {
-  static const std::regex varying(R"re(,"(seq|session|key_id|\w+_ms)":\d+)re");
+  static const std::regex varying(R"re(,"(seq|session|\w+_ms)":\d+)re");
   std::vector<std::string> lines;
   std::ifstream in(path);
   for (std::string line; std::getline(in, line);) {

@@ -32,11 +32,10 @@ class RelationshipCacheTest : public ::testing::Test {
   }
 
   MergeOptions options;
-  CanonicalKeyTable table;
 };
 
 TEST_F(RelationshipCacheTest, HitAndMissCounting) {
-  RelationshipCache cache(table);
+  RelationshipCache cache;
   sdc::Sdc a = parse("create_clock -name c -period 10 [get_ports clk1]\n");
 
   auto first = cache.get(a);
@@ -55,7 +54,7 @@ TEST_F(RelationshipCacheTest, HitAndMissCounting) {
 }
 
 TEST_F(RelationshipCacheTest, SdcTextChangeInvalidates) {
-  RelationshipCache cache(table);
+  RelationshipCache cache;
   sdc::Sdc a = parse(
       "create_clock -name c -period 10 [get_ports clk1]\n"
       "set_clock_uncertainty -setup 0.3 [get_clocks c]\n");
@@ -116,7 +115,7 @@ TEST_F(RelationshipCacheTest, EqualNameAndCountsDesignsDoNotCollide) {
   EXPECT_NE(RelationshipCache::content_key(on_a),
             RelationshipCache::content_key(on_b));
 
-  RelationshipCache cache(table);
+  RelationshipCache cache;
   cache.get(on_a);
   cache.get(on_b);
   EXPECT_EQ(cache.stats().misses, 2u);  // no alias, no stale hit
@@ -152,7 +151,7 @@ TEST_F(RelationshipCacheTest, SeventhDigitLatencyEditIsNewContent) {
 // mode's current content removes exactly that entry; the next get()
 // re-extracts. Invalidating absent content is a no-op.
 TEST_F(RelationshipCacheTest, InvalidateDropsEntry) {
-  RelationshipCache cache(table);
+  RelationshipCache cache;
   sdc::Sdc a = parse("create_clock -name c -period 10 [get_ports clk1]\n");
   sdc::Sdc b = parse("create_clock -name c2 -period 20 [get_ports clk2]\n");
   cache.get(a);
@@ -172,7 +171,7 @@ TEST_F(RelationshipCacheTest, InvalidateDropsEntry) {
 }
 
 TEST_F(RelationshipCacheTest, EvictionBoundsEntries) {
-  RelationshipCache cache(table, /*max_entries=*/2);
+  RelationshipCache cache(/*max_entries=*/2);
   for (int period = 1; period <= 5; ++period) {
     sdc::Sdc m = parse("create_clock -name c -period " +
                        std::to_string(period) + " [get_ports clk1]\n");
@@ -183,7 +182,7 @@ TEST_F(RelationshipCacheTest, EvictionBoundsEntries) {
   EXPECT_GT(cache.stats().evictions, 0u);
 }
 
-// The production overload (relationship sets interned into one table) must
+// The production overload (cached relationship sets) must
 // return the Sdc-level oracle's verdict bit for bit (mergeable flag, reason
 // text, category and subject) on every kind of conflict.
 TEST_F(RelationshipCacheTest, CachedVerdictsMatchSeedPath) {
@@ -227,8 +226,8 @@ TEST_F(RelationshipCacheTest, CachedVerdictsMatchSeedPath) {
     for (const auto& [ta, tb] : cases) {
       sdc::Sdc a = parse(ta), b = parse(tb);
       const PairVerdict seed = check_mergeable(a, b, opts);
-      const ModeRelationships ra = extract_relationships(a, table);
-      const ModeRelationships rb = extract_relationships(b, table);
+      const ModeRelationships ra = extract_relationships(a);
+      const ModeRelationships rb = extract_relationships(b);
       const PairVerdict cached = check_mergeable(ra, rb, opts);
       EXPECT_EQ(seed.mergeable, cached.mergeable)
           << "tol=" << tol << "\nA:\n" << ta << "B:\n" << tb;

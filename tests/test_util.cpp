@@ -1,5 +1,5 @@
-// Unit tests for src/util: glob matching, string interning, dynamic bitset,
-// thread pool.
+// Unit tests for src/util: glob matching, string interning, thread
+// pool.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <numeric>
 #include <thread>
 
-#include "util/bitset.h"
 #include "util/error.h"
 #include "util/glob.h"
 #include "util/intern.h"
@@ -105,46 +104,6 @@ TEST(StringPool, StableAcrossGrowth) {
     EXPECT_EQ(pool.str(syms[i]), "name" + std::to_string(i));
     EXPECT_EQ(pool.find("name" + std::to_string(i)), syms[i]);
   }
-}
-
-// --- bitset ------------------------------------------------------------------
-
-TEST(DynamicBitset, SetTestClear) {
-  DynamicBitset bits(130);
-  EXPECT_EQ(bits.size(), 130u);
-  EXPECT_FALSE(bits.any());
-  bits.set(0);
-  bits.set(64);
-  bits.set(129);
-  EXPECT_TRUE(bits.test(0));
-  EXPECT_TRUE(bits.test(64));
-  EXPECT_TRUE(bits.test(129));
-  EXPECT_FALSE(bits.test(1));
-  EXPECT_EQ(bits.count(), 3u);
-  bits.set(64, false);
-  EXPECT_FALSE(bits.test(64));
-  bits.clear();
-  EXPECT_FALSE(bits.any());
-}
-
-TEST(DynamicBitset, OrAndEquality) {
-  DynamicBitset a(100), b(100);
-  a.set(3);
-  a.set(99);
-  b.set(99);
-  DynamicBitset c = a;
-  c &= b;
-  EXPECT_EQ(c.count(), 1u);
-  EXPECT_TRUE(c.test(99));
-  a |= b;
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_FALSE(a == b);
-  EXPECT_TRUE(c == b);
-}
-
-TEST(DynamicBitset, AllOnesConstructionTrimsTail) {
-  DynamicBitset bits(70, true);
-  EXPECT_EQ(bits.count(), 70u);
 }
 
 // --- thread pool --------------------------------------------------------------
