@@ -17,7 +17,7 @@
 //                  the derate ladder changes values only, never timing
 //                  state).
 //
-// Hard asserts, exit 1 on any failure: the cache counters must show
+// Hard asserts, exit 1 on any failure: the builder counters must show
 // M skeletons + M * (C - 1) delta fills (never M * C full extractions),
 // every corner c > 0 merge must be shared (a deterministic count, not a
 // timing gate),
@@ -128,8 +128,8 @@ RunResult run_at(const timing::TimingGraph& graph, const Matrix& matrix) {
         out.merged_sdc[c].push_back(sdc::write_sdc(*m->merge.merged));
       }
     }
-    const merge::RelationshipCache::Stats stats =
-        session.context().cache().stats();
+    const merge::RelationshipBuilder::Stats stats =
+        session.context().builder().stats();
     out.delta_fills = stats.delta_fills;
     out.skeleton_mismatches = stats.skeleton_mismatches;
     out.skeletons =

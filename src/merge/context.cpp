@@ -16,10 +16,6 @@ ThreadPool& MergeContext::pool() {
 }
 
 void MergeContext::export_stats() const {
-  MM_GAUGE_SET("merge/relationship_cache_entries", cache_.size());
-  const RelationshipCache::Stats s = cache_.stats();
-  MM_GAUGE_SET("merge/relationship_cache_hit_total", s.hits);
-  MM_GAUGE_SET("merge/relationship_cache_miss_total", s.misses);
   if (pool_) {
     MM_GAUGE_SET("pool/tasks", pool_->chunks_run());
     MM_GAUGE_SET("pool/busy_us", pool_->busy_seconds() * 1e6);

@@ -1,17 +1,16 @@
 #pragma once
-// MergeContext: one merge session's shared state. The engine used to
-// re-derive canonical keys and relationship sets independently in
-// mergeability analysis, preliminary merge, and refinement, and to spin up
-// a fresh thread pool per pass. A MergeContext owns, for the lifetime of
-// one merge_mode_set run (or any sequence of related merges):
+// MergeContext: one merge session's shared state. A MergeContext owns, for
+// the lifetime of one merge_mode_set run (or any sequence of related
+// merges):
 //
 //   - the MergeOptions every pass reads,
-//   - a RelationshipCache, so the per-mode extraction the mergeability pass
-//     pays for is reused verbatim by preliminary merge,
+//   - a RelationshipBuilder, which builds (and counts) the per-mode
+//     relationship sets; the session slots that hold the decks own the
+//     sets (merge/mcmm_session.h),
 //   - the ThreadPool all passes fan out on (sized by options.num_threads,
 //     created lazily on first use),
 //
-// and exports the cache and pool gauges into the mm.stats/1 snapshot.
+// and exports the pool gauges into the mm.stats/1 snapshot.
 //
 // The options-only overloads of merge_modes / merge_mode_set /
 // preliminary_merge construct a transient context, so existing callers keep
@@ -20,7 +19,7 @@
 
 #include <memory>
 
-#include "merge/relationship_cache.h"
+#include "merge/mode_relationships.h"
 #include "merge/types.h"
 #include "util/thread_pool.h"
 
@@ -34,27 +33,29 @@ class MergeContext {
 
   const MergeOptions& options() const { return options_; }
 
-  /// The session's relationship cache.
-  RelationshipCache& cache() { return cache_; }
+  /// The context's relationship-set builder and its counters.
+  RelationshipBuilder& builder() { return builder_; }
+  /// builder(), under its old name; kept only because the benchmark
+  /// harness still names it; removed with the next benchmark change
+  RelationshipBuilder& cache() { return builder_; }
 
   /// The session's thread pool, created on first use with
   /// options().num_threads workers (0 = hardware concurrency). Reused by
   /// every pass instead of one pool per pass.
   ThreadPool& pool();
 
-  /// One mode's relationship set, memoized via cache().
+  /// One mode's relationship set, freshly extracted (counted by builder()).
   std::shared_ptr<const ModeRelationships> relationships(const Sdc& sdc) {
-    return cache_.get(sdc);
+    return builder_.get(sdc);
   }
 
-  /// Export relationship-cache health and the pool's lifetime utilisation
-  /// as mm.stats/1 gauges (merge/relationship_cache_*, pool/tasks,
-  /// pool/busy_us).
+  /// Export the pool's lifetime utilisation as mm.stats/1 gauges
+  /// (pool/tasks, pool/busy_us).
   void export_stats() const;
 
  private:
   MergeOptions options_;
-  RelationshipCache cache_;
+  RelationshipBuilder builder_;
   std::unique_ptr<ThreadPool> pool_;
 };
 

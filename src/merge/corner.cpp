@@ -1,5 +1,7 @@
 #include "merge/corner.h"
 
+#include "sdc/writer.h"
+
 namespace mm::merge {
 
 namespace {
@@ -28,9 +30,9 @@ struct Fnv {
   }
 
   /// Design identity (extraction output embeds pin/port ids resolved
-  /// against this design; full port-name folding is content_key's job —
-  /// corner decks are only ever matched against siblings parsed on the same
-  /// design).
+  /// against this design; full port-name folding is content_fingerprint's
+  /// job — corner decks are only ever matched against siblings parsed on
+  /// the same design).
   void design(const netlist::Design& d) {
     str(d.name());
     u64(d.num_pins());
@@ -160,6 +162,26 @@ uint64_t timing_state_fingerprint(const Sdc& sdc) {
   hash_case_analysis(f, sdc);
   hash_disables(f, sdc);
   hash_clock_state(f, sdc);
+  return f.h;
+}
+
+uint64_t content_fingerprint(const Sdc& sdc) {
+  Fnv f;
+  const std::string text = sdc::write_sdc(sdc);
+  f.bytes(text.data(), text.size());
+  // Netlist identity: the same text means different constraints on another
+  // design (clock keys and signatures embed port/pin names, query expansion
+  // follows connectivity). Counts alone are too weak — two different blocks
+  // can agree on name and pin count — so fold in every port name as well.
+  const netlist::Design& design = sdc.design();
+  f.bytes(design.name().data(), design.name().size());
+  const uint64_t shape[] = {design.num_pins(), design.num_ports(),
+                            design.num_nets(), design.num_instances()};
+  f.bytes(shape, sizeof shape);
+  for (size_t p = 0; p < design.num_ports(); ++p) {
+    const std::string_view name = design.port_name(netlist::PortId(p));
+    f.bytes(name.data(), name.size());
+  }
   return f.h;
 }
 

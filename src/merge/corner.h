@@ -10,7 +10,8 @@
 //                   exception signatures and their sorted indexes,
 //                   drive/load channel shape), and
 //   corner values — the per-corner values riding on that structure
-//                   (relationship_cache.h fills them by a cheap value-only
+//                   (RelationshipBuilder::get_corner, in
+//                   mode_relationships.h, fills them by a cheap value-only
 //                   re-scan of the corner deck),
 //
 // turning modes x corners relationship extraction into modes skeleton
@@ -83,6 +84,12 @@ uint64_t structural_fingerprint(const Sdc& sdc);
 /// whose member and preliminary decks have equal fingerprints (and equal
 /// clock maps) refine to the same fix list and validate to the same report.
 uint64_t timing_state_fingerprint(const Sdc& sdc);
+
+/// Hash of a deck's whole content: FNV-1a of its write_sdc text, mixed
+/// with the design's identity — name, pin/port/net/instance counts and
+/// every port name — so equal text on two distinct designs never collides.
+/// The mm.journal/1 `content_key` of mode_add and mode_update events.
+uint64_t content_fingerprint(const Sdc& sdc);
 
 /// timing_state_fingerprint without the exceptions, split by the
 /// timing::ModeGraph build stage that reads each field: `constants` covers

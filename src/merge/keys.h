@@ -6,7 +6,7 @@
 //
 // The key strings are the one identity: self-describing, order-comparable,
 // and valid across modes, contexts and threads alike. The production pair
-// check (merge/relationship_cache.h) keeps them in sorted indexes built once
+// check (merge/mode_relationships.h) keeps them in sorted indexes built once
 // per mode, so a pair compares them by merge-joins and binary searches.
 
 #include <iterator>

@@ -119,7 +119,7 @@ McmmSession::ModeId McmmSession::add_mode(std::string name,
     ev.field("session", journal_id_)
         .field("mode_id", modes_.back().id)
         .field("name", journal_name(modes_.back().name, modes_.back().id))
-        .field("content_key", hex_key(RelationshipCache::content_key(
+        .field("content_key", hex_key(content_fingerprint(
                                   *modes_.back().decks[kPrimaryCorner])));
     if (!corners_.single()) {
       ev.field("corners", static_cast<uint64_t>(corners_.size()));
@@ -132,11 +132,6 @@ void McmmSession::update_mode(ModeId id, CornerId corner, const Sdc* deck) {
   MM_ASSERT(deck != nullptr);
   MM_ASSERT(corner < corners_.size());
   Entry& e = modes_[position_of(id)];
-  // The old content's cache entry is now stale for this session: evict it
-  // eagerly so the cache only holds decks the session can still reach.
-  if (e.decks[corner] != nullptr) {
-    ctx_->cache().invalidate(*e.decks[corner]);
-  }
   e.decks[corner] = deck;
   e.rels[corner].reset();
   // The view borrows the old deck (which may be this same object, edited
@@ -155,7 +150,7 @@ void McmmSession::update_mode(ModeId id, CornerId corner, const Sdc* deck) {
     ev.field("session", journal_id_)
         .field("mode_id", id)
         .field("name", journal_name(e.name, id))
-        .field("content_key", hex_key(RelationshipCache::content_key(*deck)));
+        .field("content_key", hex_key(content_fingerprint(*deck)));
     if (!corners_.single()) {
       ev.field("corner", corners_.name(corner))
           .field("corner_id", static_cast<uint64_t>(corner));
@@ -210,10 +205,10 @@ const McmmSession::CommitResult& McmmSession::commit() {
     }
   }
 
-  // Refresh relationship sets for dirty (mode, corner) slots: skeletons
+  // Build the relationship sets of dirty (mode, corner) slots: skeletons
   // first (corner 0, full extraction fanned over the pool), then the other
-  // corners as value-only delta fills against their mode's fresh skeleton.
-  // Clean slots keep the shared_ptr they already hold — zero cache probes.
+  // corners as value-only delta fills against their mode's skeleton. Clean
+  // slots keep the set they already hold.
   std::vector<Entry*> need_skeleton;
   for (Entry& e : modes_) {
     if (!e.rels[kPrimaryCorner]) need_skeleton.push_back(&e);
@@ -223,7 +218,7 @@ const McmmSession::CommitResult& McmmSession::commit() {
   const bool share_corners = !corners_.single();
   ctx_->pool().parallel_for(need_skeleton.size(), [&](size_t k) {
     Entry& e = *need_skeleton[k];
-    e.rels[kPrimaryCorner] = ctx_->relationships(*e.decks[kPrimaryCorner]);
+    e.rels[kPrimaryCorner] = ctx_->builder().get(*e.decks[kPrimaryCorner]);
     if (share_corners) {
       e.state_fps[kPrimaryCorner] =
           timing_state_fingerprint(*e.decks[kPrimaryCorner]);
@@ -238,7 +233,7 @@ const McmmSession::CommitResult& McmmSession::commit() {
   ctx_->pool().parallel_for(need_delta.size(), [&](size_t k) {
     auto [e, c] = need_delta[k];
     e->rels[c] =
-        ctx_->cache().get_corner(*e->decks[c], *e->rels[kPrimaryCorner]);
+        ctx_->builder().get_corner(*e->decks[c], *e->rels[kPrimaryCorner]);
     e->state_fps[c] = timing_state_fingerprint(*e->decks[c]);
   });
 
@@ -469,8 +464,13 @@ const McmmSession::CommitResult& McmmSession::commit() {
     const size_t k = s % num_cliques;
     const std::vector<size_t>& clique = out.cliques[k];
     std::vector<const Sdc*> members;
+    RelationshipSets rels;
     members.reserve(clique.size());
-    for (size_t pos : clique) members.push_back(modes_[pos].decks[c]);
+    rels.reserve(clique.size());
+    for (size_t pos : clique) {
+      members.push_back(modes_[pos].decks[c]);
+      rels.push_back(modes_[pos].rels[c]);
+    }
     const ValidatedMergeResult* donor = nullptr;
     if (c != kPrimaryCorner) {
       bool same_state = true;
@@ -482,7 +482,7 @@ const McmmSession::CommitResult& McmmSession::commit() {
     }
     Slot& slot = slots[s];
     slot.result = std::make_shared<ValidatedMergeResult>(
-        merge_modes(timing_graph_, members, *ctx_, donor,
+        merge_modes(timing_graph_, members, rels, *ctx_, donor,
                     keep_views ? &slot.views : nullptr));
   };
   ctx_->pool().parallel_for(dirty_primary.size(),

@@ -42,8 +42,14 @@
 // first commit keeps none, so a batch merge_mode_set (one commit) holds no
 // more memory than the merge itself.
 //
-// The session is rooted in a MergeContext (key table, relationship cache,
-// thread pool): borrow one to share those caches across sessions, or pass
+// Each (mode, corner) slot also owns its deck's relationship set
+// (merge/mode_relationships.h), built at the first commit after the deck
+// arrives and dropped with it: every pair check and clique merge of the
+// deck reads that one set, so a commit builds exactly one set per dirty
+// slot and a clique merge builds none.
+//
+// The session is rooted in a MergeContext (options, relationship builder,
+// thread pool): borrow one to share the pool across sessions, or pass
 // MergeOptions to own a private one.
 //
 // Determinism contract (fuzz P5 and P8, bench_incremental): commit()
@@ -114,8 +120,8 @@ class McmmSession {
     }
   };
 
-  /// Borrow an external context (shared caches across sessions). The graph
-  /// and context must outlive the session.
+  /// Borrow an external context (one pool across sessions). The graph and
+  /// context must outlive the session.
   McmmSession(const timing::TimingGraph& graph, CornerSet corners,
               MergeContext& ctx);
   /// Own a private context configured by `options`.
@@ -179,7 +185,8 @@ class McmmSession {
     ModeId id = kInvalidMode;
     std::string name;
     std::vector<const Sdc*> decks;  // [corner]
-    std::vector<std::shared_ptr<const ModeRelationships>> rels;  // [corner]
+    /// Each deck's relationship set; null until the next commit builds it.
+    RelationshipSets rels;  // [corner]
     /// timing_state_fingerprint of each deck, refreshed with rels; kept
     /// only at C > 1, where it decides corner sharing.
     std::vector<uint64_t> state_fps;  // [corner]

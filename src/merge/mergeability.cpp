@@ -540,9 +540,9 @@ void MergeabilityGraph::build(const std::vector<const Sdc*>& modes,
   for (size_t i = 0; i < n_; ++i) adj_[i * n_ + i] = 1;
   if (n_ < 2) return;
 
-  // Each mode's relationship set is extracted once (memoized across runs by
-  // the content-addressed cache), not re-derived inside every pair.
-  std::vector<std::shared_ptr<const ModeRelationships>> rels(n_);
+  // Each mode's relationship set is extracted once, not re-derived inside
+  // every pair.
+  RelationshipSets rels(n_);
   pool.parallel_for(n_,
                     [&](size_t i) { rels[i] = ctx.relationships(*modes[i]); });
 
@@ -555,7 +555,7 @@ void MergeabilityGraph::build(const std::vector<const Sdc*>& modes,
     for (uint32_t j = i + 1; j < n_; ++j) pairs.emplace_back(i, j);
   }
   std::vector<PairVerdict> verdicts(pairs.size());
-  // Pairs are cheap once extraction is memoized; a minimum grain keeps the
+  // Pairs are cheap once every set is extracted; a minimum grain keeps the
   // queue overhead below the per-pair work.
   pool.parallel_for(pairs.size(), /*min_grain=*/16, [&](size_t p) {
     const auto [i, j] = pairs[p];

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "merge/corner.h"
-#include "merge/relationship_cache.h"
+#include "merge/mode_relationships.h"
 #include "merge/types.h"
 
 namespace mm::merge {
@@ -116,8 +116,8 @@ std::vector<std::vector<size_t>> greedy_clique_cover(
 
 class MergeabilityGraph {
  public:
-  /// Build the graph over `modes`. Per-mode relationship sets come from
-  /// ctx.cache() and the pairwise checks fan out
+  /// Build the graph over `modes`. Each mode's relationship set is
+  /// extracted once (ctx.relationships()) and the pairwise checks fan out
   /// over a flattened pair index on ctx.pool(). Each pair writes only its
   /// own verdict slot and the adjacency fill consumes the slots in index
   /// order, so the graph — and therefore the clique cover — is

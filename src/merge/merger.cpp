@@ -104,16 +104,18 @@ ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
                                  const std::vector<const Sdc*>& modes,
                                  const MergeOptions& options) {
   MergeContext session(options);
-  return merge_modes(graph, modes, session);
+  RelationshipSets rels;
+  rels.reserve(modes.size());
+  for (const Sdc* m : modes) rels.push_back(session.relationships(*m));
+  return merge_modes(graph, modes, rels, session);
 }
 
-ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
-                                 const std::vector<const Sdc*>& modes,
-                                 MergeContext& session,
-                                 const ValidatedMergeResult* donor,
-                                 std::vector<MemberView>* views) {
+ValidatedMergeResult merge_modes(
+    const timing::TimingGraph& graph, const std::vector<const Sdc*>& modes,
+    const RelationshipSets& rels, MergeContext& session,
+    const ValidatedMergeResult* donor, std::vector<MemberView>* views) {
   const MergeOptions& options = session.options();
-  ValidatedMergeResult out{preliminary_merge(modes, session), {}};
+  ValidatedMergeResult out{preliminary_merge(modes, rels, options), {}};
   out.merge.fix_marks = marks_of(out.merge);
 
   if (donor != nullptr && options.debug_mutation == DebugMutation::kNone &&

@@ -31,8 +31,9 @@ ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
                                  const std::vector<const Sdc*>& modes,
                                  const MergeOptions& options = {});
 
-/// Session entry: every pass shares ctx's key table, relationship cache,
-/// and thread pool.
+/// Session entry: every pass shares ctx's options and thread pool.
+/// `rels[i]` is modes[i]'s relationship set, which the caller already
+/// holds (the session slot of the deck), so the merge extracts nothing.
 ///
 /// `donor` is the same clique's merge in another corner, offered by a
 /// caller that has matched every member deck's timing_state_fingerprint
@@ -50,11 +51,11 @@ ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
 /// back, relation table included, for the caller to hand to a later merge
 /// of the same decks. Without `views` nothing outlives the merge. A merge
 /// that runs no refinement leaves `views` as it was.
-ValidatedMergeResult merge_modes(const timing::TimingGraph& graph,
-                                 const std::vector<const Sdc*>& modes,
-                                 MergeContext& ctx,
-                                 const ValidatedMergeResult* donor = nullptr,
-                                 std::vector<MemberView>* views = nullptr);
+ValidatedMergeResult merge_modes(
+    const timing::TimingGraph& graph, const std::vector<const Sdc*>& modes,
+    const RelationshipSets& rels, MergeContext& ctx,
+    const ValidatedMergeResult* donor = nullptr,
+    std::vector<MemberView>* views = nullptr);
 
 struct MergedModeSet {
   /// One merged mode per clique (cliques of size 1 reuse the original mode's
@@ -83,7 +84,7 @@ MergedModeSet merge_mode_set(const timing::TimingGraph& graph,
 
 /// Session entry: mergeability analysis, every clique's preliminary merge,
 /// refinement, and validation all flow through ctx — each mode's
-/// relationship set is extracted exactly once.
+/// relationship set is extracted exactly once, by its session slot.
 MergedModeSet merge_mode_set(const timing::TimingGraph& graph,
                              const std::vector<const Sdc*>& modes,
                              MergeContext& ctx);

@@ -1,4 +1,4 @@
-#include "merge/relationship_cache.h"
+#include "merge/mode_relationships.h"
 
 #include <algorithm>
 #include <ranges>
@@ -6,23 +6,10 @@
 #include "merge/corner.h"
 #include "merge/keys.h"
 #include "obs/obs.h"
-#include "sdc/writer.h"
 
 namespace mm::merge {
 
 namespace {
-
-uint64_t fnv1a(uint64_t h, const char* data, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t fnv1a(uint64_t h, const std::string& s) {
-  return fnv1a(h, s.data(), s.size());
-}
 
 /// The per-corner value tables: reset and re-fill every clock constraint
 /// window from the deck's raw lists (forward iteration with overwrite ==
@@ -173,111 +160,43 @@ bool ModeRelationships::has_full_sig(const std::string& sig_full) const {
       });
 }
 
-RelationshipCache::RelationshipCache(size_t max_entries)
-    : max_entries_(max_entries == 0 ? 1 : max_entries) {}
-
-uint64_t RelationshipCache::content_key(const Sdc& sdc) {
-  uint64_t h = 14695981039346656037ull;
-  h = fnv1a(h, sdc::write_sdc(sdc));
-  // Netlist identity: extraction output depends on the design the SDC was
-  // parsed against (clock keys and signatures embed port/pin names, query
-  // expansion follows connectivity). Counts alone are too weak — two
-  // different blocks can agree on name and pin count — so fold in every
-  // port name as well.
-  const netlist::Design& design = sdc.design();
-  h = fnv1a(h, design.name());
-  const uint64_t shape[] = {design.num_pins(), design.num_ports(),
-                            design.num_nets(), design.num_instances()};
-  h = fnv1a(h, reinterpret_cast<const char*>(shape), sizeof(shape));
-  for (size_t p = 0; p < design.num_ports(); ++p) {
-    const std::string_view name = design.port_name(netlist::PortId(p));
-    h = fnv1a(h, name.data(), name.size());
-  }
-  return h;
-}
-
-void RelationshipCache::invalidate(const Sdc& sdc) {
-  const uint64_t key = content_key(sdc);
-  std::lock_guard<std::mutex> lock(mutex_);
-  map_.erase(key);
-}
-
-RelationshipCache::Entry RelationshipCache::lookup_or_insert(
-    uint64_t key, const std::function<Entry()>& make) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      ++stats_.hits;
-      MM_COUNT("merge/relationship_cache_hits", 1);
-      return it->second;
-    }
-  }
-
-  // Build outside the lock; a concurrent miss on the same key builds twice
-  // and the first insert wins.
-  Entry rels = make();
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-  MM_COUNT("merge/relationship_cache_misses", 1);
-  if (map_.size() >= max_entries_ && !map_.count(key)) {
-    stats_.evictions += map_.size();
-    map_.clear();
-  }
-  auto [it, inserted] = map_.emplace(key, std::move(rels));
-  return it->second;
-}
-
-std::shared_ptr<const ModeRelationships> RelationshipCache::get(
+std::shared_ptr<const ModeRelationships> RelationshipBuilder::get(
     const Sdc& sdc) {
-  return lookup_or_insert(content_key(sdc), [&] {
-    return std::make_shared<const ModeRelationships>(
-        extract_relationships(sdc));
-  });
+  built_.fetch_add(1, std::memory_order_relaxed);
+  MM_COUNT("merge/relationship_sets_built", 1);
+  return std::make_shared<const ModeRelationships>(
+      extract_relationships(sdc));
 }
 
-std::shared_ptr<const ModeRelationships> RelationshipCache::get_corner(
+std::shared_ptr<const ModeRelationships> RelationshipBuilder::get_corner(
     const Sdc& corner_sdc, const ModeRelationships& skeleton) {
-  return lookup_or_insert(content_key(corner_sdc), [&]() -> Entry {
-    if (structural_fingerprint(corner_sdc) == skeleton.structure_fp) {
-      // Value-only delta fill: the skeleton's canonical keys, signatures
-      // and indexes are valid verbatim for this corner (equal fingerprints
-      // on the same design imply equal key derivations), so only the value
-      // tables are re-scanned — no string building.
-      MM_SPAN_HOT("merge/relationship_delta_fill");
-      auto filled = std::make_shared<ModeRelationships>(skeleton);
-      fill_clock_values(*filled, corner_sdc);
-      filled->drives = corner_sdc.drives();
-      filled->loads = corner_sdc.loads();
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.delta_fills;
-      MM_COUNT("merge/relationship_cache_delta_fills", 1);
-      return filled;
-    }
+  if (structural_fingerprint(corner_sdc) != skeleton.structure_fp) {
     // The corner deck's structure diverged from its mode's skeleton (extra
     // clock, edited exception, reshaped drive list): full extraction.
-    Entry rels = std::make_shared<const ModeRelationships>(
-        extract_relationships(corner_sdc));
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.skeleton_mismatches;
-    MM_COUNT("merge/relationship_cache_skeleton_mismatches", 1);
-    return rels;
-  });
+    skeleton_mismatches_.fetch_add(1, std::memory_order_relaxed);
+    MM_COUNT("merge/relationship_skeleton_mismatches", 1);
+    return get(corner_sdc);
+  }
+  // Value-only delta fill: the skeleton's canonical keys, signatures and
+  // indexes are valid verbatim for this corner (equal fingerprints on the
+  // same design imply equal key derivations), so only the value tables are
+  // re-scanned — no string building.
+  MM_SPAN_HOT("merge/relationship_delta_fill");
+  auto filled = std::make_shared<ModeRelationships>(skeleton);
+  fill_clock_values(*filled, corner_sdc);
+  filled->drives = corner_sdc.drives();
+  filled->loads = corner_sdc.loads();
+  built_.fetch_add(1, std::memory_order_relaxed);
+  delta_fills_.fetch_add(1, std::memory_order_relaxed);
+  MM_COUNT("merge/relationship_sets_built", 1);
+  MM_COUNT("merge/relationship_delta_fills", 1);
+  return filled;
 }
 
-void RelationshipCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  map_.clear();
-}
-
-size_t RelationshipCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return map_.size();
-}
-
-RelationshipCache::Stats RelationshipCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+RelationshipBuilder::Stats RelationshipBuilder::stats() const {
+  return {built_.load(std::memory_order_relaxed),
+          delta_fills_.load(std::memory_order_relaxed),
+          skeleton_mismatches_.load(std::memory_order_relaxed)};
 }
 
 }  // namespace mm::merge

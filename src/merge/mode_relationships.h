@@ -1,34 +1,32 @@
 #pragma once
-// Memoized per-mode relationship extraction for mergeability analysis.
+// Per-mode relationship extraction for mergeability analysis and
+// preliminary merging.
 //
 // check_mergeable derives the same per-mode data for every pair it
 // inspects: canonical clock keys, per-clock constraint windows, exception
 // signatures, effective launch-clock key sets. Over an M-mode set the
-// pairwise mock merges re-derive each mode's set M-1 times — O(M^2) full
-// extractions, the first superlinear wall of the pipeline (paper §2.3).
+// pairwise mock merges would re-derive each mode's set M-1 times — O(M^2)
+// full extractions, the first superlinear wall of the pipeline (paper §2.3).
 //
 // ModeRelationships is one mode's set, extracted once by a single linear
-// scan and fully self-contained (no Sdc pointers), so a cached entry
-// outlives the Sdc it came from. RelationshipCache memoizes extraction
-// behind a content-hash key — FNV-1a over the mode's written SDC text plus
-// the netlist's identity — so repeated analyses (clique-cover rebuilds,
-// bench sweeps, server-style re-runs over the same decks) skip extraction
-// entirely, and any textual change to the constraints or a different
-// netlist invalidates naturally.
+// scan and fully self-contained (no Sdc pointers), so it outlives the Sdc
+// it came from. The session slot that holds a deck (merge/mcmm_session.h)
+// is the one owner of its set: built at the commit that first needs it,
+// dropped when the slot's deck is replaced, and handed to every pair check
+// and clique merge of the deck. RelationshipBuilder builds sets and counts
+// them; it keeps none.
 //
-// Each entry carries its canonical key strings plus sorted indexes over them
+// Each set carries its canonical key strings plus sorted indexes over them
 // (clocks by key, exceptions by anchor and by full signature), built once at
-// extraction. check_mergeable matches two entries by merge-joins and binary
-// searches over those indexes. The strings mean the same in every entry, so
-// entries from any cache, context or thread compare directly.
+// extraction. check_mergeable matches two sets by merge-joins and binary
+// searches over those indexes. The strings mean the same in every set, so
+// sets built by any context or thread compare directly.
 
+#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <ranges>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "merge/types.h"
@@ -70,7 +68,7 @@ struct ModeRelationships {
 
   /// Structural fingerprint of the deck this set was extracted from
   /// (merge/corner.h): the skeleton identity corner decks are matched
-  /// against before a value-only delta fill may reuse this entry's keys and
+  /// against before a value-only delta fill may reuse this set's keys and
   /// indexes.
   uint64_t structure_fp = 0;
 
@@ -105,76 +103,52 @@ struct ModeRelationships {
   bool has_full_sig(const std::string& sig_full) const;
 };
 
+/// Relationship sets of a list of modes, one per mode in the same order.
+using RelationshipSets =
+    std::vector<std::shared_ptr<const ModeRelationships>>;
+
 /// Extract a mode's relationship set (one linear scan over the Sdc).
 ModeRelationships extract_relationships(const Sdc& sdc);
 
-/// Content-addressed, thread-safe memoization of extract_relationships.
-class RelationshipCache {
+/// Builds relationship sets and counts them. Holds no sets: every call
+/// builds. Thread-safe; the counters are lock-free.
+class RelationshipBuilder {
  public:
   struct Stats {
-    uint64_t hits = 0;
+    /// Every set built: full extractions plus corner delta fills. Named
+    /// for a miss only because the benchmark harness still reads it as
+    /// `misses`; renamed with the next benchmark change.
     uint64_t misses = 0;
-    uint64_t evictions = 0;
-    /// Corner entries produced by the value-only delta fill (skeleton
+    /// Corner sets produced by the value-only delta fill (skeleton
     /// structure reused) vs corner decks whose structure diverged from
     /// their skeleton and fell back to full extraction.
     uint64_t delta_fills = 0;
     uint64_t skeleton_mismatches = 0;
   };
 
-  /// `max_entries` bounds memory; exceeding it evicts the whole table
-  /// (entries are cheap to rebuild and eviction is rare at real mode
-  /// counts).
-  explicit RelationshipCache(size_t max_entries = 4096);
-
-  /// Extract-or-reuse. Thread-safe: concurrent misses on the same key both
-  /// extract and the first insert wins. Increments the
-  /// merge/relationship_cache_{hits,misses} counters.
+  /// Full extraction (merge/relationship_sets_built).
   std::shared_ptr<const ModeRelationships> get(const Sdc& sdc);
 
-  /// Corner entry: extract-or-delta-fill. `skeleton` is the mode's primary
-  /// corner entry (from get()). When `corner_sdc`'s structural fingerprint
-  /// (merge/corner.h) matches the skeleton's, the entry is built by copying
+  /// Corner set: delta-fill or extract. `skeleton` is the mode's primary
+  /// corner set (from get()). When `corner_sdc`'s structural fingerprint
+  /// (merge/corner.h) matches the skeleton's, the set is built by copying
   /// the skeleton — canonical keys, signatures and their indexes — and
   /// re-scanning only the corner deck's value tables (clock
   /// latency/uncertainty/transition, drives, loads): a value-only fill that
   /// skips every key derivation. The result is value-identical
   /// to extract_relationships(corner_sdc) — asserted by fuzz P8 — so
   /// skeleton sharing can never change a verdict. Structure mismatches
-  /// (counted merge/relationship_cache_skeleton_mismatches) fall back to
-  /// full extraction. Memoized under the same content key as get().
+  /// (counted merge/relationship_skeleton_mismatches) fall back to full
+  /// extraction.
   std::shared_ptr<const ModeRelationships> get_corner(
       const Sdc& corner_sdc, const ModeRelationships& skeleton);
 
-  /// The key get() uses: FNV-1a of write_sdc(sdc) mixed with the design's
-  /// structural identity — name, pin/port/net/instance counts, and every
-  /// port name — so two distinct designs never alias an entry just because
-  /// their name and pin count agree. Exposed so tests can assert
-  /// invalidation.
-  static uint64_t content_key(const Sdc& sdc);
-
-  /// Drop the entry for this mode's current content, if present. Used by
-  /// the session's update_mode so a long-lived session does not accumulate
-  /// entries for constraint decks nothing can reach anymore. (Content
-  /// addressing already prevents *stale hits*; this bounds growth.)
-  void invalidate(const Sdc& sdc);
-
-  void clear();
-  size_t size() const;
   Stats stats() const;
 
  private:
-  using Entry = std::shared_ptr<const ModeRelationships>;
-
-  /// The entry under `key`, counted as a hit; on a miss, `make()` builds it
-  /// outside the lock and it is inserted (evicting the whole table when
-  /// full).
-  Entry lookup_or_insert(uint64_t key, const std::function<Entry()>& make);
-
-  const size_t max_entries_;
-  mutable std::mutex mutex_;
-  std::unordered_map<uint64_t, Entry> map_;
-  Stats stats_;
+  std::atomic<uint64_t> built_{0};
+  std::atomic<uint64_t> delta_fills_{0};
+  std::atomic<uint64_t> skeleton_mismatches_{0};
 };
 
 }  // namespace mm::merge

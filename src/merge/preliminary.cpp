@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "merge/context.h"
-#include "merge/relationship_cache.h"
 #include "obs/obs.h"
 #include "util/timer.h"
 
@@ -37,19 +36,17 @@ using ClockInfo = ModeRelationships::ClockInfo;
 
 class PreliminaryMerger {
  public:
-  PreliminaryMerger(const std::vector<const Sdc*>& modes, MergeContext& ctx)
-      : modes_(modes), ctx_(ctx), options_(ctx.options()) {
+  PreliminaryMerger(const std::vector<const Sdc*>& modes,
+                    const RelationshipSets& rels,
+                    const MergeOptions& options)
+      : modes_(modes), options_(options), rels_(rels) {
     MM_ASSERT_MSG(!modes.empty(), "preliminary_merge needs >= 1 mode");
     design_ = &modes[0]->design();
     for (const Sdc* m : modes) {
       MM_ASSERT_MSG(&m->design() == design_, "modes target different designs");
     }
+    MM_ASSERT(rels.size() == modes.size());
     result_.merged = std::make_unique<Sdc>(design_);
-    // Reuse the per-mode extraction the mergeability pass cached (or pay
-    // for it exactly once now); clock identity and exception grouping
-    // consume the canonical keys these entries carry.
-    rels_.reserve(modes_.size());
-    for (const Sdc* m : modes_) rels_.push_back(ctx_.relationships(*m));
   }
 
   MergeResult run() {
@@ -180,7 +177,7 @@ class PreliminaryMerger {
 
   /// Fold one constraint channel over the members that have the clock.
   /// `channel(info)` returns the channel's (value, present) from a
-  /// member clock's effective constraint values (relationship_cache.h:
+  /// member clock's effective constraint values (mode_relationships.h:
   /// last matching entry wins).
   template <class Channel>
   Flavour collect(ClockId merged_clock, Channel channel) {
@@ -723,21 +720,28 @@ class PreliminaryMerger {
   }
 
   const std::vector<const Sdc*>& modes_;
-  MergeContext& ctx_;
   const MergeOptions& options_;
+  /// Per-mode relationship sets, aligned with modes_.
+  const RelationshipSets& rels_;
   const netlist::Design* design_;
   MergeResult result_;
-  /// Per-mode relationship sets from the session cache (aligned with
-  /// modes_).
-  std::vector<std::shared_ptr<const ModeRelationships>> rels_;
 };
 
 }  // namespace
 
 MergeResult preliminary_merge(const std::vector<const Sdc*>& modes,
-                              MergeContext& ctx) {
+                              const RelationshipSets& rels,
+                              const MergeOptions& options) {
   MM_SPAN("merge/preliminary");
-  return PreliminaryMerger(modes, ctx).run();
+  return PreliminaryMerger(modes, rels, options).run();
+}
+
+MergeResult preliminary_merge(const std::vector<const Sdc*>& modes,
+                              MergeContext& ctx) {
+  RelationshipSets rels;
+  rels.reserve(modes.size());
+  for (const Sdc* m : modes) rels.push_back(ctx.relationships(*m));
+  return preliminary_merge(modes, rels, ctx.options());
 }
 
 MergeResult preliminary_merge(const std::vector<const Sdc*>& modes,

@@ -8,23 +8,28 @@
 // The preliminary merged mode may temporarily time extra paths; §3.2
 // refinement (clock_refine / data_refine) removes them.
 
+#include "merge/mode_relationships.h"
 #include "merge/types.h"
 
 namespace mm::merge {
 
 class MergeContext;
 
-/// Merge N mergeable modes into one preliminary superset Sdc.
-/// All modes must reference the same Design. Constructs a transient
-/// MergeContext; prefer the context overload when one is already live.
+/// Merge N mergeable modes into one preliminary superset Sdc. All modes
+/// must reference the same Design. `rels[i]` is modes[i]'s relationship
+/// set (merge/mode_relationships.h): clock identity and exception grouping
+/// read its canonical keys, so a session that already holds each member's
+/// set (the slot that checked its pairs) merges without extracting again.
 MergeResult preliminary_merge(const std::vector<const Sdc*>& modes,
+                              const RelationshipSets& rels,
                               const MergeOptions& options);
 
-/// Session entry: clock identity and exception grouping reuse the per-mode
-/// relationship sets ctx already extracted (or extracts-and-caches now), so
-/// a merge_mode_set run derives each mode's keys exactly once across
-/// mergeability analysis and preliminary merging.
+/// Extracts each mode's set with ctx.relationships(), then merges.
 MergeResult preliminary_merge(const std::vector<const Sdc*>& modes,
                               MergeContext& ctx);
+
+/// Extracts each mode's set in a transient MergeContext, then merges.
+MergeResult preliminary_merge(const std::vector<const Sdc*>& modes,
+                              const MergeOptions& options);
 
 }  // namespace mm::merge

@@ -59,8 +59,8 @@ class MergeSession {
     }
   };
 
-  /// Borrow an external context (shared caches across sessions). The graph
-  /// and context must outlive the session.
+  /// Borrow an external context (one pool across sessions). The graph and
+  /// context must outlive the session.
   MergeSession(const timing::TimingGraph& graph, MergeContext& ctx);
   /// Own a private context configured by `options`.
   explicit MergeSession(const timing::TimingGraph& graph,
@@ -72,8 +72,8 @@ class MergeSession {
   /// Register a mode. The caller keeps ownership of `sdc`, which must stay
   /// alive until the mode is removed or updated. `name` is used in logs and
   /// the --script driver ("" is fine). The mode's relationship set is
-  /// extracted (or cache-hit) immediately, so a re-added identical mode
-  /// costs zero extractions.
+  /// extracted at the next commit, once, and its M-1 pairs are checked
+  /// there.
   ModeId add_mode(std::string name, const Sdc* sdc);
 
   /// Drop a mode. Its pair verdicts are discarded; no pair is re-checked at
@@ -81,9 +81,10 @@ class MergeSession {
   void remove_mode(ModeId id);
 
   /// Replace a mode's constraints in place (same handle, same position in
-  /// insertion order). Invalidates the old content's relationship-cache
-  /// entry and marks the mode's pairs dirty. The old Sdc may be destroyed
-  /// once this returns; `sdc` must stay alive like in add_mode.
+  /// insertion order). Drops the mode's relationship set, which the next
+  /// commit extracts again from `sdc`, and marks the mode's pairs dirty.
+  /// The old Sdc may be destroyed once this returns; `sdc` must stay alive
+  /// like in add_mode.
   void update_mode(ModeId id, const Sdc* sdc);
 
   /// Run the pipeline over the current mode set, reusing everything the

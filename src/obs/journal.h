@@ -8,8 +8,8 @@
 //
 //   header        schema marker, first line of every journal
 //   mode_add /    session deltas, with the session-stable mode id and the
-//   mode_update / mode's content key (the RelationshipCache hash of deck
-//   mode_remove   text + netlist identity)
+//   mode_update / mode's content key (merge::content_fingerprint: a hash
+//   mode_remove   of deck text + netlist identity)
 //   commit_begin  one per session commit(); everything up to the
 //   commit_end    matching commit_end is that commit's journal *segment*
 //   pair_verdict  one per re-checked pair: mergeable or the first-conflict

@@ -166,7 +166,7 @@ TEST_F(JournalTest, VerdictProvenanceAndContentKeysRecorded) {
   size_t conflicts = 0;
   for (const JournalRecord& rec : j.events) {
     if (rec.ev == "mode_add") {
-      // Content key: 16-hex-digit RelationshipCache hash.
+      // Content key: 16-hex-digit content_fingerprint of the deck.
       const std::string key = rec.json.str("content_key");
       ASSERT_EQ(key.size(), 18u) << key;
       EXPECT_EQ(key.substr(0, 2), "0x");

@@ -26,7 +26,7 @@
 #include "merge/merger.h"
 #include "merge/mergeability.h"
 #include "merge/preliminary.h"
-#include "merge/relationship_cache.h"
+#include "merge/mode_relationships.h"
 #include "netlist/verilog.h"
 #include "sdc/parser.h"
 #include "sdc/writer.h"

@@ -305,7 +305,7 @@ TEST_F(McmmTest, CornerDeltaEditRefillsValuesWithoutSkeletonReextraction) {
 
   // M skeleton extractions + M * (C - 1) value-only delta fills — never
   // M * C full extractions.
-  RelationshipCache::Stats stats = session.context().cache().stats();
+  RelationshipBuilder::Stats stats = session.context().builder().stats();
   EXPECT_EQ(stats.delta_fills, num_modes * (num_corners - 1));
   EXPECT_EQ(stats.skeleton_mismatches, 0u);
   EXPECT_EQ(stats.misses - stats.delta_fills - stats.skeleton_mismatches,
@@ -320,7 +320,7 @@ TEST_F(McmmTest, CornerDeltaEditRefillsValuesWithoutSkeletonReextraction) {
   session.update_mode(ids[0], 2, &edited);
   session.commit();
 
-  stats = session.context().cache().stats();
+  stats = session.context().builder().stats();
   EXPECT_EQ(stats.delta_fills, num_modes * (num_corners - 1) + 1);
   EXPECT_EQ(stats.skeleton_mismatches, 0u);
   EXPECT_EQ(stats.misses - stats.delta_fills - stats.skeleton_mismatches,
@@ -352,7 +352,8 @@ TEST_F(McmmTest, StructuralBreakCornerFallsBackWithoutChangingVerdicts) {
   const McmmSession::CommitResult& r = session.commit();
 
   // Both decks of the broken corner diverged from their skeletons.
-  const RelationshipCache::Stats stats = session.context().cache().stats();
+  const RelationshipBuilder::Stats stats =
+      session.context().builder().stats();
   EXPECT_EQ(stats.skeleton_mismatches, num_modes);
 
   // The fallback full check must agree with the flat engine per corner.

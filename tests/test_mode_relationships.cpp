@@ -1,7 +1,7 @@
-// RelationshipCache tests: hit/miss accounting, content-key invalidation,
-// and byte-identical determinism of the memoized + parallel mergeability
-// path against the serial Sdc-level oracle (paper worked example and a
-// 32-mode generated family).
+// Relationship-set tests: RelationshipBuilder counting, content
+// fingerprints, and byte-identical determinism of the production
+// (extracted + parallel) mergeability path against the serial Sdc-level
+// oracle (paper worked example and a 32-mode generated family).
 
 #include <gtest/gtest.h>
 
@@ -13,16 +13,17 @@
 #include "gen/mode_gen.h"
 #include "gen/paper_circuit.h"
 #include "merge/context.h"
+#include "merge/corner.h"
 #include "merge/merger.h"
 #include "merge/mergeability.h"
-#include "merge/relationship_cache.h"
+#include "merge/mode_relationships.h"
 #include "sdc/parser.h"
 #include "timing/graph.h"
 
 namespace mm::merge {
 namespace {
 
-class RelationshipCacheTest : public ::testing::Test {
+class ModeRelationshipsTest : public ::testing::Test {
  protected:
   netlist::Library lib = netlist::Library::builtin();
   netlist::Design design = gen::paper_circuit(lib);
@@ -34,54 +35,60 @@ class RelationshipCacheTest : public ::testing::Test {
   MergeOptions options;
 };
 
-TEST_F(RelationshipCacheTest, HitAndMissCounting) {
-  RelationshipCache cache;
+// The builder keeps no sets: every get() and get_corner() builds a fresh
+// one and counts it, also for a deck it has seen before.
+TEST_F(ModeRelationshipsTest, HitAndMissCounting) {
+  RelationshipBuilder builder;
   sdc::Sdc a = parse("create_clock -name c -period 10 [get_ports clk1]\n");
 
-  auto first = cache.get(a);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.size(), 1u);
+  auto first = builder.get(a);
+  auto second = builder.get(a);
+  EXPECT_EQ(builder.stats().misses, 2u);
+  EXPECT_NE(first.get(), second.get());
+  EXPECT_EQ(first->clocks[0].key, second->clocks[0].key);
 
-  // Same object again and the same text parsed into a fresh Sdc both hit.
-  auto second = cache.get(a);
-  sdc::Sdc a2 = parse("create_clock -name c -period 10 [get_ports clk1]\n");
-  auto third = cache.get(a2);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 2u);
-  EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(first.get(), third.get());
+  // A corner deck with the skeleton's structure is delta-filled; one with
+  // an extra clock falls back to full extraction. Both are built.
+  sdc::Sdc slow = parse(
+      "create_clock -name c -period 10 [get_ports clk1]\n"
+      "set_clock_latency -max 0.7 [get_clocks c]\n");
+  sdc::Sdc reshaped = parse(
+      "create_clock -name c -period 10 [get_ports clk1]\n"
+      "create_clock -name c2 -period 20 [get_ports clk2]\n");
+  auto filled = builder.get_corner(slow, *first);
+  builder.get_corner(slow, *first);
+  builder.get_corner(reshaped, *first);
+  const RelationshipBuilder::Stats s = builder.stats();
+  EXPECT_EQ(s.misses, 5u);
+  EXPECT_EQ(s.delta_fills, 2u);
+  EXPECT_EQ(s.skeleton_mismatches, 1u);
+  EXPECT_EQ(filled->clocks[0].latency[0][1], 0.7);
 }
 
-TEST_F(RelationshipCacheTest, SdcTextChangeInvalidates) {
-  RelationshipCache cache;
+TEST_F(ModeRelationshipsTest, SdcTextChangeInvalidates) {
   sdc::Sdc a = parse(
       "create_clock -name c -period 10 [get_ports clk1]\n"
       "set_clock_uncertainty -setup 0.3 [get_clocks c]\n");
-  auto before = cache.get(a);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  // The same text parsed into a fresh Sdc is the same content.
+  sdc::Sdc a2 = parse(
+      "create_clock -name c -period 10 [get_ports clk1]\n"
+      "set_clock_uncertainty -setup 0.3 [get_clocks c]\n");
+  EXPECT_EQ(content_fingerprint(a), content_fingerprint(a2));
 
-  // A different constraint value is a different content key: no stale hit.
+  // A different constraint value is different content.
   sdc::Sdc b = parse(
       "create_clock -name c -period 10 [get_ports clk1]\n"
       "set_clock_uncertainty -setup 0.9 [get_clocks c]\n");
-  EXPECT_NE(RelationshipCache::content_key(a),
-            RelationshipCache::content_key(b));
-  auto after = cache.get(b);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_NE(before.get(), after.get());
-  EXPECT_NE(before->clocks[0].uncertainty[1], after->clocks[0].uncertainty[1]);
+  EXPECT_NE(content_fingerprint(a), content_fingerprint(b));
 
-  // Mutating a cached mode's constraints changes its key too.
+  // Mutating a deck's constraints changes its fingerprint too.
+  const uint64_t before = content_fingerprint(a);
   a.exceptions().push_back(sdc::Exception{});
-  EXPECT_NE(RelationshipCache::content_key(a),
-            RelationshipCache::content_key(b));
-  cache.get(a);
-  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_NE(content_fingerprint(a), before);
+  EXPECT_NE(content_fingerprint(a), content_fingerprint(b));
 }
 
-TEST_F(RelationshipCacheTest, KeyIncludesNetlistIdentity) {
+TEST_F(ModeRelationshipsTest, KeyIncludesNetlistIdentity) {
   gen::DesignParams dp;
   dp.num_regs = 60;
   dp.name = "block_a";
@@ -93,16 +100,14 @@ TEST_F(RelationshipCacheTest, KeyIncludesNetlistIdentity) {
       "create_clock -name c -period 10 [get_ports clk0]\n";
   sdc::Sdc on_a = sdc::parse_sdc(text, da);
   sdc::Sdc on_b = sdc::parse_sdc(text, db);
-  EXPECT_NE(RelationshipCache::content_key(on_a),
-            RelationshipCache::content_key(on_b));
+  EXPECT_NE(content_fingerprint(on_a), content_fingerprint(on_b));
 }
 
 // Regression for the weak-identity hazard: two distinct designs that agree
-// on name AND every shape count must still get distinct content keys,
-// because port names differ. Before content_key folded port names, these
-// aliased one cache slot and the second design silently reused the first's
-// extraction.
-TEST_F(RelationshipCacheTest, EqualNameAndCountsDesignsDoNotCollide) {
+// on name AND every shape count must still get distinct content
+// fingerprints, because port names differ. Before the hash folded port
+// names, the two decks read as the same content.
+TEST_F(ModeRelationshipsTest, EqualNameAndCountsDesignsDoNotCollide) {
   netlist::Design da("twin", &lib);
   da.add_port("clkA", netlist::PinDir::kInput);
   netlist::Design db("twin", &lib);
@@ -112,23 +117,14 @@ TEST_F(RelationshipCacheTest, EqualNameAndCountsDesignsDoNotCollide) {
 
   sdc::Sdc on_a = sdc::parse_sdc("", da);
   sdc::Sdc on_b = sdc::parse_sdc("", db);
-  EXPECT_NE(RelationshipCache::content_key(on_a),
-            RelationshipCache::content_key(on_b));
-
-  RelationshipCache cache;
-  cache.get(on_a);
-  cache.get(on_b);
-  EXPECT_EQ(cache.stats().misses, 2u);  // no alias, no stale hit
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_NE(content_fingerprint(on_a), content_fingerprint(on_b));
 }
 
 // Two decks whose latencies differ past the sixth significant digit are
-// different content: they get distinct keys (the key hashes written SDC
-// text, which must carry every digit), so neither reuses the other's
-// extraction, and the production merge splits them exactly as the Sdc-level
-// oracle does.
-TEST_F(RelationshipCacheTest, SeventhDigitLatencyEditIsNewContent) {
+// different content: they get distinct fingerprints (the hash reads the
+// written SDC text, which must carry every digit), and the production merge
+// splits them exactly as the Sdc-level oracle does.
+TEST_F(ModeRelationshipsTest, SeventhDigitLatencyEditIsNewContent) {
   auto deck = [&](const std::string& latency) {
     return parse("create_clock -name c -period 10 [get_ports clk1]\n"
                  "set_clock_latency -max " +
@@ -136,8 +132,7 @@ TEST_F(RelationshipCacheTest, SeventhDigitLatencyEditIsNewContent) {
   };
   const sdc::Sdc a = deck("0.1234561");
   const sdc::Sdc b = deck("0.1234564");
-  EXPECT_NE(RelationshipCache::content_key(a),
-            RelationshipCache::content_key(b));
+  EXPECT_NE(content_fingerprint(a), content_fingerprint(b));
 
   MergeOptions exact;
   exact.value_tolerance = 0.0;
@@ -147,45 +142,10 @@ TEST_F(RelationshipCacheTest, SeventhDigitLatencyEditIsNewContent) {
   EXPECT_EQ(set.cliques.size(), 2u);
 }
 
-// Explicit invalidation (the MergeSession::update_mode path): dropping a
-// mode's current content removes exactly that entry; the next get()
-// re-extracts. Invalidating absent content is a no-op.
-TEST_F(RelationshipCacheTest, InvalidateDropsEntry) {
-  RelationshipCache cache;
-  sdc::Sdc a = parse("create_clock -name c -period 10 [get_ports clk1]\n");
-  sdc::Sdc b = parse("create_clock -name c2 -period 20 [get_ports clk2]\n");
-  cache.get(a);
-  cache.get(b);
-  ASSERT_EQ(cache.size(), 2u);
-
-  cache.invalidate(a);
-  EXPECT_EQ(cache.size(), 1u);
-  cache.invalidate(a);  // already gone: no-op
-  EXPECT_EQ(cache.size(), 1u);
-
-  cache.get(b);  // untouched entry still hits
-  EXPECT_EQ(cache.stats().hits, 1u);
-  cache.get(a);  // dropped entry re-extracts
-  EXPECT_EQ(cache.stats().misses, 3u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST_F(RelationshipCacheTest, EvictionBoundsEntries) {
-  RelationshipCache cache(/*max_entries=*/2);
-  for (int period = 1; period <= 5; ++period) {
-    sdc::Sdc m = parse("create_clock -name c -period " +
-                       std::to_string(period) + " [get_ports clk1]\n");
-    cache.get(m);
-  }
-  EXPECT_LE(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().misses, 5u);
-  EXPECT_GT(cache.stats().evictions, 0u);
-}
-
-// The production overload (cached relationship sets) must
+// The production overload (extracted relationship sets) must
 // return the Sdc-level oracle's verdict bit for bit (mergeable flag, reason
 // text, category and subject) on every kind of conflict.
-TEST_F(RelationshipCacheTest, CachedVerdictsMatchSeedPath) {
+TEST_F(ModeRelationshipsTest, CachedVerdictsMatchSeedPath) {
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"create_clock -name c -period 10 [get_ports clk1]\n",
        "create_clock -name c -period 10 [get_ports clk1]\n"},
@@ -228,14 +188,14 @@ TEST_F(RelationshipCacheTest, CachedVerdictsMatchSeedPath) {
       const PairVerdict seed = check_mergeable(a, b, opts);
       const ModeRelationships ra = extract_relationships(a);
       const ModeRelationships rb = extract_relationships(b);
-      const PairVerdict cached = check_mergeable(ra, rb, opts);
-      EXPECT_EQ(seed.mergeable, cached.mergeable)
+      const PairVerdict extracted = check_mergeable(ra, rb, opts);
+      EXPECT_EQ(seed.mergeable, extracted.mergeable)
           << "tol=" << tol << "\nA:\n" << ta << "B:\n" << tb;
-      EXPECT_EQ(seed.reason, cached.reason)
+      EXPECT_EQ(seed.reason, extracted.reason)
           << "tol=" << tol << "\nA:\n" << ta << "B:\n" << tb;
-      EXPECT_EQ(seed.category, cached.category)
+      EXPECT_EQ(seed.category, extracted.category)
           << "tol=" << tol << "\nA:\n" << ta << "B:\n" << tb;
-      EXPECT_EQ(seed.subject, cached.subject)
+      EXPECT_EQ(seed.subject, extracted.subject)
           << "tol=" << tol << "\nA:\n" << ta << "B:\n" << tb;
     }
   }
@@ -273,7 +233,7 @@ MergeabilityGraph oracle_graph(const std::vector<const Sdc*>& modes,
   return MergeabilityGraph(n, std::move(adj), std::move(reasons));
 }
 
-TEST_F(RelationshipCacheTest, ParallelPathDeterministicOnPaperExample) {
+TEST_F(ModeRelationshipsTest, ParallelPathDeterministicOnPaperExample) {
   std::vector<sdc::Sdc> modes;
   for (const char* text :
        {gen::constraint_sets::kSet2ModeA, gen::constraint_sets::kSet2ModeB,
@@ -284,19 +244,19 @@ TEST_F(RelationshipCacheTest, ParallelPathDeterministicOnPaperExample) {
   std::vector<const Sdc*> ptrs;
   for (const auto& m : modes) ptrs.push_back(&m);
 
-  MergeOptions parallel_cached;
-  parallel_cached.num_threads = 4;
-  MergeContext ctx(parallel_cached);
+  MergeOptions options;
+  options.num_threads = 4;
+  MergeContext ctx(options);
 
-  const MergeabilityGraph reference = oracle_graph(ptrs, parallel_cached);
+  const MergeabilityGraph reference = oracle_graph(ptrs, options);
   const MergeabilityGraph parallel(ptrs, ctx);
   expect_identical_graphs(reference, parallel);
-  // Warm-cache rebuild is identical too.
-  const MergeabilityGraph warm(ptrs, ctx);
-  expect_identical_graphs(reference, warm);
+  // A rebuild on the same context is identical too.
+  const MergeabilityGraph rebuilt(ptrs, ctx);
+  expect_identical_graphs(reference, rebuilt);
 }
 
-TEST_F(RelationshipCacheTest, ParallelPathDeterministicOn32GeneratedModes) {
+TEST_F(ModeRelationshipsTest, ParallelPathDeterministicOn32GeneratedModes) {
   gen::DesignParams dp;
   dp.num_regs = 120;
   netlist::Design d = gen::generate_design(lib, dp);
@@ -311,11 +271,11 @@ TEST_F(RelationshipCacheTest, ParallelPathDeterministicOn32GeneratedModes) {
   }
   for (const auto& m : modes) ptrs.push_back(m.get());
 
-  MergeOptions parallel_cached;
-  parallel_cached.num_threads = 0;  // hardware concurrency
-  MergeContext ctx(parallel_cached);
+  MergeOptions options;
+  options.num_threads = 0;  // hardware concurrency
+  MergeContext ctx(options);
 
-  const MergeabilityGraph reference = oracle_graph(ptrs, parallel_cached);
+  const MergeabilityGraph reference = oracle_graph(ptrs, options);
   const MergeabilityGraph parallel(ptrs, ctx);
   expect_identical_graphs(reference, parallel);
 }

@@ -335,8 +335,8 @@ int run_mcmm(const mm::timing::TimingGraph& graph,
   }
   const merge::McmmSession::CommitResult& out = session.commit();
 
-  const merge::RelationshipCache::Stats cache =
-      session.context().cache().stats();
+  const merge::RelationshipBuilder::Stats built =
+      session.context().builder().stats();
   std::printf(
       "\nmcmm: %zu modes x %zu corners -> %zu merged (%.1f%% reduction) in "
       "%.2fs\n"
@@ -344,10 +344,10 @@ int run_mcmm(const mm::timing::TimingGraph& graph,
       "%zu corner delta fills, %zu skeleton mismatches\n",
       num_modes, num_corners, out.num_merged_modes(), out.reduction_percent(),
       out.total_seconds, out.pair_corner_checks, out.pair_corner_reuses,
-      static_cast<size_t>(cache.misses - cache.delta_fills -
-                          cache.skeleton_mismatches),
-      static_cast<size_t>(cache.delta_fills),
-      static_cast<size_t>(cache.skeleton_mismatches));
+      static_cast<size_t>(built.misses - built.delta_fills -
+                          built.skeleton_mismatches),
+      static_cast<size_t>(built.delta_fills),
+      static_cast<size_t>(built.skeleton_mismatches));
   meta.numbers["corners"] = static_cast<double>(num_corners);
   meta.numbers["num_input_modes"] = static_cast<double>(num_modes);
   meta.numbers["num_merged_modes"] = static_cast<double>(out.num_merged_modes());
@@ -355,7 +355,7 @@ int run_mcmm(const mm::timing::TimingGraph& graph,
   meta.numbers["merge_seconds"] = out.total_seconds;
   meta.numbers["mcmm_pair_corner_checks"] =
       static_cast<double>(out.pair_corner_checks);
-  meta.numbers["mcmm_delta_fills"] = static_cast<double>(cache.delta_fills);
+  meta.numbers["mcmm_delta_fills"] = static_cast<double>(built.delta_fills);
 
   bool safe = true;
   bool wrote_ok = true;
