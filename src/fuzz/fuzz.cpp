@@ -6,6 +6,7 @@
 
 #include "fuzz/corpus.h"
 #include "gen/corner_gen.h"
+#include "merge/equivalence.h"
 #include "merge/mcmm_session.h"
 #include "merge/mergeability.h"
 #include "merge/qor.h"
@@ -209,14 +210,38 @@ std::string clique_to_string(const std::vector<size_t>& clique) {
 }
 
 /// P1: the paper-§2 equivalence oracle over every clique's validation
-/// report.
-void check_equiv_property(const merge::MergedModeSet& out,
+/// report. The report itself must be the one a full check of the merged
+/// deck on a fresh context gives, field for field: the pipeline's
+/// validation may take pass 1's sweep or splice re-walked endpoint cones
+/// into pass 1's table instead of walking the deck again.
+void check_equiv_property(const timing::TimingGraph& graph,
+                          const std::vector<const sdc::Sdc*>& modes,
+                          const merge::MergedModeSet& out,
                           std::vector<Violation>& violations) {
   for (size_t i = 0; i < out.merged.size(); ++i) {
     const merge::ValidatedMergeResult& m = out.merged[i];
     const merge::EquivalenceReport& eq = m.equivalence;
     std::string where = "clique " + std::to_string(i) + " " +
                         clique_to_string(out.cliques[i]);
+    std::vector<const sdc::Sdc*> members;
+    for (size_t k : out.cliques[i]) members.push_back(modes[k]);
+    merge::RefineContext fresh(graph, members);
+    const merge::EquivalenceReport full = merge::check_equivalence(
+        fresh, *m.merge.merged, m.merge.clock_map);
+    if (full.keys_compared != eq.keys_compared ||
+        full.matches != eq.matches ||
+        full.optimism_violations != eq.optimism_violations ||
+        full.pessimism_keys != eq.pessimism_keys ||
+        full.state_mismatches != eq.state_mismatches ||
+        full.examples != eq.examples) {
+      violations.push_back(
+          {"equivalence",
+           where + ": validation report differs from a fresh full check (" +
+               std::to_string(eq.keys_compared) + " keys, " +
+               std::to_string(eq.matches) + " matches vs " +
+               std::to_string(full.keys_compared) + " keys, " +
+               std::to_string(full.matches) + " matches)"});
+    }
     if (eq.optimism_violations > 0) {
       violations.push_back(
           {"equivalence",
@@ -807,7 +832,9 @@ CheckResult check_case(const FuzzCase& c, const FuzzOptions& options) {
       merge::merge_mode_set(graph, ptrs, baseline_options(options));
   result.cliques = out.cliques.size();
 
-  if (options.check_equiv) check_equiv_property(out, result.violations);
+  if (options.check_equiv) {
+    check_equiv_property(graph, ptrs, out, result.violations);
+  }
   if (options.check_cover)
     check_cover_property(ptrs, options, out, result.violations);
   if (options.check_parity)

@@ -132,6 +132,8 @@ std::string mutate_sdc_text(const std::string& text, util::Rng& rng);
 ///   P1 equivalence:  per clique, zero optimism violations, and zero
 ///                    pessimism keys unless the refinement explicitly
 ///                    accounted for them (stats.unresolved_pessimism);
+///                    the validation report equals a full check on a
+///                    fresh RefineContext, field for field;
 ///   P2 parity:       cliques and merged SDC bytes identical between the
 ///                    baseline configuration and a one-thread run;
 ///   P3 idempotence:  re-merging a merged superset mode with itself yields

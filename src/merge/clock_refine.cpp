@@ -29,8 +29,10 @@ void infer_disables(const RefineContext& ctx, MergeResult& result) {
   }
   if (candidates.empty()) return;
 
-  // Merged constants as they stand (before any inferred disables).
-  const std::shared_ptr<const ModeGraph> merged_view = ctx.merged_view(merged);
+  // Merged constants as they stand (before any inferred disables); the
+  // clock stage is not needed.
+  const std::shared_ptr<const ModeGraph> merged_view =
+      ctx.merged_view(merged, ModeGraph::Stage::kArcs);
 
   for (uint32_t pv : candidates) {
     const PinId pin(pv);
@@ -92,9 +94,11 @@ void refine_clock_propagation(const RefineContext& ctx, MergeResult& result) {
     }
   }
 
-  // Merged-mode view with the disables inferred so far (constants + arc
-  // enables for the simulation).
-  const std::shared_ptr<const ModeGraph> merged_view = ctx.merged_view(merged);
+  // Merged-mode view with the disables inferred so far: constants and arc
+  // enables for the simulation, which runs its own clock propagation, so
+  // the view's clock stage waits until data refinement asks for it.
+  const std::shared_ptr<const ModeGraph> merged_view =
+      ctx.merged_view(merged, ModeGraph::Stage::kArcs);
 
   // Simulate merged clock propagation with the allowed-check inline.
   // presence[pin] = merged clocks present; a clock reaching a pin where it

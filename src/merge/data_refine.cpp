@@ -4,10 +4,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <span>
 #include <unordered_set>
 
+#include "merge/corner.h"
+#include "merge/equivalence.h"
 #include "obs/obs.h"
 #include "timing/exceptions.h"
 #include "timing/relationships.h"
@@ -202,6 +205,15 @@ class DataRefiner {
       pass3();
       s.pass3_seconds = timer.elapsed_seconds();
     }
+    if (walk_) {
+      // Hand pass 1's walk to validation, with the anchors of every fix
+      // added since.
+      std::vector<PinId>& eps = walk_->fix_endpoints;
+      std::sort(eps.begin(), eps.end());
+      eps.erase(std::unique(eps.begin(), eps.end()), eps.end());
+      walk_->refined_fingerprint = timing_state_fingerprint(merged());
+      ctx_.keep_merged_walk(std::move(walk_));
+    }
     MM_COUNT("merge/endpoints_descended_pass2", pass2_endpoints_.size());
     MM_COUNT("merge/pairs_descended_pass3", s.pass3_pairs);
     MM_COUNT("merge/paths_enumerated_pass3", s.pass3_paths_enumerated);
@@ -219,79 +231,34 @@ class DataRefiner {
   // Clock sets are flat bit rows: row p holds `words` 64-bit words, bit c
   // set iff merged clock c reaches pin p.
 
-  /// The launch clocks a view seeds at each active startpoint, as (pin,
-  /// clock) pairs in the given clock space.
-  template <typename Fn>
-  void for_each_launch(const ModeGraph& mg, Fn&& fn) const {
-    for (PinId sp : mg.active_startpoints()) {
-      if (graph_.design().pin(sp).is_port()) {
-        for (const sdc::PortDelay& pd : mg.sdc().port_delays()) {
-          if (pd.is_input && pd.port_pin == sp && pd.clock.valid()) {
-            fn(sp, pd.clock);
-          }
-        }
-      } else {
-        for (const timing::ClockArrival& ca : mg.clocks_on(sp)) {
-          fn(sp, ca.clock);
-        }
-      }
-    }
-  }
-
-  /// Walk a view's data network in topological order, calling
-  /// step(from, to) for every enabled arc a launch clock can cross out of
-  /// a pin whose row is non-empty (register CP pins cross only their
-  /// launch arcs).
-  template <typename Step>
-  void walk_data_network(const ModeGraph& mg, const std::vector<uint64_t>& rows,
-                         size_t words, Step&& step) const {
-    for (PinId pin : graph_.topo_order()) {
-      const uint64_t* row = &rows[pin.index() * words];
-      if (std::all_of(row, row + words, [](uint64_t w) { return w == 0; })) {
-        continue;
-      }
-      bool has_launch = false;
-      for (ArcId aid : graph_.fanout(pin)) {
-        if (graph_.arc(aid).kind == ArcKind::kLaunch) has_launch = true;
-      }
-      for (ArcId aid : graph_.fanout(pin)) {
-        if (!mg.arc_enabled(aid)) continue;
-        const Arc& arc = graph_.arc(aid);
-        if (has_launch && arc.kind != ArcKind::kLaunch) continue;
-        step(pin.index(), arc.to.index());
-      }
-    }
-  }
-
-  /// Member m's launch-clock reach through its data network, clock ids
-  /// mapped to merged space.
-  std::vector<uint64_t> member_clock_reach(size_t m, size_t words) const {
-    std::vector<uint64_t> reach(graph_.num_nodes() * words, 0);
-    for_each_launch(ctx_.mode_graph(m), [&](PinId sp, sdc::ClockId c) {
-      const sdc::ClockId mc = map().merged_of(m, c);
-      if (!mc.valid()) return;
-      reach[sp.index() * words + (mc.index() >> 6)] |= uint64_t{1}
-                                                       << (mc.index() & 63);
-    });
-    walk_data_network(ctx_.mode_graph(m), reach, words,
-                      [&](size_t from, size_t to) {
-                        for (size_t w = 0; w < words; ++w) {
-                          reach[to * words + w] |= reach[from * words + w];
-                        }
-                      });
-    return reach;
-  }
-
   void step_clocks_on_data() {
     const size_t words = (merged().num_clocks() + 63) / 64;
     if (words == 0) return;
     const size_t num_rows = graph_.num_nodes();
 
-    // Union of individual reaches, one member per task.
+    // Union of individual reaches, one member per task. Each member's
+    // reach is in its own clock space (a member view keeps it across
+    // merges); its clocks are renamed into merged space here. Reach is an
+    // OR over paths, so renaming after the walk equals renaming the seeds.
     std::vector<uint64_t> allowed(num_rows * words, 0);
     std::mutex allowed_mutex;
     ctx_.pool.parallel_for(ctx_.modes.size(), [&](size_t m) {
-      const std::vector<uint64_t> reach = member_clock_reach(m, words);
+      const std::shared_ptr<const LaunchReach> kept = ctx_.member_reach(m);
+      const LaunchReach& member = *kept;
+      std::vector<uint64_t> reach(num_rows * words, 0);
+      for (size_t p = 0; p < num_rows; ++p) {
+        for (size_t w = 0; w < member.words; ++w) {
+          for (uint64_t bits = member.rows[p * member.words + w]; bits != 0;
+               bits &= bits - 1) {
+            const sdc::ClockId mc = map().merged_of(
+                m, sdc::ClockId(static_cast<uint32_t>(
+                       w * 64 + static_cast<size_t>(__builtin_ctzll(bits)))));
+            if (!mc.valid()) continue;
+            reach[p * words + (mc.index() >> 6)] |= uint64_t{1}
+                                                    << (mc.index() & 63);
+          }
+        }
+      }
       std::lock_guard<std::mutex> lock(allowed_mutex);
       for (size_t i = 0; i < allowed.size(); ++i) allowed[i] |= reach[i];
     });
@@ -376,6 +343,20 @@ class DataRefiner {
   }
 
   void add_exception(sdc::Exception ex) {
+    if (walk_) {
+      // A fix after pass 1's walk. One anchored on a single -to endpoint
+      // changes that endpoint's rows alone; any other (pass 0's clock-pair
+      // false paths) can change any endpoint's.
+      const bool anchored =
+          ex.to.pins.size() == 1 && ex.to.clocks.empty() &&
+          (graph_.is_endpoint(ex.to.pins[0]) ||
+           graph_.design().pin(ex.to.pins[0]).is_port());
+      if (anchored) {
+        walk_->fix_endpoints.push_back(ex.to.pins[0]);
+      } else {
+        walk_->full_walk = true;
+      }
+    }
     merged().exceptions().push_back(std::move(ex));
   }
 
@@ -599,14 +580,28 @@ class DataRefiner {
 
     result_.stats.pass1_keys = mrel.size();
 
+    // With hold analysis on, this walk ran under validation's options, so
+    // the sweep below also makes validation's comparison, and the walk is
+    // kept for it (MergedWalk).
+    std::optional<EquivalenceSweep> equivalence;
+    if (analyze_hold_) {
+      walk_ = std::make_shared<MergedWalk>();
+      walk_->deck = &merged();
+      walk_->map = map();
+      walk_->walked_fingerprint = timing_state_fingerprint(merged());
+      equivalence.emplace(graph_, merged());
+    }
+
     // One sweep over the member tables and the merged table: pass-0 pair
-    // timing, the per-key verdicts and the lost-relation scan.
+    // timing, the per-key verdicts, the lost-relation scan and the
+    // equivalence comparison.
     PairTiming pairs(merged().num_clocks());
     std::vector<KeyVerdict> verdicts;
     verdicts.reserve(mrel.size());
     join_relations(*indiv, mrel, [&](const RelationKey& key,
                                     const RelationData* mdata,
                                     std::span<const RelationData* const> rows) {
+      if (equivalence) equivalence->visit(key, mdata, rows);
       const std::ptrdiff_t pair = pairs.slot(key);
       if (pair >= 0) {
         for (int side = 0; side < num_sides(); ++side) {
@@ -631,6 +626,10 @@ class DataRefiner {
                      std::string(graph_.design().pin_name(key.endpoint)));
       }
     });
+    if (walk_) {
+      walk_->report =
+          std::make_shared<const EquivalenceReport>(equivalence->report());
+    }
 
     // Pass 0: emit clock-pair-level false paths in (launch, capture) order
     // (unqualified when both sides agree, -setup/-hold otherwise).
@@ -680,6 +679,16 @@ class DataRefiner {
       if (open) pass2_endpoints_.push_back(endpoint);
     });
     result_.stats.pass1_ambiguous = pass2_endpoints_.size();
+
+    // Validation splices into this table only when endpoint fixes land
+    // after the walk: here, or in passes 2-3, which run only for pass 1's
+    // open endpoints. A fix no endpoint anchors sends it to a full walk.
+    if (walk_ && walk_->full_walk) {
+      walk_.reset();
+    } else if (walk_ && (!walk_->fix_endpoints.empty() ||
+                         !pass2_endpoints_.empty())) {
+      walk_->table.emplace(mrel);
+    }
   }
 
   // --- pass 2 -----------------------------------------------------------------
@@ -1117,6 +1126,9 @@ class DataRefiner {
   const bool analyze_hold_;
   const std::shared_ptr<const ModeGraph> merged_view_;
 
+  /// Pass 1's walk, while refinement runs on (set only with hold
+  /// analysis on).
+  std::shared_ptr<MergedWalk> walk_;
   const std::vector<const CompiledExceptions*>* mode_exceptions_ = nullptr;
   std::vector<const StateSet*> mode_states_;  // classify_key's scratch
   std::vector<PinId> pass2_endpoints_;

@@ -78,6 +78,12 @@ size_t McmmSession::num_member_views() const {
   return n;
 }
 
+const MemberView& McmmSession::member_view(ModeId id,
+                                           CornerId corner) const {
+  MM_ASSERT(corner < corners_.size());
+  return modes_[position_of(id)].views[corner];
+}
+
 bool McmmSession::has_mode(ModeId id) const {
   for (const Entry& e : modes_) {
     if (e.id == id) return true;
@@ -135,8 +141,25 @@ void McmmSession::update_mode(ModeId id, CornerId corner, const Sdc* deck) {
   e.decks[corner] = deck;
   e.rels[corner].reset();
   // The view borrows the old deck (which may be this same object, edited
-  // in place): it describes a deck the slot no longer has.
-  e.views[corner] = MemberView{};
+  // in place): it describes a deck the slot no longer has. Its ModeGraph
+  // and launch reach read only what the timing_view_key covers, so when
+  // the new deck's key equals the one the view was built from (an edit
+  // of exceptions only) they carry over, the ModeGraph rebound to the new
+  // deck; the compiled exceptions and the relation table never do. The
+  // stored key, not the old deck, is compared: an edit in place has
+  // already overwritten the old deck.
+  MemberView& view = e.views[corner];
+  if (!view.empty() && view.key == timing_view_key(*deck)) {
+    MemberView kept;
+    kept.mode_graph = std::make_shared<const timing::ModeGraph>(
+        view.mode_graph->rebound(*deck));
+    kept.key = view.key;
+    kept.reach = std::move(view.reach);
+    view = std::move(kept);
+    MM_COUNT("session/member_graphs_kept", 1);
+  } else {
+    view = MemberView{};
+  }
   // A structural edit to the primary corner moves the mode's skeleton; the
   // other corners' relationship sets stay valid (each describes its own
   // deck — the delta fill verified the fingerprint match at fill time), so
@@ -505,9 +528,11 @@ const McmmSession::CommitResult& McmmSession::commit() {
         ++out.cliques_reused;
       } else {
         if (keep_views && !result.shared && options.run_refinement) {
+          // A view is "built" when the merge walked its relation table; one
+          // that kept only its ModeGraph across an edit counts as built.
           for (size_t i = 0; i < clique.size(); ++i) {
             MemberView& view = modes_[clique[i]].views[c];
-            ++(view.empty() ? views_built : views_reused);
+            ++(view.relations ? views_reused : views_built);
             view = std::move(slot.views[i]);
           }
         }

@@ -38,9 +38,11 @@
 // alone. A later merge of the deck, in whatever clique, takes the view
 // instead of building and walking it again, so an edit commit walks only
 // the edited decks. A view lives exactly as long as the slot's deck:
-// update_mode and remove_mode drop it, and so does release_batch. The
-// first commit keeps none, so a batch merge_mode_set (one commit) holds no
-// more memory than the merge itself.
+// update_mode and remove_mode drop it, and so does release_batch — except
+// that an update_mode whose new deck has the view's timing_view_key (an
+// edit of exceptions only) keeps the view's ModeGraph, rebound to the new
+// deck, and its launch reach. The first commit keeps none, so a batch
+// merge_mode_set (one commit) holds no more memory than the merge itself.
 //
 // Each (mode, corner) slot also owns its deck's relationship set
 // (merge/mode_relationships.h), built at the first commit after the deck
@@ -169,6 +171,8 @@ class McmmSession {
   size_t num_modes() const { return modes_.size(); }
   /// Member views the session holds, over every (mode, corner) slot.
   size_t num_member_views() const;
+  /// The member view of one (mode, corner) slot, empty when it has none.
+  const MemberView& member_view(ModeId id, CornerId corner) const;
   bool has_mode(ModeId id) const;
   const std::string& mode_name(ModeId id) const;
   /// Live decks of one corner in insertion order — the mode list a flat

@@ -135,7 +135,11 @@ ValidatedMergeResult merge_modes(
     refine_data_network(ctx, out.merge, options);
     out.merge.stats.refinement_seconds = timer.elapsed_seconds();
 
-    apply_debug_mutation(*out.merge.merged, options);
+    if (options.debug_mutation != DebugMutation::kNone) {
+      // The oracle must see the corrupted deck whole, not pass 1's walk.
+      ctx.drop_merged_walk();
+      apply_debug_mutation(*out.merge.merged, options);
+    }
 
     if (options.validate) {
       Stopwatch vtimer;

@@ -23,6 +23,25 @@ bool memoizable(const PropagationOptions& opts) {
 
 }  // namespace
 
+LaunchReach launch_reach(const ModeGraph& mg) {
+  LaunchReach reach;
+  reach.words = (mg.sdc().num_clocks() + 63) / 64;
+  const size_t words = reach.words;
+  reach.rows.assign(mg.graph().num_nodes() * words, 0);
+  if (words == 0) return reach;
+  std::vector<uint64_t>& rows = reach.rows;
+  for_each_launch(mg, [&](PinId sp, sdc::ClockId c) {
+    rows[sp.index() * words + (c.index() >> 6)] |= uint64_t{1}
+                                                    << (c.index() & 63);
+  });
+  walk_data_network(mg, rows, words, [&](size_t from, size_t to) {
+    for (size_t w = 0; w < words; ++w) {
+      rows[to * words + w] |= rows[from * words + w];
+    }
+  });
+  return reach;
+}
+
 void RefineContext::build_mode_graphs() {
   views_.resize(modes.size());
   std::vector<size_t> missing;
@@ -32,7 +51,18 @@ void RefineContext::build_mode_graphs() {
   pool.parallel_for(missing.size(), [&](size_t k) {
     const size_t m = missing[k];
     views_[m].mode_graph = std::make_shared<ModeGraph>(*graph, *modes[m]);
+    // Only a view that outlives the merge needs the key its next deck is
+    // compared against.
+    if (keep_views_) views_[m].key = timing_view_key(*modes[m]);
   });
+}
+
+std::shared_ptr<const LaunchReach> RefineContext::member_reach(
+    size_t m) const {
+  if (views_[m].reach) return views_[m].reach;
+  auto reach = std::make_shared<const LaunchReach>(launch_reach(mode_graph(m)));
+  if (keep_views_) views_[m].reach = reach;
+  return reach;
 }
 
 const std::vector<const CompiledExceptions*>&
@@ -127,24 +157,56 @@ RefineContext::member_relations(const PropagationOptions& opts,
 }
 
 std::shared_ptr<const ModeGraph> RefineContext::merged_view(
-    const Sdc& merged) const {
+    const Sdc& merged, ModeGraph::Stage upto) const {
+  using Stage = ModeGraph::Stage;
   const TimingViewKey key = timing_view_key(merged);
   std::lock_guard<std::mutex> lock(memo_mutex_);
   const bool same_deck = merged_view_ && merged_deck_ == &merged;
-  if (same_deck && merged_key_ == key) return merged_view_;
-  // The same deck with more fields: rebuild from the first stage that
-  // reads a changed one (clock refinement adds disables, then stops).
-  if (same_deck && merged_key_.constants == key.constants) {
-    merged_view_ = std::make_shared<ModeGraph>(
-        *merged_view_, merged,
-        merged_key_.arcs == key.arcs ? ModeGraph::Stage::kClocks
-                                     : ModeGraph::Stage::kArcs);
+  const bool same_constants =
+      same_deck && merged_key_.constants == key.constants;
+  if (same_constants && merged_key_.arcs == key.arcs) {
+    // Constants and arc enables stand. The clock stage stands too when it
+    // is built and its fields are unchanged; otherwise it runs now, when it
+    // is asked for. A kArcs request leaves the key alone, so a stale clock
+    // stage is still seen as stale later.
+    if (upto == Stage::kArcs ||
+        (merged_view_->built() == Stage::kClocks &&
+         merged_key_.clocks == key.clocks)) {
+      return merged_view_;
+    }
+    merged_view_ =
+        std::make_shared<ModeGraph>(*merged_view_, merged, Stage::kClocks);
+  } else if (same_constants) {
+    // The same deck with more disables: rebuild from the arc enables.
+    merged_view_ = std::make_shared<ModeGraph>(*merged_view_, merged,
+                                               Stage::kArcs, upto);
   } else {
-    merged_view_ = std::make_shared<ModeGraph>(*graph, merged);
+    merged_view_ = std::make_shared<ModeGraph>(*graph, merged, upto);
   }
   merged_deck_ = &merged;
   merged_key_ = key;
   return merged_view_;
+}
+
+void RefineContext::keep_merged_walk(
+    std::shared_ptr<const MergedWalk> walk) const {
+  std::lock_guard<std::mutex> lock(memo_mutex_);
+  merged_walk_ = std::move(walk);
+}
+
+std::shared_ptr<const MergedWalk> RefineContext::merged_walk(
+    const Sdc& merged, const ClockMap& map) const {
+  std::lock_guard<std::mutex> lock(memo_mutex_);
+  if (!merged_walk_ || merged_walk_->deck != &merged ||
+      !(merged_walk_->map == map)) {
+    return nullptr;
+  }
+  return merged_walk_;
+}
+
+void RefineContext::drop_merged_walk() const {
+  std::lock_guard<std::mutex> lock(memo_mutex_);
+  merged_walk_.reset();
 }
 
 }  // namespace mm::merge

@@ -5,10 +5,12 @@
 // merged deck's ModeGraph, shared by every stage that sees the same
 // merged timing state.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -22,6 +24,68 @@
 
 namespace mm::merge {
 
+struct EquivalenceReport;
+
+/// The launch clocks a view's data network carries: row p holds `words`
+/// 64-bit words, bit c set iff the view's clock c, launched at an active
+/// startpoint, reaches pin p through enabled data arcs (data refinement's
+/// pass 0 compares the merged deck's reach against the members').
+struct LaunchReach {
+  size_t words = 0;
+  std::vector<uint64_t> rows;
+};
+
+/// Call fn(pin, clock) for each launch clock a view seeds at each of its
+/// active startpoints, in the view's own clock space: the clocks on a
+/// register clock pin, the -clock of an input port's set_input_delay.
+template <typename Fn>
+void for_each_launch(const timing::ModeGraph& mg, Fn&& fn) {
+  const netlist::Design& design = mg.graph().design();
+  for (PinId sp : mg.active_startpoints()) {
+    if (design.pin(sp).is_port()) {
+      for (const sdc::PortDelay& pd : mg.sdc().port_delays()) {
+        if (pd.is_input && pd.port_pin == sp && pd.clock.valid()) {
+          fn(sp, pd.clock);
+        }
+      }
+    } else {
+      for (const timing::ClockArrival& ca : mg.clocks_on(sp)) {
+        fn(sp, ca.clock);
+      }
+    }
+  }
+}
+
+/// Walk a view's data network in topological order, calling step(from,
+/// to) for every enabled arc a launch clock can cross out of a pin whose
+/// row of `rows` (`words` words a pin) is non-empty; register clock pins
+/// cross only their launch arcs.
+template <typename Step>
+void walk_data_network(const timing::ModeGraph& mg,
+                       const std::vector<uint64_t>& rows, size_t words,
+                       Step&& step) {
+  const timing::TimingGraph& graph = mg.graph();
+  for (PinId pin : graph.topo_order()) {
+    const uint64_t* row = &rows[pin.index() * words];
+    if (std::all_of(row, row + words, [](uint64_t w) { return w == 0; })) {
+      continue;
+    }
+    bool has_launch = false;
+    for (timing::ArcId aid : graph.fanout(pin)) {
+      if (graph.arc(aid).kind == timing::ArcKind::kLaunch) has_launch = true;
+    }
+    for (timing::ArcId aid : graph.fanout(pin)) {
+      if (!mg.arc_enabled(aid)) continue;
+      const timing::Arc& arc = graph.arc(aid);
+      if (has_launch && arc.kind != timing::ArcKind::kLaunch) continue;
+      step(pin.index(), arc.to.index());
+    }
+  }
+}
+
+/// A view's launch reach, in the view's own clock space.
+LaunchReach launch_reach(const timing::ModeGraph& mg);
+
 /// One member deck's timing view: what refinement and validation derive
 /// from that deck alone (paper §3.2 compares the merged mode against each
 /// individual mode's own timing relationships). Every piece depends only
@@ -29,8 +93,17 @@ namespace mm::merge {
 /// and alive, whatever clique the deck is merged in. Pieces are immutable
 /// once built and shared; an unset piece is built when a stage first asks
 /// for it.
+///
+/// The ModeGraph and the launch reach read only the fields that `key`
+/// (timing_view_key) covers, so they also stay valid for a new deck with
+/// the same key — an edit of exceptions only — once the ModeGraph is
+/// rebound to it (ModeGraph::rebound). The compiled exceptions and the
+/// relation table do not.
 struct MemberView {
   std::shared_ptr<const timing::ModeGraph> mode_graph;
+  /// timing_view_key of the deck `mode_graph` was built from.
+  TimingViewKey key;
+  std::shared_ptr<const LaunchReach> reach;
   std::shared_ptr<const timing::CompiledExceptions> exceptions;
   /// The unfiltered endpoint-level relation table in the member's own
   /// clock space, walked under `relations_hold` / `relations_arrivals`.
@@ -39,6 +112,29 @@ struct MemberView {
   bool relations_arrivals = false;
 
   bool empty() const { return mode_graph == nullptr; }
+};
+
+/// What data refinement's pass 1 leaves for validation: its merged walk
+/// and the §2 comparison its sweep made, plus every refinement fix added
+/// after that walk. check_equivalence (merge/equivalence.h) reads it to
+/// skip or shorten its own merged walk.
+struct MergedWalk {
+  const Sdc* deck = nullptr;
+  ClockMap map;
+  /// timing_state_fingerprint of the deck when pass 1 walked it, and when
+  /// refinement finished.
+  uint64_t walked_fingerprint = 0;
+  uint64_t refined_fingerprint = 0;
+  /// The endpoint-level merged table, walked with analyze_hold on and
+  /// without arrivals — validation's own options. Held, packed, only when
+  /// a fix anchored on an endpoint landed or may land after the walk.
+  std::optional<timing::PackedRelationTable> table;
+  /// The §2 comparison of `table` against the members' tables.
+  std::shared_ptr<const EquivalenceReport> report;
+  /// Ascending endpoints of the fixes added after the walk, each anchored
+  /// on that one -to pin; `full_walk` when some fix was not.
+  std::vector<PinId> fix_endpoints;
+  bool full_walk = false;
 };
 
 struct RefineContext {
@@ -88,6 +184,12 @@ struct RefineContext {
     return *views_[m].mode_graph;
   }
 
+  /// Member m's launch reach: its view's, or built now. Only a context
+  /// that keeps its views stores a built one, so a batch merge holds each
+  /// reach only while its caller does. Calls for distinct m may run
+  /// concurrently.
+  std::shared_ptr<const LaunchReach> member_reach(size_t m) const;
+
   /// The members' views as they stand: every ModeGraph, plus whatever
   /// exceptions and relation tables the stages asked for.
   const std::vector<MemberView>& views() const { return views_; }
@@ -113,14 +215,28 @@ struct RefineContext {
       const timing::PropagationOptions& opts, const ClockMap& map,
       const std::function<void()>& beside = {}) const;
 
-  /// The merged deck's ModeGraph as `merged` stands now. The view is
-  /// built on first use and rebuilt only when `merged` is another deck or
-  /// a field a ModeGraph reads changed since (timing_view_key): disables
-  /// and clock stops that clock refinement adds do, exceptions that data
-  /// refinement adds do not. A rebuild of the same deck keeps the
-  /// constants when the case analysis is unchanged, and the arc enables
-  /// too when the disables are, re-running only the later stages.
-  std::shared_ptr<const timing::ModeGraph> merged_view(const Sdc& merged) const;
+  /// The merged deck's ModeGraph as `merged` stands now, built at least
+  /// up to stage `upto`. The view is built on first use and rebuilt only
+  /// when `merged` is another deck, a field a stage up to `upto` reads
+  /// changed since (timing_view_key), or that stage is not built yet:
+  /// disables and clock stops that clock refinement adds change fields,
+  /// exceptions that data refinement adds do not. A rebuild of the same
+  /// deck keeps the constants when the case analysis is unchanged, and the
+  /// arc enables too when the disables are, running only the later stages.
+  /// Clock refinement reads only constants and arc enables, so it asks for
+  /// kArcs, and the clock stage runs once, for data refinement.
+  std::shared_ptr<const timing::ModeGraph> merged_view(
+      const Sdc& merged,
+      timing::ModeGraph::Stage upto = timing::ModeGraph::Stage::kClocks) const;
+
+  /// Pass 1's record (data_refine.h), kept for check_equivalence.
+  void keep_merged_walk(std::shared_ptr<const MergedWalk> walk) const;
+  /// The record kept for `merged` walked under `map`, or null.
+  std::shared_ptr<const MergedWalk> merged_walk(const Sdc& merged,
+                                                const ClockMap& map) const;
+  /// Forget the record: the deck is about to change in a way refinement
+  /// did not make (a debug mutation), so validation must walk it whole.
+  void drop_merged_walk() const;
 
  private:
   void build_mode_graphs();
@@ -138,6 +254,7 @@ struct RefineContext {
   const bool keep_views_ = false;
   mutable std::vector<const timing::CompiledExceptions*> member_exceptions_;
   mutable RelationMemo memo_;
+  mutable std::shared_ptr<const MergedWalk> merged_walk_;
   mutable const Sdc* merged_deck_ = nullptr;
   mutable TimingViewKey merged_key_;
   mutable std::shared_ptr<const timing::ModeGraph> merged_view_;

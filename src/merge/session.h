@@ -95,6 +95,10 @@ class MergeSession {
   size_t num_modes() const { return engine_.num_modes(); }
   /// Member views the session holds (McmmSession::num_member_views).
   size_t num_member_views() const { return engine_.num_member_views(); }
+  /// One mode's member view (McmmSession::member_view).
+  const MemberView& member_view(ModeId id) const {
+    return engine_.member_view(id, kPrimaryCorner);
+  }
   bool has_mode(ModeId id) const { return engine_.has_mode(id); }
   /// Live modes in insertion order — the order a from-scratch
   /// merge_mode_set over the same set must use for output parity.

@@ -10,7 +10,7 @@ namespace mm::timing {
 using netlist::Design;
 using netlist::LibCell;
 
-ModeGraph::ModeGraph(const TimingGraph& graph, const Sdc& sdc)
+ModeGraph::ModeGraph(const TimingGraph& graph, const Sdc& sdc, Stage upto)
     : graph_(&graph), sdc_(&sdc) {
   constants_.assign(graph.num_nodes(), Logic::kUnknown);
   arc_enabled_.assign(graph.num_arcs(), 1);
@@ -21,10 +21,11 @@ ModeGraph::ModeGraph(const TimingGraph& graph, const Sdc& sdc)
     apply_disables();
     kill_blocked_arcs();
   }
-  build_clock_stage();
+  if (upto == Stage::kClocks) build_clock_stage();
 }
 
-ModeGraph::ModeGraph(const ModeGraph& base, const Sdc& sdc, Stage from)
+ModeGraph::ModeGraph(const ModeGraph& base, const Sdc& sdc, Stage from,
+                     Stage upto)
     : graph_(base.graph_), sdc_(&sdc), constants_(base.constants_) {
   if (from == Stage::kArcs) {
     MM_SPAN_HOT("timing/arc_enables");
@@ -34,7 +35,13 @@ ModeGraph::ModeGraph(const ModeGraph& base, const Sdc& sdc, Stage from)
   } else {
     arc_enabled_ = base.arc_enabled_;
   }
-  build_clock_stage();
+  if (upto == Stage::kClocks) build_clock_stage();
+}
+
+ModeGraph ModeGraph::rebound(const Sdc& sdc) const {
+  ModeGraph view(*this);
+  view.sdc_ = &sdc;
+  return view;
 }
 
 void ModeGraph::build_clock_stage() {
@@ -42,6 +49,7 @@ void ModeGraph::build_clock_stage() {
   propagate_clocks();
   collect_capture_clocks();
   find_active_points();
+  built_ = Stage::kClocks;
 }
 
 void ModeGraph::propagate_constants() {

@@ -31,17 +31,30 @@ struct ClockArrival {
 
 class ModeGraph {
  public:
-  /// Build the per-mode view. Both graph and sdc must outlive this object.
-  ModeGraph(const TimingGraph& graph, const Sdc& sdc);
-
-  /// The build stages after constant propagation.
+  /// The build stages after constant propagation: arc enables, then clock
+  /// propagation (clocks_on, capture clocks, active points).
   enum class Stage { kArcs, kClocks };
+
+  /// Build the per-mode view up to stage `upto`. A view built to kArcs has
+  /// constants and arc enables only; its clock accessors must not be
+  /// called. Both graph and sdc must outlive this object.
+  ModeGraph(const TimingGraph& graph, const Sdc& sdc,
+            Stage upto = Stage::kClocks);
 
   /// The view of `sdc`, a deck that differs from `base`'s only in fields
   /// that stage `from` or a later one reads. The view keeps `base`'s
   /// constants (equal case analysis) and, from kClocks, its arc enables
-  /// too (equal disables), and re-runs the remaining stages.
-  ModeGraph(const ModeGraph& base, const Sdc& sdc, Stage from);
+  /// too (equal disables), and runs the remaining stages up to `upto`.
+  ModeGraph(const ModeGraph& base, const Sdc& sdc, Stage from,
+            Stage upto = Stage::kClocks);
+
+  /// This view bound to `sdc`, a deck with the same timing_view_key
+  /// (merge/corner.h) as this view's: every built stage carries over, and
+  /// the per-query values (latency, uncertainty) are read from `sdc`.
+  ModeGraph rebound(const Sdc& sdc) const;
+
+  /// The last stage this view has built.
+  Stage built() const { return built_; }
 
   const TimingGraph& graph() const { return *graph_; }
   const Sdc& sdc() const { return *sdc_; }
@@ -107,6 +120,7 @@ class ModeGraph {
 
   const TimingGraph* graph_;
   const Sdc* sdc_;
+  Stage built_ = Stage::kArcs;
 
   std::vector<Logic> constants_;
   std::vector<uint8_t> arc_enabled_;

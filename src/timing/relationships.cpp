@@ -627,6 +627,38 @@ std::unordered_map<uint32_t, float> Propagator::worst_hold_slack_by_endpoint()
   return out;
 }
 
+RelationTable rewalk_endpoints(const ModeGraph& mode,
+                               const CompiledExceptions& exceptions,
+                               const PropagationOptions& options,
+                               const RelationTable& base,
+                               const std::vector<PinId>& endpoints) {
+  const std::vector<uint8_t> cone = Propagator::fanin_cone(mode, endpoints);
+  PropagationOptions opts = options;
+  opts.pin_filter = &cone;
+  Propagator prop(mode, exceptions);
+  prop.run(opts);
+  const RelationTable& patch = prop.relations();
+
+  auto rewalked = [&](PinId endpoint) {
+    return std::binary_search(endpoints.begin(), endpoints.end(), endpoint);
+  };
+  // Both tables are in key order, and endpoint is the key's first field:
+  // a two-way merge of base's other endpoints with patch's rewalked ones.
+  RelationTable out;
+  out.reserve(base.size());
+  size_t i = 0, j = 0;
+  for (;;) {
+    while (i < base.size() && rewalked(base[i].key.endpoint)) ++i;
+    while (j < patch.size() && !rewalked(patch[j].key.endpoint)) ++j;
+    if (i == base.size() && j == patch.size()) break;
+    const bool from_base =
+        j == patch.size() || (i < base.size() && base[i].key < patch[j].key);
+    const RelationRow& row = from_base ? base[i++] : patch[j++];
+    out.append(row.key) = row.data;
+  }
+  return out;
+}
+
 std::vector<uint8_t> Propagator::fanin_cone(const ModeGraph& mode,
                                             const std::vector<PinId>& from_pins) {
   const TimingGraph& graph = mode.graph();

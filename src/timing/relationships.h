@@ -326,4 +326,16 @@ class Propagator {
   RelationTable relations_;
 };
 
+/// `base` — `mode`'s table walked under `options` before exceptions that
+/// each name one -to endpoint were added — brought up to date against
+/// `exceptions`: the fan-in cones of `endpoints` (ascending, every fix
+/// anchor) are walked again, and their rows replace base's rows at those
+/// endpoints. Such an exception resolves at its endpoint alone, so every
+/// other endpoint's rows stand. `options` must carry no pin filter.
+RelationTable rewalk_endpoints(const ModeGraph& mode,
+                               const CompiledExceptions& exceptions,
+                               const PropagationOptions& options,
+                               const RelationTable& base,
+                               const std::vector<PinId>& endpoints);
+
 }  // namespace mm::timing

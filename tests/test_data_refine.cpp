@@ -5,8 +5,11 @@
 //     family, and a clique with more than 64 merged clocks (multi-word
 //     clock rows);
 //   - exact work counters for one validated clique merge: each member is
-//     propagated once (pass 1), validation walks only the merged deck, and
-//     data refinement builds one merged ModeGraph.
+//     propagated once (pass 1), validation walks at most the merged deck,
+//     and one merged ModeGraph runs its clock stage once;
+//   - validation's report on each of its paths (pass 1's report reused,
+//     fixed endpoints' cones spliced in, a full walk) against a full check
+//     on a fresh context, and the spliced table against a full walk.
 
 #include <gtest/gtest.h>
 
@@ -347,8 +350,8 @@ TEST_F(DataRefineTest, CliqueMergePropagatesEachMemberOnce) {
   // Data refinement: M + 1 endpoint-level walks in pass 1 (each member
   // once, the merged deck beside them), M + 1 cone-filtered walks in pass 2
   // when it descends, and one merged ModeGraph for all four passes: clock
-  // refinement's own view when it added no clock stop, else that view with
-  // its clock stage re-run.
+  // refinement's own view, built without its clock stage, which runs here
+  // exactly once.
   const Work before_refine = Work::now();
   refine_data_network(ctx, result, options);
   const Work refine = Work::now().since(before_refine);
@@ -356,18 +359,26 @@ TEST_F(DataRefineTest, CliqueMergePropagatesEachMemberOnce) {
   EXPECT_EQ(refine.propagations, m + 1 + pass2_walks);
   EXPECT_EQ(refine.mode_graphs, 0u);
   EXPECT_EQ(refine.arc_stages, 0u);
-  EXPECT_EQ(refine.clock_stages,
-            result.stats.clock_stops_added > 0 ? 1u : 0u);
+  EXPECT_EQ(refine.clock_stages, 1u);
 
-  // Validation reads the members from pass 1's memo and walks only the
-  // merged deck: one propagation, over data refinement's merged view
-  // (refinement since added only exceptions, which a ModeGraph never
-  // reads).
+  // Validation reads the members from pass 1's memo, and the merged side
+  // from pass 1's walk: when refinement added nothing after that walk, it
+  // walks nothing and returns the report pass 1's sweep built; otherwise
+  // it walks the merged deck once (whole, or the fixed endpoints' cones),
+  // over data refinement's merged view.
+  const MergeStats& s = result.stats;
+  const bool fixed_after_walk = s.pass0_pair_fixed + s.pass1_mismatch_fixed +
+                                    s.pass2_mismatch_fixed +
+                                    s.pass3_fps_added >
+                                0;
+  const uint64_t reused = counter("merge/validation_reused");
   const Work before_validate = Work::now();
   const EquivalenceReport report =
       check_equivalence(ctx, *result.merged, result.clock_map);
   const Work validate = Work::now().since(before_validate);
-  EXPECT_EQ(validate.propagations, 1u);
+  EXPECT_EQ(validate.propagations, fixed_after_walk ? 1u : 0u);
+  EXPECT_EQ(counter("merge/validation_reused") - reused,
+            fixed_after_walk ? 0u : 1u);
   EXPECT_EQ(validate.mode_graphs, 0u);
   EXPECT_EQ(validate.clock_stages, 0u);
   EXPECT_TRUE(report.signoff_safe());
@@ -386,20 +397,25 @@ TEST_F(DataRefineTest, ValidatedMergeModesAddsOnePropagation) {
   const ValidatedMergeResult out = merge_modes(graph, members, options);
   const Work work = Work::now().since(before);
   // Pass 1 walks the members and the merged deck (pass 2 again when it
-  // descends); validation adds exactly one walk, of the merged deck.
+  // descends). Validation walks the merged deck once only when refinement
+  // added a fix after pass 1's walk; otherwise it takes pass 1's sweep.
   const uint64_t walks = members.size() + 1;
-  EXPECT_EQ(work.propagations,
-            (out.merge.stats.pass1_ambiguous > 0 ? 2 * walks : walks) + 1);
-  // Member views once and the merged view once, from scratch. Disable
-  // inference keeps the merged constants and re-runs the arc-enable and
-  // clock stages; added clock stops re-run the clock stage only. Data
-  // refinement and validation share the last view.
   const MergeStats& s = out.merge.stats;
+  const bool fixed_after_walk = s.pass0_pair_fixed + s.pass1_mismatch_fixed +
+                                    s.pass2_mismatch_fixed +
+                                    s.pass3_fps_added >
+                                0;
+  EXPECT_EQ(work.propagations,
+            (s.pass1_ambiguous > 0 ? 2 * walks : walks) +
+                (fixed_after_walk ? 1 : 0));
+  // Member views once and the merged view once, from scratch. Clock
+  // refinement reads only merged constants and arc enables: disable
+  // inference re-runs the arc-enable stage, and the merged clock stage
+  // runs exactly once, for data refinement, which shares that view with
+  // validation.
   EXPECT_EQ(work.mode_graphs, members.size() + 1);
   EXPECT_EQ(work.arc_stages, s.inferred_disables > 0 ? 1u : 0u);
-  EXPECT_EQ(work.clock_stages, members.size() + 1 +
-                                   (s.inferred_disables > 0 ? 1 : 0) +
-                                   (s.clock_stops_added > 0 ? 1 : 0));
+  EXPECT_EQ(work.clock_stages, members.size() + 1);
   EXPECT_TRUE(out.equivalence.signoff_safe());
 }
 
@@ -511,6 +527,186 @@ TEST_F(DataRefineTest, MergedOutputIndependentOfThreadCount) {
     const TimingGraph graph(design);
     const std::vector<Sdc> modes = generated_modes(design, dp, 5);
     expect_thread_count_independent(graph, ptrs(modes));
+  }
+}
+
+
+// --- validation from pass 1's walk -------------------------------------------
+
+enum class ValidationPath { kReused, kCone, kFull };
+
+void expect_same_report(const EquivalenceReport& got,
+                        const EquivalenceReport& want) {
+  EXPECT_EQ(got.keys_compared, want.keys_compared);
+  EXPECT_EQ(got.matches, want.matches);
+  EXPECT_EQ(got.optimism_violations, want.optimism_violations);
+  EXPECT_EQ(got.pessimism_keys, want.pessimism_keys);
+  EXPECT_EQ(got.state_mismatches, want.state_mismatches);
+  EXPECT_EQ(got.examples, want.examples);
+}
+
+/// Merge `members` as the pipeline does, compare its validation report
+/// with a full check on a fresh context, field for field, and return the
+/// path the pipeline's validation took.
+ValidationPath expect_report_matches_fresh_check(
+    const TimingGraph& graph, const std::vector<const Sdc*>& members) {
+  MergeOptions options;
+  options.num_threads = 2;
+  const uint64_t reused = counter("merge/validation_reused");
+  const uint64_t cone = counter("merge/validation_cone_walks");
+  const uint64_t full = counter("merge/validation_full_walks");
+  const ValidatedMergeResult out = merge_modes(graph, members, options);
+  const uint64_t took_reused = counter("merge/validation_reused") - reused;
+  const uint64_t took_cone = counter("merge/validation_cone_walks") - cone;
+  const uint64_t took_full = counter("merge/validation_full_walks") - full;
+  EXPECT_EQ(took_reused + took_cone + took_full, 1u);
+
+  RefineContext fresh(graph, members);
+  const EquivalenceReport want =
+      check_equivalence(fresh, *out.merge.merged, out.merge.clock_map);
+  expect_same_report(out.equivalence, want);
+  return took_reused ? ValidationPath::kReused
+                     : (took_cone ? ValidationPath::kCone
+                                  : ValidationPath::kFull);
+}
+
+/// The generated family whose pass 1 fixes endpoints: 4 modes, seed 4.
+std::vector<Sdc> endpoint_fix_family(const netlist::Design& design,
+                                     const gen::DesignParams& dp) {
+  gen::ModeFamilyParams fp;
+  fp.num_modes = 4;
+  fp.target_groups = 1;
+  fp.seed = 4;
+  std::vector<Sdc> modes;
+  for (const gen::GeneratedMode& gm : gen::generate_mode_family(dp, fp)) {
+    modes.push_back(sdc::parse_sdc(gm.sdc_text, design));
+  }
+  return modes;
+}
+
+// The pipeline's validation report is the report of a full check on a
+// fresh context, field for field, on every path validation can take:
+// pass 1's report reused (the paper's 10-mode family: no fix after pass
+// 1), the fixed endpoints' cones spliced in (Constraint Set 6, whose
+// passes 1-3 each fix one endpoint, and a generated family whose pass 1
+// fixes endpoints), and a full walk (a pass-0 clock-pair false path, which
+// no single endpoint anchors, and a debug mutation).
+TEST_F(DataRefineTest, ValidationReportMatchesFreshFullCheck) {
+  const netlist::Design paper = gen::paper_circuit(lib);
+  const TimingGraph paper_graph(paper);
+  const std::vector<Sdc> family = paper_modes(paper);
+  EXPECT_EQ(expect_report_matches_fresh_check(paper_graph, ptrs(family)),
+            ValidationPath::kReused);
+
+  std::vector<Sdc> set6;
+  set6.push_back(sdc::parse_sdc(gen::constraint_sets::kSet6ModeA, paper));
+  set6.push_back(sdc::parse_sdc(gen::constraint_sets::kSet6ModeB, paper));
+  EXPECT_EQ(expect_report_matches_fresh_check(paper_graph, ptrs(set6)),
+            ValidationPath::kCone);
+
+  // Mode a false-paths the clkA -> clkB pair; mode b splits the same false
+  // path into -setup and -hold halves. Neither exception is common, so the
+  // merged deck times the pair, which pass 0 false-paths again.
+  const std::string clocks =
+      "create_clock -name clkA -period 10 [get_ports clk1]\n"
+      "create_clock -name clkB -period 20 [get_ports clk2]\n";
+  std::vector<Sdc> pair;
+  pair.push_back(sdc::parse_sdc(
+      clocks + "set_false_path -from [get_clocks clkA] -to [get_clocks clkB]\n",
+      paper));
+  pair.push_back(sdc::parse_sdc(
+      clocks +
+          "set_false_path -from [get_clocks clkA] -to [get_clocks clkB] -setup\n"
+          "set_false_path -from [get_clocks clkA] -to [get_clocks clkB] -hold\n",
+      paper));
+  EXPECT_EQ(expect_report_matches_fresh_check(paper_graph, ptrs(pair)),
+            ValidationPath::kFull);
+
+  const gen::DesignParams dp = small_design();
+  const netlist::Design design = gen::generate_design(lib, dp);
+  const TimingGraph graph(design);
+  const std::vector<Sdc> generated = endpoint_fix_family(design, dp);
+  EXPECT_EQ(expect_report_matches_fresh_check(graph, ptrs(generated)),
+            ValidationPath::kCone);
+}
+
+// A debug mutation corrupts the deck after refinement: validation walks it
+// whole and reports what a fresh check of the corrupted deck reports.
+TEST_F(DataRefineTest, DebugMutationValidatesTheWholeDeck) {
+  const netlist::Design paper = gen::paper_circuit(lib);
+  const TimingGraph graph(paper);
+  std::vector<Sdc> set6;
+  set6.push_back(sdc::parse_sdc(gen::constraint_sets::kSet6ModeA, paper));
+  set6.push_back(sdc::parse_sdc(gen::constraint_sets::kSet6ModeB, paper));
+  const std::vector<const Sdc*> members = ptrs(set6);
+
+  MergeOptions options;
+  options.debug_mutation = DebugMutation::kDropExceptions;
+  const uint64_t full = counter("merge/validation_full_walks");
+  const ValidatedMergeResult out = merge_modes(graph, members, options);
+  EXPECT_EQ(counter("merge/validation_full_walks") - full, 1u);
+  // Without its false paths the merged deck times what no mode times.
+  EXPECT_FALSE(out.equivalence.equivalent());
+  RefineContext fresh(graph, members);
+  expect_same_report(out.equivalence,
+                     check_equivalence(fresh, *out.merge.merged,
+                                       out.merge.clock_map));
+}
+
+// rewalk_endpoints — pass 1's merged table with the fixed endpoints' fan-in
+// cones walked again — equals a full walk of the refined deck, row for row.
+TEST_F(DataRefineTest, SplicedTableMatchesFullWalk) {
+  const gen::DesignParams dp = small_design();
+  const netlist::Design design = gen::generate_design(lib, dp);
+  const TimingGraph graph(design);
+  const std::vector<Sdc> modes = endpoint_fix_family(design, dp);
+  const std::vector<const Sdc*> members = ptrs(modes);
+
+  MergeOptions options;
+  MergeContext session(options);
+  MergeResult result = preliminary_merge(members, session);
+  RefineContext ctx(graph, members, session);
+  refine_clock_network(ctx, result, options);
+  refine_data_network(ctx, result, options);
+  const Sdc& merged = *result.merged;
+  const std::shared_ptr<const MergedWalk> walk =
+      ctx.merged_walk(merged, result.clock_map);
+  ASSERT_NE(walk, nullptr);
+  ASSERT_FALSE(walk->full_walk);
+  ASSERT_FALSE(walk->fix_endpoints.empty());
+  ASSERT_TRUE(walk->table.has_value());
+  const timing::RelationTable base = walk->table->unpack();
+
+  timing::PropagationOptions opts;
+  opts.compute_arrivals = false;
+  opts.analyze_hold = true;
+  const std::shared_ptr<const ModeGraph> view = ctx.merged_view(merged);
+  const timing::CompiledExceptions exceptions(graph, merged);
+  const timing::RelationTable spliced = timing::rewalk_endpoints(
+      *view, exceptions, opts, base, walk->fix_endpoints);
+  timing::Propagator prop(*view, exceptions);
+  prop.run(opts);
+  const timing::RelationTable& full = prop.relations();
+
+  auto same_rows = [](const timing::RelationTable& a,
+                      const timing::RelationTable& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (!(a[i].key == b[i].key) || !(a[i].data.states == b[i].data.states) ||
+          !(a[i].data.hold_states == b[i].data.hold_states)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // The fixes changed rows at their endpoints, and the splice has them.
+  EXPECT_FALSE(same_rows(base, full));
+  ASSERT_EQ(spliced.size(), full.size());
+  for (size_t i = 0; i < full.size(); ++i) {
+    SCOPED_TRACE("row " + std::to_string(i));
+    EXPECT_EQ(spliced[i].key, full[i].key);
+    EXPECT_EQ(spliced[i].data.states, full[i].data.states);
+    EXPECT_EQ(spliced[i].data.hold_states, full[i].data.hold_states);
   }
 }
 

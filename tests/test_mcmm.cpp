@@ -380,6 +380,15 @@ uint64_t counter(const char* name) {
   return obs::MetricsRegistry::global().counter(name).value();
 }
 
+/// Number of completed spans of a phase (its latency histogram count).
+uint64_t span_count(const std::string& phase) {
+  for (const obs::HistogramSnapshot& h :
+       obs::MetricsRegistry::global().snapshot().histograms) {
+    if (h.name == "phase/" + phase) return h.count;
+  }
+  return 0;
+}
+
 /// Per-corner byte parity of a commit against C flat merges of each
 /// corner's live decks, equivalence reports included.
 void expect_flat_parity(const timing::TimingGraph& graph,
@@ -597,6 +606,51 @@ TEST_F(McmmTest, FallbackCornerKeepsItsOwnMemberViews) {
   // release_batch drops every view.
   session.release_batch();
   EXPECT_EQ(session.num_member_views(), 0u);
+}
+
+// An exception-only edit keeps a slot's ModeGraph and launch reach
+// (update_mode compares the view's timing_view_key). With the same false
+// path added in every corner the timing states still agree, so corners
+// c > 0 share corner 0's result, and the commit builds one ModeGraph: the
+// merged deck's in corner 0.
+TEST_F(McmmTest, ExceptionOnlyEditKeepsTheSlotModeGraph) {
+  const CornerMatrix mx =
+      make_corner_matrix(*design_, dp_, /*num_modes=*/6, /*groups=*/2,
+                         /*num_corners=*/3);
+  MergeOptions options;
+  McmmSession session(*graph_, CornerSet(mx.corner_names), options);
+  std::vector<McmmSession::ModeId> ids;
+  for (size_t m = 0; m < mx.decks.size(); ++m) {
+    ids.push_back(add_row(session, mx, m));
+  }
+  session.commit();
+  // The second commit keeps the views of mode 0's corner-0 clique.
+  session.update_mode(ids[0], kPrimaryCorner, mx.decks[0][0].get());
+  session.commit();
+  ASSERT_FALSE(session.member_view(ids[0], kPrimaryCorner).empty());
+  const auto reach = session.member_view(ids[0], kPrimaryCorner).reach;
+  ASSERT_NE(reach, nullptr);
+
+  std::vector<std::unique_ptr<sdc::Sdc>> edited;
+  const uint64_t kept = counter("session/member_graphs_kept");
+  for (CornerId c = 0; c < mx.corner_names.size(); ++c) {
+    edited.push_back(std::make_unique<sdc::Sdc>(sdc::parse_sdc(
+        mx.fam.sdc_texts[0][c] + "set_false_path -to [get_pins r0/D]\n",
+        *design_)));
+    session.update_mode(ids[0], c, edited.back().get());
+  }
+  // Only the corner-0 slot had a view to keep.
+  EXPECT_EQ(counter("session/member_graphs_kept") - kept, 1u);
+  const MemberView& view = session.member_view(ids[0], kPrimaryCorner);
+  ASSERT_FALSE(view.empty());
+  EXPECT_EQ(&view.mode_graph->sdc(), edited[0].get());
+  EXPECT_EQ(view.reach, reach);
+
+  const uint64_t cases = span_count("timing/case_analysis");
+  const McmmSession::CommitResult& r = session.commit();
+  EXPECT_EQ(r.corner_shared_merges, mx.corner_names.size() - 1);
+  EXPECT_EQ(span_count("timing/case_analysis") - cases, 1u);
+  expect_flat_parity(*graph_, session, options);
 }
 
 TEST_F(McmmTest, DebugMutationNeverShares) {

@@ -396,6 +396,52 @@ TEST_F(ModeGraphTest, KeptStageViewsMatchFullBuilds) {
   EXPECT_FALSE(clocks.clock_on(pin("rX/CP"), sdc_->find_clock("a")));
 }
 
+// Clock refinement asks for the merged view up to its arc enables only;
+// the clock stage runs later, when data refinement asks for it. A view
+// built to kArcs and then grown to kClocks equals a full build, and so
+// does one rebuilt from kArcs after a disable without its clock stage.
+TEST_F(ModeGraphTest, ArcStageViewGrowsItsClockStageOnRequest) {
+  sdc_ = std::make_unique<sdc::Sdc>(sdc::parse_sdc(
+      "create_clock -name a -period 10 [get_ports clk1]\n"
+      "create_clock -name b -period 20 [get_ports clk2]\n"
+      "set_case_analysis 0 sel1\n",
+      design));
+  const ModeGraph arcs_only(graph, *sdc_, ModeGraph::Stage::kArcs);
+  EXPECT_EQ(arcs_only.built(), ModeGraph::Stage::kArcs);
+  const ModeGraph grown(arcs_only, *sdc_, ModeGraph::Stage::kClocks);
+  EXPECT_EQ(grown.built(), ModeGraph::Stage::kClocks);
+  expect_same_view(grown, ModeGraph(graph, *sdc_));
+
+  sdc::DisableTiming dt;
+  dt.pin = pin("and1/A");
+  sdc_->disables().push_back(dt);
+  const ModeGraph disabled(arcs_only, *sdc_, ModeGraph::Stage::kArcs,
+                           ModeGraph::Stage::kArcs);
+  EXPECT_EQ(disabled.built(), ModeGraph::Stage::kArcs);
+  expect_same_view(ModeGraph(disabled, *sdc_, ModeGraph::Stage::kClocks),
+                   ModeGraph(graph, *sdc_));
+}
+
+// A view rebound to a deck with the same timing state keeps every stage
+// and reads per-query values (uncertainty, latency) from the new deck.
+TEST_F(ModeGraphTest, ReboundViewReadsValuesFromTheNewDeck) {
+  const std::string text =
+      "create_clock -name a -period 10 [get_ports clk1]\n"
+      "set_case_analysis 0 sel1\n";
+  const ModeGraph base = make(text);
+  const sdc::Sdc edited = sdc::parse_sdc(
+      text + "set_clock_uncertainty 0.5 [get_clocks a]\n"
+             "set_false_path -to [get_pins rX/D]\n",
+      design);
+  const ModeGraph rebound = base.rebound(edited);
+  EXPECT_EQ(&rebound.sdc(), &edited);
+  EXPECT_EQ(rebound.built(), ModeGraph::Stage::kClocks);
+  expect_same_view(rebound, ModeGraph(graph, edited));
+  const sdc::ClockId a = edited.find_clock("a");
+  EXPECT_DOUBLE_EQ(rebound.uncertainty(a), 0.5);
+  EXPECT_DOUBLE_EQ(base.uncertainty(a), 0.0);
+}
+
 TEST(ModeGraphCsrTest, CsrLayoutsMatchPerPinOracleOnGeneratedDesign) {
   const netlist::Library lib = netlist::Library::builtin();
   gen::DesignParams dp;

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "gen/paper_circuit.h"
 #include "merge/merger.h"
 #include "merge/session.h"
+#include "timing/mode_graph.h"
 #include "obs/metrics.h"
 #include "sdc/parser.h"
 #include "sdc/writer.h"
@@ -38,6 +41,40 @@ std::vector<size_t> stat_counts(const MergeStats& s) {
 
 uint64_t counter(const char* name) {
   return obs::MetricsRegistry::global().counter(name).value();
+}
+
+/// Number of completed spans of a phase (its latency histogram count).
+uint64_t span_count(const std::string& phase) {
+  for (const obs::HistogramSnapshot& h :
+       obs::MetricsRegistry::global().snapshot().histograms) {
+    if (h.name == "phase/" + phase) return h.count;
+  }
+  return 0;
+}
+
+/// Two views of one design agree pin for pin and arc for arc.
+void expect_same_view(const timing::ModeGraph& got,
+                      const timing::ModeGraph& want) {
+  const timing::TimingGraph& g = want.graph();
+  for (size_t p = 0; p < g.num_nodes(); ++p) {
+    const PinId pin(p);
+    ASSERT_EQ(got.constant(pin), want.constant(pin)) << "pin " << p;
+    const auto a = got.clocks_on(pin);
+    const auto b = want.clocks_on(pin);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "clocks_on at pin " << p;
+    const auto ca = got.capture_clocks_at(pin);
+    const auto cb = want.capture_clocks_at(pin);
+    ASSERT_TRUE(std::equal(ca.begin(), ca.end(), cb.begin(), cb.end()))
+        << "capture_clocks_at pin " << p;
+  }
+  for (size_t a = 0; a < g.num_arcs(); ++a) {
+    ASSERT_EQ(got.arc_enabled(timing::ArcId(a)),
+              want.arc_enabled(timing::ArcId(a)))
+        << "arc " << a;
+  }
+  EXPECT_EQ(got.active_startpoints(), want.active_startpoints());
+  EXPECT_EQ(got.active_endpoints(), want.active_endpoints());
 }
 
 class SessionTest : public ::testing::Test {
@@ -306,6 +343,114 @@ TEST_F(SessionTest, RemoveThenAddModeBuildsAFreshView) {
   EXPECT_EQ(counter("session/member_views_reused") - reused, 2u);
   EXPECT_EQ(session.num_member_views(), 3u);
   expect_matches_scratch(session);
+}
+
+// An edit of exceptions only leaves everything a ModeGraph reads as it
+// was (timing_view_key): update_mode keeps the view's ModeGraph, rebound to
+// the new deck, and its launch reach, so the next commit builds no member
+// ModeGraph and walks only the edited deck's relation table.
+TEST_F(SessionTest, ExceptionOnlyEditKeepsTheModeGraph) {
+  const std::string clocks =
+      "create_clock -name c1 -period 10 [get_ports clk1]\n"
+      "create_clock -name c2 -period 20 [get_ports clk2]\n";
+  sdc::Sdc a = parse(clocks + "set_case_analysis 1 [get_ports sel1]\n");
+  sdc::Sdc b = parse(clocks + "set_case_analysis 1 [get_ports sel2]\n");
+  MergeSession session(graph);
+  const MergeSession::ModeId id_a = session.add_mode("a", &a);
+  const MergeSession::ModeId id_b = session.add_mode("b", &b);
+  session.commit();
+  session.update_mode(id_b, &b);
+  session.commit();
+  ASSERT_EQ(session.last_commit().cliques.size(), 1u);
+  const MemberView before = session.member_view(id_a);
+  ASSERT_FALSE(before.empty());
+  ASSERT_NE(before.reach, nullptr);
+  ASSERT_NE(before.relations, nullptr);
+
+  // A new deck for a: the same timing state plus a false path.
+  sdc::Sdc a2 = parse(clocks + "set_case_analysis 1 [get_ports sel1]\n" +
+                      "set_false_path -to [get_pins rZ/D]\n");
+  const uint64_t kept = counter("session/member_graphs_kept");
+  session.update_mode(id_a, &a2);
+  EXPECT_EQ(counter("session/member_graphs_kept") - kept, 1u);
+  const MemberView& view = session.member_view(id_a);
+  ASSERT_FALSE(view.empty());
+  EXPECT_EQ(&view.mode_graph->sdc(), &a2);
+  EXPECT_EQ(view.reach, before.reach);
+  EXPECT_EQ(view.exceptions, nullptr);
+  EXPECT_EQ(view.relations, nullptr);
+  expect_same_view(*view.mode_graph, timing::ModeGraph(graph, a2));
+
+  // The commit builds only the merged deck's ModeGraph, runs its clock
+  // stage once, and walks a's relation table.
+  const uint64_t cases = span_count("timing/case_analysis");
+  const uint64_t clocks_run = span_count("timing/clock_propagation");
+  const uint64_t built = counter("session/member_views_built");
+  const uint64_t reused = counter("session/member_views_reused");
+  session.commit();
+  EXPECT_EQ(span_count("timing/case_analysis") - cases, 1u);
+  EXPECT_EQ(span_count("timing/clock_propagation") - clocks_run, 1u);
+  EXPECT_EQ(counter("session/member_views_built") - built, 1u);
+  EXPECT_EQ(counter("session/member_views_reused") - reused, 1u);
+  expect_matches_scratch(session);
+
+  // The same again with the deck edited in place.
+  a2 = parse(clocks + "set_case_analysis 1 [get_ports sel1]\n" +
+             "set_false_path -to [get_pins rY/D]\n");
+  session.update_mode(id_a, &a2);
+  EXPECT_EQ(counter("session/member_graphs_kept") - kept, 2u);
+  expect_same_view(*session.member_view(id_a).mode_graph,
+                   timing::ModeGraph(graph, a2));
+  session.commit();
+  expect_matches_scratch(session);
+}
+
+// An edit to case analysis or to a clock changes what a ModeGraph reads:
+// update_mode drops the view, for a new deck and for one edited in place.
+TEST_F(SessionTest, CaseOrClockEditDropsTheView) {
+  const std::string clocks =
+      "create_clock -name c1 -period 10 [get_ports clk1]\n"
+      "create_clock -name c2 -period 20 [get_ports clk2]\n";
+  sdc::Sdc a = parse(clocks + "set_case_analysis 1 [get_ports sel1]\n");
+  sdc::Sdc b = parse(clocks + "set_case_analysis 1 [get_ports sel2]\n");
+  MergeSession session(graph);
+  const MergeSession::ModeId id_a = session.add_mode("a", &a);
+  const MergeSession::ModeId id_b = session.add_mode("b", &b);
+  session.commit();
+  session.update_mode(id_b, &b);
+  session.commit();
+  ASSERT_EQ(session.num_member_views(), 2u);
+  const uint64_t kept = counter("session/member_graphs_kept");
+
+  // A new deck with one more case analysis.
+  sdc::Sdc a_case = parse(clocks + "set_case_analysis 1 [get_ports sel1]\n" +
+                          "set_case_analysis 0 [get_ports sel2]\n");
+  session.update_mode(id_a, &a_case);
+  EXPECT_TRUE(session.member_view(id_a).empty());
+  session.commit();
+  expect_matches_scratch(session);
+  ASSERT_FALSE(session.member_view(id_a).empty());
+
+  // A new deck whose second clock moved to the other port.
+  sdc::Sdc a_clock = parse(
+      "create_clock -name c1 -period 10 [get_ports clk1]\n"
+      "create_clock -name c2 -period 20 [get_ports clk1] -add\n"
+      "set_case_analysis 1 [get_ports sel1]\n");
+  session.update_mode(id_a, &a_clock);
+  EXPECT_TRUE(session.member_view(id_a).empty());
+  session.commit();
+  expect_matches_scratch(session);
+
+  // b edited in place: its first clock moves to the other port.
+  ASSERT_FALSE(session.member_view(id_b).empty());
+  b = parse("create_clock -name c1 -period 10 [get_ports clk2]\n"
+            "create_clock -name c2 -period 20 [get_ports clk2] -add\n"
+            "set_case_analysis 1 [get_ports sel2]\n");
+  session.update_mode(id_b, &b);
+  EXPECT_TRUE(session.member_view(id_b).empty());
+  session.commit();
+  expect_matches_scratch(session);
+  EXPECT_EQ(counter("session/member_graphs_kept") - kept, 0u);
 }
 
 // A batch merge is one commit, and keeps no view; release_batch drops the
